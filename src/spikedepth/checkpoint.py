@@ -13,6 +13,7 @@ the depth model, plus distillation projection weights when present.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -57,6 +58,13 @@ def save_checkpoint(path, model, projections=None, distill=None) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _utf8(blob: bytes, what: str) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint {what} is not valid UTF-8: {exc.reason}") from exc
+
+
 def read_checkpoint(path):
     """→ (model config, distill config or None, {name: float32 array})."""
     with open(path, "rb") as fh:
@@ -67,16 +75,20 @@ def read_checkpoint(path):
         if version != SDTW_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        text = _read_exact(fh, clen, "config text").decode("utf-8")
+        text = _utf8(_read_exact(fh, clen, "config text"), "config text")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-            name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
+            name = _utf8(_read_exact(fh, nlen, "tensor name"), "tensor name")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "tensor rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor shape"))
-            n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            data = np.frombuffer(_read_exact(fh, 4 * n, "tensor data"), dtype="<f4").reshape(shape)
+            n = math.prod(shape)  # exact: a corrupt shape must not wrap around int64
+            payload = _read_exact(fh, 4 * n, "tensor data")
+            try:
+                data = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            except ValueError as exc:  # numpy rejects e.g. >64 dims or huge zero-size shapes
+                raise FormatError(f"checkpoint tensor {name!r}: unusable shape {shape}") from exc
             if name in tensors:
                 raise FormatError(f"duplicate tensor {name!r} in checkpoint")
             tensors[name] = data.astype(np.float32)

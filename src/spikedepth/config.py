@@ -7,6 +7,8 @@ rebuilt without the original config file.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 from .losses import DistillConfig
 from .model import ModelConfig
@@ -55,18 +57,25 @@ def parse_config_text(text: str) -> dict:
 
 def read_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
+    return parse_config_text(text)
 
 
 def _convert(key: str, value: str):
     try:
         if key in _INT_KEYS:
             return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        if key not in _FLOAT_KEYS:
+            return value
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
-    return value
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {key!r}: value must be finite, got {value!r}")
+    return number
 
 
 def _flag(key: str, value: str) -> bool:

@@ -15,6 +15,7 @@ plain-text manifest listing relative paths.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,7 +105,10 @@ class SampleTuple:
 
 
 def _read_exact(f, n, what):
-    buf = f.read(n)
+    # never ask read() for more than the file holds: it allocates the full
+    # request first, so a corrupt length field would cost gigabytes
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    buf = f.read(min(n, left))
     if len(buf) != n:
         raise FormatError(f"truncated {what}: wanted {n} bytes, got {len(buf)}")
     return buf
@@ -364,12 +368,19 @@ def load_dataset(data_dir, need_teacher: bool = False) -> list[SampleTuple]:
     manifest = root / MANIFEST_NAME
     if not manifest.is_file():
         raise DataError(f"no manifest at {manifest}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {manifest} is not UTF-8 text: {exc.reason}") from exc
     samples = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("count="):
             continue
-        fields = dict(part.split("=", 1) for part in line.split())
+        try:
+            fields = dict(part.split("=", 1) for part in line.split())
+        except ValueError:
+            raise DataError(f"malformed manifest line: {line!r}") from None
         if "spk" not in fields or "depth" not in fields:
             raise DataError(f"malformed manifest line: {line!r}")
         spikes = read_spikes(root / fields["spk"])

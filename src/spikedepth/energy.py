@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionError
+from .trace import is_binary
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
@@ -129,10 +130,6 @@ def _window_active_sum(x, k, stride, pad):
     return float(win.sum())
 
 
-def _is_binary(arr) -> bool:
-    return bool(np.isin(arr, (0, 1)).all())
-
-
 def _conv_row(entry, e_mac_pj, e_ac_pj):
     x, w = entry.inputs[0], entry.inputs[1]
     xd = x.data if x.data.ndim == 4 else x.data[None]
@@ -142,7 +139,7 @@ def _conv_row(entry, e_mac_pj, e_ac_pj):
     ho, wo = od.shape[-2], od.shape[-1]
     equiv = cout * cin * k * k * ho * wo
     is_float = any(entry.scope.startswith(p) for p in FLOAT_SCOPES)
-    if is_float or not _is_binary(xd):
+    if is_float or not is_binary(xd):
         macs = equiv * B
         return EnergyRow(entry.scope, "float", equiv, B, 1.0, macs, float_energy_pj(macs, e_mac_pj))
     # stride/pad are recoverable from shapes for the layers we build (stride 1)
@@ -160,7 +157,7 @@ def _matmul_row(entry, e_mac_pj, e_ac_pj):
     m, kk = ashape[-2], ashape[-1]
     n = bshape[-1]
     equiv = m * kk * n
-    a_bin, b_bin = _is_binary(a.data), _is_binary(b.data)
+    a_bin, b_bin = is_binary(a.data), is_binary(b.data)
     if not (a_bin or b_bin) or any(entry.scope.startswith(p) for p in FLOAT_SCOPES):
         macs = equiv * T
         return EnergyRow(entry.scope, "float", equiv, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionError
-from .layers import Conv, ConvBN
+from .layers import Conv, ConvBN, Module
 
 
 def rate_encode(x: ad.Tensor, mode: str = "mean") -> ad.Tensor:
@@ -29,7 +29,7 @@ def rate_encode(x: ad.Tensor, mode: str = "mean") -> ad.Tensor:
     raise DimensionError(f"rate_encode: unknown mode {mode!r}")
 
 
-class FusionHead:
+class FusionHead(Module):
     """Coarse-to-fine fusion of four rate-encoded feature levels.
 
     With rate maps R1..R4 at H/8 x W/8 (all D channels):
@@ -43,7 +43,7 @@ class FusionHead:
     3x3 ConvBN at every level and the final projection is a plain 1x1 conv.
     """
 
-    kind = "fusion"
+    name = "head"
 
     def __init__(self, cfg, rng, dtype=np.float32):
         d = cfg.d
@@ -56,7 +56,7 @@ class FusionHead:
     def forward(self, features, training):
         if len(features) != 4:
             raise DimensionError(f"fusion head needs exactly 4 feature stacks, got {len(features)}")
-        with ad.scope("head"):
+        with ad.scope(self.name):
             r1, r2, r3, r4 = (rate_encode(f, self.rate_mode) for f in features)
             y2 = ad.add(self.conv2.forward(ad.upsample_bilinear(r1, 2), training),
                         ad.upsample_bilinear(r2, 2))
@@ -67,25 +67,12 @@ class FusionHead:
             out = ad.sigmoid(self.proj.forward(y4))
             return ad.reshape(out, out.data.shape[-2:])
 
-    def modules(self):
-        return (self.conv2, self.conv3, self.conv4, self.proj)
 
-    def named_params(self):
-        for m in self.modules():
-            for n, p in m.named_params():
-                yield f"head.{n}", p
-
-    def named_buffers(self):
-        for m in self.modules():
-            for n, b in m.named_buffers():
-                yield f"head.{n}", b
-
-
-class LinearFcnHead:
+class LinearFcnHead(Module):
     """Ablation baseline: 1x1 ConvBN on the final block's rate map, one x8
     bilinear upsample, sigmoid."""
 
-    kind = "linear_fcn"
+    name = "head"
 
     def __init__(self, cfg, rng, dtype=np.float32):
         self.rate_mode = cfg.rate_mode
@@ -94,19 +81,8 @@ class LinearFcnHead:
     def forward(self, features, training):
         if not features:
             raise DimensionError("linear_fcn head needs at least one feature stack")
-        with ad.scope("head"):
+        with ad.scope(self.name):
             r = rate_encode(features[-1], self.rate_mode)
             y = self.proj.forward(r, training)
             out = ad.sigmoid(ad.upsample_bilinear(y, 8))
             return ad.reshape(out, out.data.shape[-2:])
-
-    def modules(self):
-        return (self.proj,)
-
-    def named_params(self):
-        for n, p in self.proj.named_params():
-            yield f"head.{n}", p
-
-    def named_buffers(self):
-        for n, b in self.proj.named_buffers():
-            yield f"head.{n}", b

@@ -15,7 +15,51 @@ def kaiming_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class Conv:
+class Module:
+    """A named layer, or a tree of named layers.
+
+    Naming rule: `name` is both the `ad.scope` that `forward` runs in and
+    the prefix of the module's tensor names, so one path names a layer on
+    the tape and in a checkpoint (scope `block1.attn.q.conv`, tensor
+    `block1.attn.q.conv.w`).  `named_params()` / `named_buffers()` walk
+    `vars(self)` in assignment order: an `ad.Tensor` with `is_param` is a
+    parameter and an `np.ndarray` a buffer, each named after its attribute;
+    a child `Module`, also one inside a list, tuple or dict (dicts in sorted
+    key order), contributes its own names under `name + "."`.  The root
+    model keeps the empty name and adds no prefix.
+    """
+
+    name = ""
+
+    def named_params(self):
+        return self._named(lambda v: isinstance(v, ad.Tensor) and v.is_param)
+
+    def named_buffers(self):
+        return self._named(lambda v: isinstance(v, np.ndarray))
+
+    def _named(self, keep, prefix=""):
+        prefix = f"{prefix}{self.name}." if self.name else prefix
+        out = []
+        for attr, value in vars(self).items():
+            if keep(value):
+                out.append((prefix + attr, value))
+            for child in _modules(value):
+                out += child._named(keep, prefix)
+        return out
+
+
+def _modules(value):
+    """`value` if it is a Module, else the Modules nested in a list, tuple or dict."""
+    if isinstance(value, Module):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [m for v in value for m in _modules(v)]
+    if isinstance(value, dict):
+        return [m for k in sorted(value) for m in _modules(value[k])]
+    return []
+
+
+class Conv(Module):
     """Plain 2-D convolution (used for final projections).
 
     `bias=False` suits projections that sit right before a loss or squashing
@@ -27,25 +71,15 @@ class Conv:
     def __init__(self, name, cin, cout, k, pad, rng, dtype=np.float32, bias=True):
         self.name = name
         self.k, self.pad = k, pad
-        self.w = ad.parameter(
-            kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype), name=f"{name}.w"
-        )
-        self.b = ad.parameter(np.zeros(cout, dtype=dtype), name=f"{name}.b") if bias else None
+        self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype))
+        self.b = ad.parameter(np.zeros(cout, dtype=dtype)) if bias else None
 
     def forward(self, x):
         with ad.scope(self.name):
             return ad.conv2d(x, self.w, self.b, stride=1, pad=self.pad)
 
-    def named_params(self):
-        yield self.w.name, self.w
-        if self.b is not None:
-            yield self.b.name, self.b
 
-    def named_buffers(self):
-        return iter(())
-
-
-class ConvBN:
+class ConvBN(Module):
     """Convolution (bias-free) followed by per-channel batch normalisation.
 
     Training mode normalises with the statistics of the current call and
@@ -56,11 +90,9 @@ class ConvBN:
     def __init__(self, name, cin, cout, k, pad, rng, dtype=np.float32):
         self.name = name
         self.k, self.pad = k, pad
-        self.w = ad.parameter(
-            kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype), name=f"{name}.w"
-        )
-        self.gamma = ad.parameter(np.ones(cout, dtype=dtype), name=f"{name}.gamma")
-        self.beta = ad.parameter(np.zeros(cout, dtype=dtype), name=f"{name}.beta")
+        self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype))
+        self.gamma = ad.parameter(np.ones(cout, dtype=dtype))
+        self.beta = ad.parameter(np.zeros(cout, dtype=dtype))
         self.running_mean = np.zeros(cout, dtype=dtype)
         self.running_var = np.ones(cout, dtype=dtype)
 
@@ -76,17 +108,8 @@ class ConvBN:
                 training=training,
             )
 
-    def named_params(self):
-        yield self.w.name, self.w
-        yield self.gamma.name, self.gamma
-        yield self.beta.name, self.beta
 
-    def named_buffers(self):
-        yield f"{self.name}.running_mean", self.running_mean
-        yield f"{self.name}.running_var", self.running_var
-
-
-class Mlif:
+class Mlif(Module):
     """Multistep LIF layer wrapper with a trace scope."""
 
     def __init__(self, name, params: LifParams):

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .dataio import DepthMap
 from .errors import ConfigError, DataError, DimensionError, EmptyMaskError
 from .head import rate_encode
-from .layers import Conv
+from .layers import Conv, Module
 
 EPS_LOG = 1e-6
 
@@ -30,7 +30,7 @@ class DistillConfig:
     si_log_domain: bool = False
 
     def validate(self, l=None):
-        if self.lambda_p < 0 or self.lambda_2 < 0:
+        if not (self.lambda_p >= 0 and self.lambda_2 >= 0):
             raise ConfigError("loss weights must be non-negative")
         if self.teacher_dim < 1:
             raise ConfigError(f"teacher_dim must be >= 1, got {self.teacher_dim}")
@@ -43,19 +43,22 @@ class DistillConfig:
         return self
 
 
-class FeatureProjections:
+class FeatureProjections(Module):
     """One learned 1x1 projection (student D -> teacher d) per matched block."""
+
+    name = "kd"
 
     def __init__(self, cfg: DistillConfig, student_dim: int, rng, dtype=np.float32):
         self.cfg = cfg
         self.convs = {
-            i: Conv(f"kd.proj{i}", student_dim, cfg.teacher_dim, 1, 0, rng, dtype)
+            i: Conv(f"proj{i}", student_dim, cfg.teacher_dim, 1, 0, rng, dtype)
             for i in cfg.matched_blocks
         }
 
-    def named_params(self):
-        for i in sorted(self.convs):
-            yield from self.convs[i].named_params()
+    def forward(self, block: int, x: ad.Tensor) -> ad.Tensor:
+        """Project the rate map `x` of matched block `block`."""
+        with ad.scope(self.name):
+            return self.convs[block].forward(x)
 
 
 def perceptual_loss(x: ad.Tensor, target: ad.Tensor) -> ad.Tensor:
@@ -125,7 +128,7 @@ def total_loss(
             lp_sum = None
             for i in cfg.matched_blocks:
                 feat = features[i - 1]
-                projected = projections.convs[i].forward(rate_encode(feat, rate_mode))
+                projected = projections.forward(i, rate_encode(feat, rate_mode))
                 term = perceptual_loss(projected, teacher_t)
                 lp_sum = term if lp_sum is None else ad.add(lp_sum, term)
         lp_value = float(lp_sum.data)

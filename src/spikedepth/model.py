@@ -17,8 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, DimensionError
 from .head import FusionHead, LinearFcnHead
-from .layers import ConvBN, Mlif
+from .layers import ConvBN, Mlif, Module
 from .neuron import LifParams
+from .trace import is_binary
 
 MERGE_MODES = ("clamp", "add")
 RATE_MODES = ("mean", "sum")
@@ -47,7 +48,7 @@ class ModelConfig:
             raise DimensionError(f"d must be divisible by 4, got {self.d}")
         if self.t < 1 or self.c < 1 or self.l < 1:
             raise DimensionError("t, c and l must all be >= 1")
-        if self.s <= 0:
+        if not self.s > 0:
             raise ConfigError(f"attention scale s must be positive, got {self.s}")
         if self.mlp_ratio < 1:
             raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
@@ -70,10 +71,6 @@ class ModelConfig:
         return (self.h // 8) * (self.w // 8)
 
 
-def _is_binary(arr) -> bool:
-    return bool(np.isin(arr, (0, 1)).all())
-
-
 def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float,
                             validate: bool = True) -> ad.Tensor:
     """Scaled spiking attention current ((Q K^T) V) * s for [T, N, D] inputs.
@@ -85,7 +82,7 @@ def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float,
     for name, x in (("q", q), ("k", k), ("v", v)):
         if x.data.ndim != 3:
             raise DimensionError(f"spike_attention_product: {name} must be [T,N,D], got {x.data.shape}")
-        if validate and not _is_binary(x.data):
+        if validate and not is_binary(x.data):
             raise ContractError(f"spike_attention_product: {name} is not a binary spike tensor")
     with ad.scope("qk"):
         attn = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
@@ -103,8 +100,10 @@ def merge_spikes(a: ad.Tensor, b: ad.Tensor, mode: str) -> ad.Tensor:
     return y
 
 
-class PatchEmbed:
+class PatchEmbed(Module):
     """Three ConvBN 3x3 -> MaxPool 2 -> MLIF stages; output [T, D, H/8, W/8]."""
+
+    name = "embed"
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         chans = cfg.embed_channels
@@ -116,7 +115,7 @@ class PatchEmbed:
             self.stages.append((conv, lif))
 
     def forward(self, x, training):
-        with ad.scope("embed"):
+        with ad.scope(self.name):
             for i, (conv, lif) in enumerate(self.stages, start=1):
                 x = conv.forward(x, training)
                 with ad.scope(f"s{i}.pool"):
@@ -124,93 +123,63 @@ class PatchEmbed:
                 x = lif.forward(x)
         return x
 
-    def modules(self):
-        return [conv for conv, _ in self.stages]
 
-    def named_params(self):
-        for m in self.modules():
-            for n, p in m.named_params():
-                yield f"embed.{n}", p
-
-    def named_buffers(self):
-        for m in self.modules():
-            for n, b in m.named_buffers():
-                yield f"embed.{n}", b
-
-
-class SpikingSelfAttention:
+class SpikingSelfAttention(Module):
     """Q/K/V formed by 1x1 ConvBN + dedicated MLIF over the token grid;
     the scaled binary product passes MLIF -> ConvBN -> MLIF so the path
     output is again a spike tensor."""
 
+    name = "attn"
+
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         d = cfg.d
         self.s = cfg.s
-        self.q_conv = ConvBN("attn.q.conv", d, d, 1, 0, rng, dtype)
-        self.k_conv = ConvBN("attn.k.conv", d, d, 1, 0, rng, dtype)
-        self.v_conv = ConvBN("attn.v.conv", d, d, 1, 0, rng, dtype)
-        self.q_lif = Mlif("attn.q.lif", cfg.lif)
-        self.k_lif = Mlif("attn.k.lif", cfg.lif)
-        self.v_lif = Mlif("attn.v.lif", cfg.lif)
-        self.attn_lif = Mlif("attn.lif", cfg.lif)
-        self.out_conv = ConvBN("attn.out.conv", d, d, 1, 0, rng, dtype)
-        self.post_lif = Mlif("attn.post.lif", cfg.lif)
+        self.q_conv = ConvBN("q.conv", d, d, 1, 0, rng, dtype)
+        self.k_conv = ConvBN("k.conv", d, d, 1, 0, rng, dtype)
+        self.v_conv = ConvBN("v.conv", d, d, 1, 0, rng, dtype)
+        self.q_lif = Mlif("q.lif", cfg.lif)
+        self.k_lif = Mlif("k.lif", cfg.lif)
+        self.v_lif = Mlif("v.lif", cfg.lif)
+        self.attn_lif = Mlif("lif", cfg.lif)
+        self.out_conv = ConvBN("out.conv", d, d, 1, 0, rng, dtype)
+        self.post_lif = Mlif("post.lif", cfg.lif)
 
     def forward(self, x, training, validate=False):
         T, d, hh, ww = x.data.shape
-        q = self.q_lif.forward(self.q_conv.forward(x, training))
-        k = self.k_lif.forward(self.k_conv.forward(x, training))
-        v = self.v_lif.forward(self.v_conv.forward(x, training))
 
         def tokens(z):
             return ad.transpose(ad.reshape(z, (T, d, hh * ww)), (0, 2, 1))
 
-        with ad.scope("attn"):
+        with ad.scope(self.name):
+            q = self.q_lif.forward(self.q_conv.forward(x, training))
+            k = self.k_lif.forward(self.k_conv.forward(x, training))
+            v = self.v_lif.forward(self.v_conv.forward(x, training))
             a = spike_attention_product(tokens(q), tokens(k), tokens(v), self.s, validate=validate)
-        a = ad.reshape(ad.transpose(a, (0, 2, 1)), (T, d, hh, ww))
-        out = self.attn_lif.forward(a)
-        out = self.out_conv.forward(out, training)
-        return self.post_lif.forward(out)
-
-    def modules(self):
-        return (self.q_conv, self.k_conv, self.v_conv, self.out_conv)
-
-    def named_params(self):
-        for m in self.modules():
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in self.modules():
-            yield from m.named_buffers()
+            a = ad.reshape(ad.transpose(a, (0, 2, 1)), (T, d, hh, ww))
+            out = self.attn_lif.forward(a)
+            out = self.out_conv.forward(out, training)
+            return self.post_lif.forward(out)
 
 
-class SpikingMlp:
+class SpikingMlp(Module):
     """Token-wise MLP path: ConvBN(D -> ratio*D) -> MLIF -> ConvBN(-> D) -> MLIF."""
+
+    name = "mlp"
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         d, hidden = cfg.d, cfg.d * cfg.mlp_ratio
-        self.fc1 = ConvBN("mlp.fc1.conv", d, hidden, 1, 0, rng, dtype)
-        self.lif1 = Mlif("mlp.lif1", cfg.lif)
-        self.fc2 = ConvBN("mlp.fc2.conv", hidden, d, 1, 0, rng, dtype)
-        self.lif2 = Mlif("mlp.lif2", cfg.lif)
+        self.fc1 = ConvBN("fc1.conv", d, hidden, 1, 0, rng, dtype)
+        self.lif1 = Mlif("lif1", cfg.lif)
+        self.fc2 = ConvBN("fc2.conv", hidden, d, 1, 0, rng, dtype)
+        self.lif2 = Mlif("lif2", cfg.lif)
 
     def forward(self, x, training):
-        x = self.lif1.forward(self.fc1.forward(x, training))
-        return self.lif2.forward(self.fc2.forward(x, training))
-
-    def modules(self):
-        return (self.fc1, self.fc2)
-
-    def named_params(self):
-        for m in self.modules():
-            yield from m.named_params()
-
-    def named_buffers(self):
-        for m in self.modules():
-            yield from m.named_buffers()
+        with ad.scope(self.name):
+            x = self.lif1.forward(self.fc1.forward(x, training))
+            return self.lif2.forward(self.fc2.forward(x, training))
 
 
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-activation spiking residual block.
 
     Y = X (+) SSA(X); Z = Y (+) MLP(Y).  Both paths end in an MLIF so the
@@ -218,72 +187,25 @@ class TransformerBlock:
     OR) unless the config selects plain addition.
     """
 
-    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, name, cfg: ModelConfig, rng, dtype=np.float32):
+        self.name = name
         self.merge_mode = cfg.merge
         self.attn = SpikingSelfAttention(cfg, rng, dtype)
         self.mlp = SpikingMlp(cfg, rng, dtype)
 
     def forward(self, x, training, validate=False):
-        a = self.attn.forward(x, training, validate=validate)
-        with ad.scope("merge1"):
-            y = merge_spikes(x, a, self.merge_mode)
-        m = self.mlp.forward(y, training)
-        with ad.scope("merge2"):
-            return merge_spikes(y, m, self.merge_mode)
-
-    def modules(self):
-        return self.attn.modules() + self.mlp.modules()
-
-    def named_params(self):
-        yield from self.attn.named_params()
-        yield from self.mlp.named_params()
-
-    def named_buffers(self):
-        yield from self.attn.named_buffers()
-        yield from self.mlp.named_buffers()
+        with ad.scope(self.name):
+            a = self.attn.forward(x, training, validate=validate)
+            with ad.scope("merge1"):
+                y = merge_spikes(x, a, self.merge_mode)
+            m = self.mlp.forward(y, training)
+            with ad.scope("merge2"):
+                return merge_spikes(y, m, self.merge_mode)
 
 
-class Backbone:
-    """Patch embedding followed by L transformer blocks; returns the list of
-    per-block spike feature stacks [T, D, H/8, W/8]."""
-
-    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
-        cfg.validate()
-        self.cfg = cfg
-        self.embed = PatchEmbed(cfg, rng, dtype)
-        self.blocks = [TransformerBlock(cfg, rng, dtype) for _ in range(cfg.l)]
-
-    def forward(self, x: ad.Tensor, training: bool, validate: bool = False):
-        if x.data.shape != (self.cfg.t, self.cfg.c, self.cfg.h, self.cfg.w):
-            raise DimensionError(
-                f"backbone: input shape {x.data.shape} != configured "
-                f"({self.cfg.t},{self.cfg.c},{self.cfg.h},{self.cfg.w})"
-            )
-        if validate and not _is_binary(x.data):
-            raise ContractError("backbone: input event stream is not binary")
-        feats = []
-        z = self.embed.forward(x, training)
-        for i, block in enumerate(self.blocks, start=1):
-            with ad.scope(f"block{i}"):
-                z = block.forward(z, training, validate=validate)
-            feats.append(z)
-        return feats
-
-    def named_params(self):
-        yield from self.embed.named_params()
-        for i, block in enumerate(self.blocks, start=1):
-            for n, p in block.named_params():
-                yield f"block{i}.{n}", p
-
-    def named_buffers(self):
-        yield from self.embed.named_buffers()
-        for i, block in enumerate(self.blocks, start=1):
-            for n, b in block.named_buffers():
-                yield f"block{i}.{n}", b
-
-
-class DepthModel:
-    """Backbone plus depth head; the single object checkpoints serialise."""
+class DepthModel(Module):
+    """Patch embedding, L transformer blocks and a depth head; the single
+    object checkpoints serialise, and the unnamed root of the module tree."""
 
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
         cfg.validate()
@@ -291,7 +213,8 @@ class DepthModel:
             rng = np.random.default_rng(0)
         self.cfg = cfg
         self.dtype = dtype
-        self.backbone = Backbone(cfg, rng, dtype)
+        self.embed = PatchEmbed(cfg, rng, dtype)
+        self.blocks = [TransformerBlock(f"block{i}", cfg, rng, dtype) for i in range(1, cfg.l + 1)]
         if cfg.head == "fusion":
             self.head = FusionHead(cfg, rng, dtype)
         else:
@@ -299,9 +222,20 @@ class DepthModel:
 
     def forward(self, spikes_dense: np.ndarray, training: bool, validate: bool = False):
         """Run backbone + head on one dense event stream [T,C,H,W].
-        Returns (feature list, depth prediction tensor [H, W])."""
+        Returns (per-block feature list, depth prediction tensor [H, W])."""
         x = ad.tensor(np.asarray(spikes_dense, dtype=self.dtype))
-        feats = self.backbone.forward(x, training, validate=validate)
+        if x.data.shape != (self.cfg.t, self.cfg.c, self.cfg.h, self.cfg.w):
+            raise DimensionError(
+                f"backbone: input shape {x.data.shape} != configured "
+                f"({self.cfg.t},{self.cfg.c},{self.cfg.h},{self.cfg.w})"
+            )
+        if validate and not is_binary(x.data):
+            raise ContractError("backbone: input event stream is not binary")
+        feats = []
+        z = self.embed.forward(x, training)
+        for block in self.blocks:
+            z = block.forward(z, training, validate=validate)
+            feats.append(z)
         pred = self.head.forward(feats, training)
         return feats, pred
 
@@ -309,14 +243,3 @@ class DepthModel:
         """Eval-mode depth map [H, W] as a plain array (no tape)."""
         _, pred = self.forward(spikes_dense, training=False)
         return pred.data
-
-    def named_params(self):
-        yield from self.backbone.named_params()
-        yield from self.head.named_params()
-
-    def named_buffers(self):
-        yield from self.backbone.named_buffers()
-        yield from self.head.named_buffers()
-
-    def param_tensors(self):
-        return [p for _, p in self.named_params()]

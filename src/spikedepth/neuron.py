@@ -29,13 +29,13 @@ class LifParams:
     surrogate_alpha: float = 2.0
 
     def __post_init__(self):
-        if self.tau < 1.0:
+        if not self.tau >= 1.0:
             raise ConfigError(f"tau must be >= 1.0, got {self.tau}")
         if not self.v_threshold > self.v_reset:
             raise ConfigError(
                 f"v_threshold ({self.v_threshold}) must exceed v_reset ({self.v_reset})"
             )
-        if self.surrogate_alpha <= 0:
+        if not self.surrogate_alpha > 0:
             raise ConfigError(f"surrogate_alpha must be positive, got {self.surrogate_alpha}")
 
 

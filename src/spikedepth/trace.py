@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ContractError
 
 
-def _is_binary(arr) -> bool:
+def is_binary(arr) -> bool:
+    """True when every element of `arr` is exactly 0 or 1."""
     return bool(np.isin(arr, (0, 1)).all())
 
 
@@ -35,13 +36,13 @@ def assert_spike_purity(entries, boundary_tensors=(), merge_mode="clamp") -> dic
             continue
         if e.op == "conv2d":
             x = e.inputs[0]
-            if not _is_binary(x.data):
+            if not is_binary(x.data):
                 raise ContractError(f"conv at {e.scope!r} consumes a non-binary activation")
             checked["convs"] += 1
         elif e.op == "matmul":
             a, b = e.inputs
             if not (a.is_param or b.is_param):
-                if not (_is_binary(a.data) or _is_binary(b.data)):
+                if not (is_binary(a.data) or is_binary(b.data)):
                     raise ContractError(
                         f"matmul at {e.scope!r} multiplies two non-binary activations"
                     )
@@ -49,26 +50,26 @@ def assert_spike_purity(entries, boundary_tensors=(), merge_mode="clamp") -> dic
         elif e.op == "mul":
             a, b = e.inputs
             if not (a.is_param or b.is_param):
-                if not (_is_binary(a.data) or _is_binary(b.data)):
+                if not (is_binary(a.data) or is_binary(b.data)):
                     raise ContractError(
                         f"elementwise product at {e.scope!r} has no binary operand"
                     )
                 checked["muls"] += 1
         elif e.op == "mlif":
-            if not _is_binary(e.output.data):
+            if not is_binary(e.output.data):
                 raise ContractError(f"neuron output at {e.scope!r} is not binary")
             checked["neurons"] += 1
         elif e.op == "clamp" and ".merge" in e.scope:
-            if not _is_binary(e.output.data):
+            if not is_binary(e.output.data):
                 raise ContractError(f"residual merge at {e.scope!r} is not binary")
             checked["merges"] += 1
         elif e.op == "add" and ".merge" in e.scope and merge_mode == "clamp":
             # pre-clamp integer sum of two binary streams
-            if not _is_binary(e.inputs[0].data) or not _is_binary(e.inputs[1].data):
+            if not is_binary(e.inputs[0].data) or not is_binary(e.inputs[1].data):
                 raise ContractError(f"residual merge at {e.scope!r} adds non-binary operands")
     for t in boundary_tensors:
         arr = t.data if hasattr(t, "data") else np.asarray(t)
-        if not _is_binary(arr):
+        if not is_binary(arr):
             raise ContractError("inter-layer backbone tensor is not binary")
         checked["boundaries"] += 1
     return checked

@@ -43,11 +43,11 @@ class TrainConfig:
             raise ConfigError("need epochs > 0 or steps > 0")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
+        if not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
         return self
 
@@ -164,10 +164,10 @@ def train(
     model = DepthModel(model_cfg, rng)
     projections = FeatureProjections(distill_cfg, model_cfg.d, rng) if train_cfg.kd else None
 
-    params = model.param_tensors()
+    named = list(model.named_params())
     if projections is not None:
-        params = params + [p for _, p in projections.named_params()]
-    opt = Adam(params, train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
+        named += projections.named_params()
+    opt = Adam([p for _, p in named], train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
                train_cfg.adam_eps, train_cfg.grad_clip)
 
     n = len(dataset)
@@ -181,6 +181,13 @@ def train(
 
     dense_cache = {s.name or id(s): s.spikes.to_dense() for s in dataset}
     save_distill = distill_cfg if train_cfg.kd else None
+
+    def save(path):
+        bad = [name for name, p in named if not np.isfinite(p.data).all()]
+        if bad:
+            raise NumericError(f"non-finite parameters after step {step}: {', '.join(bad)}")
+        save_checkpoint(path, model, projections, save_distill)
+
     rows = []
     step = 0
     for _ in range(epochs):
@@ -212,12 +219,12 @@ def train(
             step += 1
             rows.append((step, tot_acc / k, lp_acc / k, l2_acc / k))
             if train_cfg.checkpoint_every > 0 and step % train_cfg.checkpoint_every == 0:
-                save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, save_distill)
+                save(out / f"model_{step:06d}.sdtw")
 
     csv_path = out / LOSS_CSV_NAME
     _write_csv(csv_path, rows)
     ckpt_path = out / CHECKPOINT_NAME
-    save_checkpoint(ckpt_path, model, projections, save_distill)
+    save(ckpt_path)
     return TrainResult(model=model, projections=projections, rows=rows,
                        csv_path=str(csv_path), checkpoint_path=str(ckpt_path))
 

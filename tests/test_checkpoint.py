@@ -1,10 +1,14 @@
 """Binary checkpoint format: round-trips, rebuild fidelity, corruption checks."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_spikes, tiny_distill_cfg, tiny_model, tiny_projections
 from spikedepth.checkpoint import load_model, read_checkpoint, save_checkpoint
-from spikedepth.errors import FormatError
+from spikedepth.errors import FormatError, SpikeDepthError
 
 
 def _saved(tmp_path, with_kd=True, seed=3):
@@ -90,3 +94,55 @@ def test_renamed_tensor_rejected(tmp_path):
     bad.write_bytes(doctored)
     with pytest.raises(FormatError, match="mismatch"):
         load_model(bad)
+
+
+# sha256 of the untrained tiny checkpoints, pinned when tensor names were still
+# built by hand per layer: the Module tree must reproduce them byte for byte.
+# matched_blocks=(4, 2) is unsorted on purpose: the projections draw from the
+# rng in config order while the checkpoint stores them in sorted order.
+GOLDEN_SHA256 = {
+    "fusion_kd_4_2": "dbc5482891fb8d699b48583c0e6f9997428905bc3cbca418e83ebeff7f803368",
+    "linear_fcn": "dd0798d5afd0dbba8f91c9b4ff6dca318d93b5325f24d43fdc336e7bb5f5d251",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+def test_untrained_checkpoint_bytes_are_pinned(tmp_path, case):
+    if case == "fusion_kd_4_2":
+        distill = tiny_distill_cfg(matched_blocks=(4, 2))
+        model, projections = tiny_model(seed=0), tiny_projections(distill, seed=0)
+    else:
+        distill = projections = None
+        model = tiny_model(seed=0, head="linear_fcn")
+    path = tmp_path / "model.sdtw"
+    save_checkpoint(path, model, projections, distill)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A valid checkpoint with a projection, small enough to fuzz quickly."""
+    distill = tiny_distill_cfg(matched_blocks=(1,))
+    path = tmp_path_factory.mktemp("fuzz") / "valid.sdtw"
+    save_checkpoint(path, tiny_model(seed=0, head="linear_fcn", l=1),
+                    tiny_projections(distill, seed=0), distill)
+    return path, path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_raises_only_package_errors(small_checkpoint, data):
+    path, blob = small_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        mutated = bytearray(blob)
+        flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+            mutated[pos] ^= mask
+    bad = path.with_name("mutated.sdtw")
+    bad.write_bytes(bytes(mutated))
+    try:
+        load_model(bad)  # read_checkpoint plus the name/shape checks against the model
+    except SpikeDepthError:
+        pass

@@ -203,3 +203,89 @@ def test_sdt_threads_validation(tmp_path, value, ok):
     else:
         assert proc.returncode == 1
         assert proc.stdout.startswith("error=CONFIG/SDT_THREADS")
+
+
+def _tiny_data(tmp_path, capsys):
+    data = tmp_path / "data"
+    rc, _ = _run(capsys, ["gen", "--out", str(data)] + TINY_GEN)
+    assert rc == 0
+    return data
+
+
+@pytest.mark.parametrize("override", ["lr=nan", "tau=inf", "lambda_p=-inf", "s=nan",
+                                      "beta1=nan", "grad_clip=inf"])
+def test_non_finite_config_value_fails_before_training(tmp_path, capsys, override):
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG)
+    run = tmp_path / "run"
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data),
+                            "--out", str(run), "--set", "steps=1", "--set", override])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
+    assert not (run / "model.sdtw").exists()
+
+
+def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
+    from spikedepth import train as train_mod
+
+    step = train_mod.Adam.step
+
+    def poisoned_step(self, grad_scale=1.0):
+        gnorm = step(self, grad_scale)
+        self.params[0].data[0] = np.nan
+        return gnorm
+
+    monkeypatch.setattr(train_mod.Adam, "step", poisoned_step)
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG)
+    run = tmp_path / "run"
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data),
+                            "--out", str(run), "--set", "steps=1"])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith("error=NUMERIC/"), out
+    assert "embed.s1.conv.w" in out[0]
+    assert not (run / "model.sdtw").exists()
+
+
+def _corrupt_manifest(tmp_path, capsys, old, new):
+    data = _tiny_data(tmp_path, capsys)
+    manifest = data / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes().replace(old, new, 1))
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    return ["eval", "--ckpt", ckpt, "--data", str(data)]
+
+
+def _corrupt_checkpoint(tmp_path, old, new):
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    blob = Path(ckpt).read_bytes()
+    assert old in blob and len(old) == len(new)
+    Path(ckpt).write_bytes(blob.replace(old, new, 1))
+    spk = tmp_path / "zero.spkt"
+    dataio.write_spikes(spk, dataio.SpikeTensor.from_dense(np.zeros((2, 2, 16, 16))))
+    return ["infer", "--ckpt", ckpt, "--spk", str(spk), "--out", str(tmp_path / "p.dpth")]
+
+
+def _non_utf8_config(tmp_path, capsys):
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_bytes(TINY_TRAIN_CFG.encode() + b"# caf\xe9\n")
+    return ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("make_argv,category", [
+    pytest.param(lambda tp, cs: _corrupt_manifest(tp, cs, b"spk=", b"spk "), "DATA",
+                 id="manifest_token_without_equals"),
+    pytest.param(lambda tp, cs: _corrupt_manifest(tp, cs, b"sample=", b"sample=\xff"), "DATA",
+                 id="manifest_not_utf8"),
+    pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, b"embed.s1.conv.w", b"embed.s1.conv.\xff"),
+                 "IO", id="checkpoint_tensor_name_not_utf8"),
+    pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, b"merge=clamp", b"merge=cl\xffmp"),
+                 "IO", id="checkpoint_config_not_utf8"),
+    pytest.param(_non_utf8_config, "CONFIG", id="config_file_not_utf8"),
+])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, make_argv, category):
+    rc, out = _run(capsys, make_argv(tmp_path, capsys))
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith(f"error={category}/"), out

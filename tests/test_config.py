@@ -1,7 +1,10 @@
 """Flat key=value config parsing, overrides, and encode/decode round-trips."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedepth.config import (
+    KNOWN_KEYS,
     apply_overrides,
     build_distill_config,
     build_model_config,
@@ -10,10 +13,11 @@ from spikedepth.config import (
     parse_config_text,
     read_config,
 )
-from spikedepth.errors import ConfigError
+from spikedepth.errors import ConfigError, SpikeDepthError
 from spikedepth.losses import DistillConfig
 from spikedepth.model import ModelConfig
 from spikedepth.neuron import LifParams
+from spikedepth.train import build_train_config
 
 
 def test_parse_basic_with_comments():
@@ -63,6 +67,13 @@ def test_build_model_config_bad_values():
         build_model_config({"h": "20"})
 
 
+@pytest.mark.parametrize("key", ["s", "tau", "v_threshold", "v_reset", "surrogate_alpha"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_float_keys_must_be_finite(key, value):
+    with pytest.raises(ConfigError, match="finite"):
+        build_model_config({key: value})
+
+
 def test_build_distill_config():
     cfg = build_distill_config(
         {"lambda_p": "0.5", "matched_blocks": "2,4", "si_log_domain": "on"},
@@ -98,3 +109,24 @@ def test_encode_without_distill():
     got_model, got_distill = decode_model_config(text)
     assert got_distill is None
     assert got_model.d == 8
+
+
+# Arbitrary text, and lines built from real keys with arbitrary values, must
+# either parse into configs or fail with a package error, never another type.
+_LINE = st.one_of(
+    st.text(max_size=40),
+    st.builds("{}={}".format, st.sampled_from(sorted(KNOWN_KEYS)), st.text(max_size=12)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(), st.lists(_LINE, max_size=8).map("\n".join)),
+       overrides=st.lists(_LINE, max_size=4))
+def test_config_text_and_overrides_raise_only_package_errors(text, overrides):
+    try:
+        raw = apply_overrides(parse_config_text(text), overrides)
+        model = build_model_config(raw)
+        build_distill_config(raw, n_blocks=model.l)
+        build_train_config(raw)
+    except SpikeDepthError:
+        pass

@@ -23,6 +23,8 @@ def test_distill_config_validation():
     with pytest.raises(ConfigError):
         DistillConfig(lambda_p=-0.1).validate()
     with pytest.raises(ConfigError):
+        DistillConfig(lambda_2=float("nan")).validate()
+    with pytest.raises(ConfigError):
         DistillConfig(matched_blocks=()).validate()
     with pytest.raises(ConfigError):
         DistillConfig(matched_blocks=(5,)).validate(l=4)

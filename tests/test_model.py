@@ -5,6 +5,7 @@ import pytest
 from helpers import random_spikes, tiny_model, tiny_model_cfg
 from spikedepth import autodiff as ad
 from spikedepth.errors import ConfigError, ContractError, DimensionError
+from spikedepth.layers import Conv, ConvBN, Module
 from spikedepth.model import (
     DepthModel,
     ModelConfig,
@@ -95,6 +96,8 @@ def test_config_validation():
         tiny_model_cfg(d=6)
     with pytest.raises(ConfigError):
         tiny_model_cfg(s=0.0)
+    with pytest.raises(ConfigError):
+        tiny_model_cfg(s=float("nan"))
     with pytest.raises(ConfigError):
         tiny_model_cfg(merge="xor")
     with pytest.raises(ConfigError):
@@ -198,7 +201,7 @@ def test_merge_add_mode_allows_integer_streams(rng):
     assert pred.shape == (16, 16) and np.isfinite(pred).all()
 
 
-def test_param_names_unique_and_prefixed():
+def test_param_names_unique_and_prefixed(rng):
     model = tiny_model()
     names = [n for n, _ in model.named_params()]
     assert len(names) == len(set(names))
@@ -206,3 +209,48 @@ def test_param_names_unique_and_prefixed():
     assert any(n.startswith("block1.attn.q.conv") for n in names)
     assert any(n.startswith("block4.mlp.fc2") for n in names)
     assert any(n.startswith("head.") for n in names)
+    # construction order: embed stages, blocks 1..L (attention then MLP), head
+    assert names[:4] == ["embed.s1.conv.w", "embed.s1.conv.gamma", "embed.s1.conv.beta",
+                         "embed.s2.conv.w"]
+    assert names[9:12] == ["block1.attn.q.conv.w", "block1.attn.q.conv.gamma",
+                           "block1.attn.q.conv.beta"]
+    assert names[-3:] == ["head.l4.conv.gamma", "head.l4.conv.beta", "head.proj.w"]
+    buffers = [n for n, _ in model.named_buffers()]
+    assert buffers[:2] == ["embed.s1.conv.running_mean", "embed.s1.conv.running_var"]
+    assert set(buffers).isdisjoint(names)
+    # every parameter name is its layer's tape scope plus the attribute name
+    with ad.tape() as t:
+        model.forward(random_spikes(rng), training=True)
+    conv_scopes = {e.scope for e in t.entries if e.op == "conv2d"}
+    assert conv_scopes == {n.rsplit(".", 1)[0] for n in names if n.endswith(".w")}
+
+
+def test_module_walker_naming():
+    rng = np.random.default_rng(0)
+
+    class Leafless(Module):
+        name = "leafless"
+
+    class Tree(Module):
+        name = "tree"
+
+        def __init__(self):
+            self.first = Conv("first", 1, 1, 1, 0, rng, bias=False)
+            self.pairs = [(ConvBN("p1.a", 1, 1, 1, 0, rng), Leafless()), ()]
+            self.by_key = {"z": Conv("z", 1, 1, 1, 0, rng), "a": Conv("a", 1, 1, 1, 0, rng)}
+            self.table = np.zeros(2)
+            self.activation = ad.tensor(np.ones(2))  # not a parameter: skipped
+            self.scale = 3.0
+
+    tree = Tree()
+    assert tree.first.b is None
+    assert [n for n, _ in tree.named_params()] == [
+        "tree.first.w",
+        "tree.p1.a.w", "tree.p1.a.gamma", "tree.p1.a.beta",
+        "tree.a.w", "tree.a.b", "tree.z.w", "tree.z.b",
+    ]
+    assert [n for n, _ in tree.named_buffers()] == [
+        "tree.p1.a.running_mean", "tree.p1.a.running_var", "tree.table",
+    ]
+    assert dict(tree.named_params())["tree.a.w"] is tree.by_key["a"].w
+    assert dict(tree.named_buffers())["tree.table"] is tree.table

@@ -54,6 +54,9 @@ def test_params_validation():
         LifParams(v_threshold=0.0, v_reset=0.0)
     with pytest.raises(ConfigError):
         LifParams(surrogate_alpha=0.0)
+    for nan_field in ("tau", "v_threshold", "surrogate_alpha"):
+        with pytest.raises(ConfigError):
+            LifParams(**{nan_field: float("nan")})
 
 
 # ---------------------------------------------------------------------------

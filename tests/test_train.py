@@ -89,6 +89,9 @@ def test_train_config_validation():
         dict(beta1=1.0),
         dict(adam_eps=0.0),
         dict(epochs=-1),
+        dict(lr=float("nan")),
+        dict(adam_eps=float("nan")),
+        dict(beta2=float("nan")),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad).validate()
