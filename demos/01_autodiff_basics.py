@@ -9,7 +9,7 @@ import numpy as np
 from spikedepth import autodiff as ad
 
 # --- forward + backward on a tiny expression -------------------------------
-w = ad.parameter(np.array([[0.5, -1.0], [2.0, 0.25]]), name="w")
+w = ad.parameter(np.array([[0.5, -1.0], [2.0, 0.25]]))
 x = ad.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 with ad.tape() as tape:

@@ -44,13 +44,12 @@ class Tensor:
     tell parameters from activations.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "is_param", "_leaf")
+    __slots__ = ("data", "requires_grad", "grad", "is_param", "_leaf")
 
-    def __init__(self, data, requires_grad=False, name=None, is_param=False):
+    def __init__(self, data, requires_grad=False, is_param=False):
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None
-        self.name = name
         self.is_param = is_param
         self._leaf = requires_grad
 
@@ -77,18 +76,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False, dtype=None, name=None) -> Tensor:
+def tensor(data, requires_grad=False, dtype=None) -> Tensor:
     """Wrap `data` as a Tensor; non-float input defaults to float32."""
     arr = np.asarray(data)
     if dtype is not None:
         arr = arr.astype(dtype, copy=False)
     elif arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
-    return Tensor(arr, requires_grad=requires_grad, name=name)
+    return Tensor(arr, requires_grad=requires_grad)
 
 
-def parameter(data, name=None, dtype=None) -> Tensor:
-    t = tensor(data, requires_grad=True, dtype=dtype, name=name)
+def parameter(data, dtype=None) -> Tensor:
+    t = tensor(data, requires_grad=True, dtype=dtype)
     t.is_param = True
     return t
 
@@ -540,23 +539,26 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     H, W = xd.shape[-2:]
     if H % stride or W % stride:
         raise DimensionError(f"maxpool2d: spatial dims ({H},{W}) not divisible by stride {stride}")
-    lead = xd.shape[:-2]
-    Ho, Wo = H // k, W // k
-    win = xd.reshape(*lead, Ho, k, Wo, k)
-    win = np.moveaxis(win, -3, -2)  # (..., Ho, Wo, k, k)
-    flat = np.ascontiguousarray(win).reshape(*lead, Ho, Wo, k * k)
-    idx = flat.argmax(-1)
-    out_data = np.take_along_axis(flat, idx[..., None], -1)[..., 0]
+    # the k*k strided views hold the window elements in row-major window
+    # order; a running max over them needs no window copy or argmax array
+    views = [xd[..., i::k, j::k] for i in range(k) for j in range(k)]
+    out_data = views[0].copy()
+    for v in views[1:]:
+        np.maximum(out_data, v, out=out_data)
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def bwd(g):
         if not x.requires_grad:
             return (None,)
-        buf = np.zeros_like(flat)
-        np.put_along_axis(buf, idx[..., None], g[..., None], -1)
-        buf = buf.reshape(*lead, Ho, Wo, k, k)
-        buf = np.moveaxis(buf, -2, -3)
-        return (buf.reshape(xd.shape),)
+        gx = np.zeros_like(xd)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for i in range(k):
+            for j in range(k):
+                hit = xd[..., i::k, j::k] == out_data
+                hit &= ~taken
+                taken |= hit
+                gx[..., i::k, j::k] = np.where(hit, g, 0)
+        return (gx,)
 
     _record("maxpool2d", (x,), out, bwd)
     return out

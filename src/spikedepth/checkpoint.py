@@ -9,7 +9,8 @@ Layout (all integers little-endian uint32):
     tensor  name length, name bytes, ndim, dims..., float32 payload
 
 Tensors cover trainable parameters and batch-norm running statistics of
-the depth model, plus distillation projection weights when present.
+the depth model, plus distillation projection weights when present.  Every
+payload value is finite: NaN or inf is refused on save and on read.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .dataio import _read_exact
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .losses import FeatureProjections
 from .model import DepthModel
 
@@ -39,8 +40,13 @@ def _named_tensors(model, projections=None):
 
 
 def save_checkpoint(path, model, projections=None, distill=None) -> None:
+    """Write the model (and projections) to `path`; raises NumericError,
+    before the file is opened, if any tensor holds NaN or inf."""
     text = cfgmod.encode_model_config(model.cfg, distill)
     items = list(_named_tensors(model, projections))
+    bad = [name for name, arr in items if not np.isfinite(arr).all()]
+    if bad:
+        raise NumericError(f"refusing to save non-finite tensors: {', '.join(bad)}")
     with open(path, "wb") as fh:
         fh.write(SDTW_MAGIC)
         fh.write(struct.pack("<I", SDTW_VERSION))
@@ -91,6 +97,8 @@ def read_checkpoint(path):
                 raise FormatError(f"checkpoint tensor {name!r}: unusable shape {shape}") from exc
             if name in tensors:
                 raise FormatError(f"duplicate tensor {name!r} in checkpoint")
+            if not np.isfinite(data).all():
+                raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
             tensors[name] = data.astype(np.float32)
     model_cfg, distill = cfgmod.decode_model_config(text)
     return model_cfg, distill, tensors

@@ -120,14 +120,21 @@ def param_count(module) -> int:
     return int(sum(p.data.size for _, p in module.named_params()))
 
 
-def _window_active_sum(x, k, stride, pad):
-    """Total active inputs summed over all sliding windows (exact synop base)."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    from numpy.lib.stride_tricks import sliding_window_view
+def _window_active_sum(x, k, pad):
+    """Total active inputs summed over all stride-1 k x k windows of the
+    zero-padded x [B,C,H,W] (exact synop base).
 
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return float(win.sum())
+    Each input element counts once per window covering it, and the windows
+    covering element (i, j) are r[i] * c[j] for the per-row and per-column
+    window counts r, c, so the sum is r @ x.sum(B, C) @ c in float64.
+    """
+
+    def cover(n):
+        i = np.arange(n) + pad  # padded index of each input row/column
+        last = n + 2 * pad - k  # index of the last window start
+        return (np.minimum(i, last) - np.maximum(i - k + 1, 0) + 1).astype(np.float64)
+
+    return float(cover(x.shape[2]) @ x.sum(axis=(0, 1), dtype=np.float64) @ cover(x.shape[3]))
 
 
 def _conv_row(entry, e_mac_pj, e_ac_pj):
@@ -144,7 +151,7 @@ def _conv_row(entry, e_mac_pj, e_ac_pj):
         return EnergyRow(entry.scope, "float", equiv, B, 1.0, macs, float_energy_pj(macs, e_mac_pj))
     # stride/pad are recoverable from shapes for the layers we build (stride 1)
     pad = ((ho - 1) + k - xd.shape[2]) // 2
-    synops = cout * _window_active_sum(xd, k, 1, pad)
+    synops = cout * _window_active_sum(xd, k, pad)
     rate = synops / (equiv * B) if equiv else 0.0
     return EnergyRow(entry.scope, "spike", equiv, B,
                      rate, synops, spike_energy_pj(equiv, rate, B, e_ac_pj))
@@ -180,14 +187,23 @@ def _mlif_row(entry, e_mac_pj):
     return EnergyRow(entry.scope, "float", 2 * neurons, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
 
 
-def audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
-    """Run one eval-mode forward pass and price every weighted layer."""
+def trace_forward(model, spikes_dense):
+    """Run one eval-mode forward pass under a tape.
+
+    Returns (depth prediction [H, W], the tape entries); the prediction is
+    the array `model.predict` returns for the same input.
+    """
     spikes_dense = np.asarray(spikes_dense)
     if spikes_dense.ndim != 4:
         raise DimensionError(f"audit: spikes must be (T,C,H,W), got {spikes_dense.shape}")
     with ad.tape() as tp:
-        model.forward(spikes_dense, training=False)
-        entries = list(tp.entries)
+        _, pred = model.forward(spikes_dense, training=False)
+    return pred.data, tp.entries
+
+
+def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
+    """Price every weighted layer among the tape entries of one forward pass
+    of `model` (loss scopes are skipped)."""
     rows = []
     for e in entries:
         if e.scope.startswith("loss"):
@@ -199,3 +215,9 @@ def audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC
         elif e.op == "mlif":
             rows.append(_mlif_row(e, e_mac_pj))
     return EnergyReport(rows=rows, e_mac_pj=e_mac_pj, e_ac_pj=e_ac_pj, param_count=param_count(model))
+
+
+def audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
+    """Run one eval-mode forward pass and price every weighted layer."""
+    _, entries = trace_forward(model, spikes_dense)
+    return price(entries, model, e_mac_pj, e_ac_pj)

@@ -6,6 +6,7 @@ with identical inputs produce byte-identical loss curves and checkpoints.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,12 +183,6 @@ def train(
     dense_cache = {s.name or id(s): s.spikes.to_dense() for s in dataset}
     save_distill = distill_cfg if train_cfg.kd else None
 
-    def save(path):
-        bad = [name for name, p in named if not np.isfinite(p.data).all()]
-        if bad:
-            raise NumericError(f"non-finite parameters after step {step}: {', '.join(bad)}")
-        save_checkpoint(path, model, projections, save_distill)
-
     rows = []
     step = 0
     for _ in range(epochs):
@@ -219,26 +214,34 @@ def train(
             step += 1
             rows.append((step, tot_acc / k, lp_acc / k, l2_acc / k))
             if train_cfg.checkpoint_every > 0 and step % train_cfg.checkpoint_every == 0:
-                save(out / f"model_{step:06d}.sdtw")
+                save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, save_distill)
 
+    # save_checkpoint refuses non-finite tensors before it writes anything, so
+    # a refused run leaves neither the checkpoint nor the loss CSV
+    ckpt_path = out / CHECKPOINT_NAME
+    save_checkpoint(ckpt_path, model, projections, save_distill)
     csv_path = out / LOSS_CSV_NAME
     _write_csv(csv_path, rows)
-    ckpt_path = out / CHECKPOINT_NAME
-    save(ckpt_path)
     return TrainResult(model=model, projections=projections, rows=rows,
                        csv_path=str(csv_path), checkpoint_path=str(ckpt_path))
+
+
+def _score(dataset, preds, eps):
+    """Metrics of predictions given in dataset order (`preds` may be lazy, so
+    that only one prediction is alive at a time)
+    → (aggregate MetricsReport, per-sample [(name, MetricsReport), ...])."""
+    per_sample = [
+        (s.name, evaluate(DepthMap(pred, np.ones_like(pred, dtype=bool)), s.depth, eps))
+        for s, pred in zip(dataset, preds)
+    ]
+    return average_reports([r for _, r in per_sample]), per_sample
 
 
 def evaluate_model(model: DepthModel, dataset, eps: float = DEFAULT_EPS):
     """→ (aggregate MetricsReport, per-sample [(name, MetricsReport), ...])."""
     if not dataset:
         raise EmptyMaskError("evaluate_model: no samples to evaluate")
-    per_sample = []
-    for s in dataset:
-        pred = model.predict(s.spikes.to_dense())
-        pred_map = DepthMap(pred, np.ones_like(pred, dtype=bool))
-        per_sample.append((s.name, evaluate(pred_map, s.depth, eps)))
-    return average_reports([r for _, r in per_sample]), per_sample
+    return _score(dataset, (model.predict(s.spikes.to_dense()) for s in dataset), eps)
 
 
 @dataclass
@@ -251,12 +254,18 @@ class EvalResult:
 
 
 def evaluate_checkpoint(ckpt_path, data_dir, eps: float = DEFAULT_EPS) -> EvalResult:
-    """Metrics over every sample; energy audited on the first sample only
-    (the theoretical audit is input-dependent but slow, and one forward
-    pass characterizes the operating point).
+    """Metrics over every sample, one forward pass each; energy audited on
+    the first sample only.
+
+    The first sample's forward runs under a tape: its prediction feeds the
+    metrics and its tape entries are priced by the energy audit, so the
+    audit costs no second pass. The tape is released before the other
+    samples run through `model.predict`. The report equals
+    `energy.audit(model, first sample)` and every per-sample report equals
+    one computed from `model.predict`.
     """
     from .checkpoint import load_model
-    from .energy import audit
+    from .energy import price, trace_forward
 
     model, _, _ = load_model(ckpt_path)
     dataset = load_dataset(data_dir)
@@ -270,6 +279,9 @@ def evaluate_checkpoint(ckpt_path, data_dir, eps: float = DEFAULT_EPS) -> EvalRe
             "checkpoint/data mismatch: model expects spikes "
             f"(t,c,h,w)={want}, dataset has {(got.t, got.c, got.h, got.w)}"
         )
-    metrics, per_sample = evaluate_model(model, dataset, eps)
-    report = audit(model, dataset[0].spikes.to_dense())
+    pred0, entries = trace_forward(model, got.to_dense())
+    report = price(entries, model)
+    del entries  # holds every activation of the traced pass: free it before the next forward
+    preds = itertools.chain([pred0], (model.predict(s.spikes.to_dense()) for s in dataset[1:]))
+    metrics, per_sample = _score(dataset, preds, eps)
     return EvalResult(metrics=metrics, per_sample=per_sample, energy=report)

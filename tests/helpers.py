@@ -153,6 +153,16 @@ def random_spikes(rng, t=2, c=2, h=16, w=16, p=0.3, dtype=np.float32):
     return (rng.random((t, c, h, w)) < p).astype(dtype)
 
 
+def poison_payload(blob: bytes, name: str, value=np.nan) -> bytes:
+    """A copy of SDTW checkpoint bytes whose tensor `name` has `value` as its
+    first payload element (written by hand: save_checkpoint refuses it)."""
+    key = name.encode()
+    start = blob.index(len(key).to_bytes(4, "little") + key) + 4 + len(key)
+    ndim = int.from_bytes(blob[start:start + 4], "little")
+    first = start + 4 + 4 * ndim
+    return blob[:first] + np.float32(value).astype("<f4").tobytes() + blob[first + 4:]
+
+
 def snapshot_buffers(module):
     # buffers are plain ndarrays (BN running statistics)
     return {name: buf.copy() for name, buf in module.named_buffers()}

@@ -106,6 +106,35 @@ def test_maxpool_tie_routes_to_first_element():
     np.testing.assert_array_equal(x.grad, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
 
 
+def _maxpool_oracle(xd, k, g):
+    """Windows copied out, argmax (first index on ties), put_along_axis."""
+    lead, (H, W) = xd.shape[:-2], xd.shape[-2:]
+    win = np.moveaxis(xd.reshape(*lead, H // k, k, W // k, k), -3, -2)
+    flat = np.ascontiguousarray(win).reshape(*lead, H // k, W // k, k * k)
+    idx = flat.argmax(-1)[..., None]
+    out = np.take_along_axis(flat, idx, -1)[..., 0]
+    buf = np.zeros_like(flat)
+    np.put_along_axis(buf, idx, g[..., None], -1)
+    gx = np.moveaxis(buf.reshape(*lead, H // k, W // k, k, k), -2, -3).reshape(xd.shape)
+    return out, gx
+
+
+@pytest.mark.parametrize("shape,k", [((3, 8, 12), 2), ((2, 3, 8, 12), 2), ((2, 3, 6, 9), 3)])
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_maxpool_matches_argmax_oracle_on_spike_stacks(rng, shape, k, p):
+    # binary stacks tie in almost every window (all-zero and all-one windows too)
+    x = ad.parameter((rng.random(shape) < p).astype(np.float32))
+    g = rng.standard_normal(shape[:-2] + (shape[-2] // k, shape[-1] // k)).astype(np.float32)
+    with ad.tape() as t:
+        out = ad.maxpool2d(x, k, k)
+        loss = ad.reduce_sum(ad.mul(out, ad.tensor(g)))
+    t.backward(loss)
+    want_out, want_gx = _maxpool_oracle(x.data, k, g)
+    assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(x.grad, want_gx)
+
+
 def test_matmul_identity_and_mismatch(rng):
     a = rng.standard_normal((2, 2))
     np.testing.assert_array_equal(ad.matmul(ad.tensor(np.eye(2)), ad.tensor(a)).data, a)

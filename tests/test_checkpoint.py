@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_spikes, tiny_distill_cfg, tiny_model, tiny_projections
+from helpers import poison_payload, random_spikes, tiny_distill_cfg, tiny_model, tiny_projections
 from spikedepth.checkpoint import load_model, read_checkpoint, save_checkpoint
-from spikedepth.errors import FormatError, SpikeDepthError
+from spikedepth.errors import FormatError, NumericError, SpikeDepthError
 
 
 def _saved(tmp_path, with_kd=True, seed=3):
@@ -94,6 +94,22 @@ def test_renamed_tensor_rejected(tmp_path):
     bad.write_bytes(doctored)
     with pytest.raises(FormatError, match="mismatch"):
         load_model(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensors_are_refused(tmp_path, value):
+    model = tiny_model(seed=0)
+    path = tmp_path / "model.sdtw"
+    save_checkpoint(path, model)
+    path.write_bytes(poison_payload(path.read_bytes(), "embed.s1.conv.w", value))
+    with pytest.raises(FormatError, match=r"'embed\.s1\.conv\.w'"):
+        read_checkpoint(path)
+
+    dict(model.named_params())["embed.s1.conv.w"].data[0, 0, 0, 0] = value
+    poisoned = tmp_path / "poisoned.sdtw"
+    with pytest.raises(NumericError, match=r"embed\.s1\.conv\.w"):
+        save_checkpoint(poisoned, model)
+    assert not poisoned.exists()
 
 
 # sha256 of the untrained tiny checkpoints, pinned when tensor names were still

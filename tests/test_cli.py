@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import poison_payload
 from spikedepth import dataio
 from spikedepth.cli import main
 from spikedepth.metrics import METRIC_KEYS
@@ -247,6 +248,7 @@ def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
     assert len(out) == 1 and out[0].startswith("error=NUMERIC/"), out
     assert "embed.s1.conv.w" in out[0]
     assert not (run / "model.sdtw").exists()
+    assert not (run / "loss_curve.csv").exists()
 
 
 def _corrupt_manifest(tmp_path, capsys, old, new):
@@ -260,8 +262,12 @@ def _corrupt_manifest(tmp_path, capsys, old, new):
 def _corrupt_checkpoint(tmp_path, old, new):
     _, ckpt, _ = _pipeline_untrained(tmp_path)
     blob = Path(ckpt).read_bytes()
-    assert old in blob and len(old) == len(new)
-    Path(ckpt).write_bytes(blob.replace(old, new, 1))
+    if old is None:  # a NaN in the first weight's payload
+        blob = poison_payload(blob, "embed.s1.conv.w")
+    else:
+        assert old in blob and len(old) == len(new)
+        blob = blob.replace(old, new, 1)
+    Path(ckpt).write_bytes(blob)
     spk = tmp_path / "zero.spkt"
     dataio.write_spikes(spk, dataio.SpikeTensor.from_dense(np.zeros((2, 2, 16, 16))))
     return ["infer", "--ckpt", ckpt, "--spk", str(spk), "--out", str(tmp_path / "p.dpth")]
@@ -283,6 +289,8 @@ def _non_utf8_config(tmp_path, capsys):
                  "IO", id="checkpoint_tensor_name_not_utf8"),
     pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, b"merge=clamp", b"merge=cl\xffmp"),
                  "IO", id="checkpoint_config_not_utf8"),
+    pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, None, None), "IO",
+                 id="checkpoint_payload_nan"),
     pytest.param(_non_utf8_config, "CONFIG", id="config_file_not_utf8"),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, make_argv, category):

@@ -1,11 +1,13 @@
 """Energy audit: pricing formulas, row decomposition, crossover identity."""
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import random_spikes, tiny_model
 from spikedepth.energy import (
     E_AC_PJ,
     E_MAC_PJ,
+    _window_active_sum,
     audit,
     float_energy_pj,
     param_count,
@@ -22,6 +24,15 @@ def test_pricing_formulas_exact():
     # defaults are the 45 nm estimates
     assert spike_energy_pj(1.0, 1.0, 1) == E_AC_PJ == 0.9
     assert float_energy_pj(1.0) == E_MAC_PJ == 4.6
+
+
+@pytest.mark.parametrize("k,pad", [(1, 0), (1, 1), (3, 0), (3, 1)])
+@pytest.mark.parametrize("shape", [(2, 3, 7, 10), (1, 5, 12, 4)])
+def test_window_active_sum_matches_brute_force(rng, k, pad, shape):
+    x = (rng.random(shape) < 0.4).astype(np.float32)
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    want = sliding_window_view(padded, (k, k), axis=(2, 3)).sum(dtype=np.float64)
+    assert _window_active_sum(x, k, pad) == want
 
 
 def test_param_count_conv_oracle(rng):

@@ -6,8 +6,12 @@ import pytest
 
 from helpers import tiny_dataset, tiny_distill_cfg, tiny_model_cfg
 from spikedepth import autodiff as ad
-from spikedepth.dataio import DepthMap, SampleTuple, write_dataset
+from spikedepth.checkpoint import load_model
+from spikedepth.dataio import DepthMap, SampleTuple, load_dataset, write_dataset
+from spikedepth.energy import audit
 from spikedepth.errors import ConfigError, DataError, EmptyMaskError, NumericError
+from spikedepth.metrics import evaluate
+from spikedepth.model import DepthModel
 from spikedepth.train import (
     Adam,
     TrainConfig,
@@ -197,6 +201,32 @@ def test_evaluate_checkpoint_round_trip(tmp_path):
     assert r1.metrics == r2.metrics  # dataclass equality, bit-exact
     assert r1.energy.total_pj == r2.energy.total_pj
     assert r1.energy.rows  # audit actually priced layers
+
+
+def test_evaluate_checkpoint_runs_one_forward_per_sample(tmp_path, monkeypatch):
+    data = tiny_dataset(n=3)
+    res = train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST),
+                tmp_path / "run")
+    write_dataset(tmp_path / "data", data)
+    forward = DepthModel.forward
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(ad.active_tape() is not None)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(DepthModel, "forward", counted)
+    got = evaluate_checkpoint(res.checkpoint_path, tmp_path / "data")
+    assert calls == [True, False, False]  # sample 0 traced, the others plain
+    monkeypatch.undo()
+
+    model, _, _ = load_model(res.checkpoint_path)
+    samples = load_dataset(tmp_path / "data")
+    assert got.energy.to_lines() == audit(model, samples[0].spikes.to_dense()).to_lines()
+    assert [name for name, _ in got.per_sample] == [s.name for s in samples]
+    for (_, rep), s in zip(got.per_sample, samples):
+        pred = model.predict(s.spikes.to_dense())
+        assert rep == evaluate(DepthMap(pred, np.ones_like(pred, dtype=bool)), s.depth)
 
 
 def test_evaluate_checkpoint_shape_mismatch(tmp_path):
