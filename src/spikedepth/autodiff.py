@@ -22,17 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, StaleTapeError
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the non-finite output guard (on by default)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
 
 def _guard(op, arr):
-    if _FINITE_CHECKS and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op}: non-finite values in result")
 
 

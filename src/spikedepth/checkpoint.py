@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from . import config as cfgmod
-from .dataio import _read_exact
+from .dataio import _read_exact, atomic_write
 from .errors import FormatError, NumericError
 from .losses import FeatureProjections
 from .model import DepthModel
@@ -40,14 +40,16 @@ def _named_tensors(model, projections=None):
 
 
 def save_checkpoint(path, model, projections=None, distill=None) -> None:
-    """Write the model (and projections) to `path`; raises NumericError,
-    before the file is opened, if any tensor holds NaN or inf."""
+    """Write the model (and projections) to `path` atomically: a failed write
+    leaves any old file at `path` untouched.  Raises NumericError, before
+    any file is opened, if a tensor holds NaN or inf."""
     text = cfgmod.encode_model_config(model.cfg, distill)
     items = list(_named_tensors(model, projections))
-    bad = [name for name, arr in items if not np.isfinite(arr).all()]
-    if bad:
+    if not np.isfinite(np.concatenate([np.ravel(arr) for _, arr in items])).all():
+        # one vectorised pass above; the offending names are found only on failure
+        bad = [name for name, arr in items if not np.isfinite(arr).all()]
         raise NumericError(f"refusing to save non-finite tensors: {', '.join(bad)}")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(SDTW_MAGIC)
         fh.write(struct.pack("<I", SDTW_VERSION))
         blob = text.encode("utf-8")
@@ -56,12 +58,9 @@ def save_checkpoint(path, model, projections=None, distill=None) -> None:
         fh.write(struct.pack("<I", len(items)))
         for name, arr in items:
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
             arr = np.asarray(arr)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _utf8(blob: bytes, what: str) -> str:

@@ -37,7 +37,7 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import dataio, energy
 from .errors import ConfigError, SpikeDepthError
-from .train import build_train_config, evaluate_checkpoint, train
+from .train import evaluate_checkpoint, train
 
 
 def _emit(**kv):
@@ -68,7 +68,7 @@ def _cmd_train(args) -> int:
         raise ConfigError("train: no output directory (pass --out or config key out=)")
     model_cfg = cfgmod.build_model_config(raw)
     distill_cfg = cfgmod.build_distill_config(raw, n_blocks=model_cfg.l)
-    train_cfg = build_train_config(raw)
+    train_cfg = cfgmod.build_train_config(raw)
     dataset = dataio.load_dataset(data_dir, need_teacher=train_cfg.kd)
     result = train(dataset, model_cfg, distill_cfg, train_cfg, out_dir)
     _emit(

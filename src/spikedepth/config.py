@@ -4,36 +4,73 @@ One ``key=value`` pair per line; blank lines and ``#`` comments are
 ignored.  Unknown or duplicate keys are rejected so typos fail loudly.
 The same encoding is embedded in checkpoints so a saved model can be
 rebuilt without the original config file.
+
+The keys are the fields of the config dataclasses — `ModelConfig` (with
+its nested `LifParams` fields flattened in place), `DistillConfig` and
+`TrainConfig` — plus the run paths ``data`` and ``out``.  A key's type is
+that of its field's default: ``on``/``off`` for a bool, an int, a finite
+float, comma-separated ints for a tuple, text otherwise.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields, is_dataclass
 
 from .errors import ConfigError
 from .losses import DistillConfig
 from .model import ModelConfig
-from .neuron import LifParams
 
-_INT_KEYS = {
-    "t", "c", "h", "w", "d", "l", "mlp_ratio", "teacher_dim",
-    "seed", "epochs", "batch_size", "checkpoint_every", "steps",
+
+@dataclass
+class TrainConfig:
+    seed: int = 0
+    epochs: int = 1
+    steps: int = 0  # >0 caps total optimizer steps, cycling epochs as needed
+    batch_size: int = 1
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    grad_clip: float = 1.0
+    kd: bool = True
+    checkpoint_every: int = 0  # 0 = final checkpoint only
+
+    def validate(self):
+        if self.epochs < 0 or self.steps < 0 or (self.epochs == 0 and self.steps == 0):
+            raise ConfigError("need epochs > 0 or steps > 0")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("adam betas must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps must be positive")
+        return self
+
+
+def _items(cfg):
+    """(key, value) of every field of config `cfg` in declaration order; a
+    nested config's fields stand in place of the field that holds it."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from _items(value)
+        else:
+            yield f.name, value
+
+
+def _kind(default):
+    return type(default) if type(default) in (bool, int, float, tuple) else str
+
+
+KEY_TYPES = {
+    key: _kind(default)
+    for cls in (ModelConfig, DistillConfig, TrainConfig)
+    for key, default in _items(cls())
 }
-_FLOAT_KEYS = {
-    "s", "tau", "v_threshold", "v_reset", "surrogate_alpha",
-    "lr", "beta1", "beta2", "adam_eps", "grad_clip",
-    "lambda_p", "lambda_2",
-}
-_STR_KEYS = {"merge", "rate_mode", "head", "kd", "si_log_domain", "matched_blocks"}
-_PATH_KEYS = {"data", "out"}  # run-level paths, consumed by the CLI
-
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _PATH_KEYS
-
-_MODEL_KEYS = (
-    "t", "c", "h", "w", "d", "l", "s", "mlp_ratio",
-    "tau", "v_threshold", "v_reset", "surrogate_alpha",
-    "merge", "rate_mode", "head",
-)
-_DISTILL_KEYS = ("lambda_p", "lambda_2", "matched_blocks", "teacher_dim", "si_log_domain")
+KEY_TYPES.update(data=str, out=str)  # run-level paths, consumed by the CLI
+KNOWN_KEYS = frozenset(KEY_TYPES)
 
 
 def parse_config_text(text: str) -> dict:
@@ -65,23 +102,31 @@ def read_config(path) -> dict:
 
 
 def _convert(key: str, value: str):
+    kind = KEY_TYPES[key]
+    if kind is str:
+        return value
+    if kind is bool:
+        if value not in ("on", "off"):
+            raise ConfigError(f"config key {key!r}: expected on/off, got {value!r}")
+        return value == "on"
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key not in _FLOAT_KEYS:
-            return value
-        number = float(value)
+        if kind is tuple:
+            return tuple(int(p) for p in value.split(",") if p.strip())
+        number = kind(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
-    if not math.isfinite(number):
+    if kind is float and not math.isfinite(number):
         raise ConfigError(f"config key {key!r}: value must be finite, got {value!r}")
     return number
 
 
-def _flag(key: str, value: str) -> bool:
-    if value not in ("on", "off"):
-        raise ConfigError(f"config key {key!r}: expected on/off, got {value!r}")
-    return value == "on"
+def _format(key: str, value) -> str:
+    kind = KEY_TYPES[key]
+    if kind is bool:
+        return "on" if value else "off"
+    if kind is tuple:
+        return ",".join(str(p) for p in value)
+    return repr(value) if kind is float else str(value)
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -98,62 +143,38 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return merged
 
 
-def build_model_config(raw: dict) -> ModelConfig:
+def _build(cls, raw: dict):
+    """A `cls` config from the keys present in `raw`; absent keys keep the
+    field defaults."""
     kw = {}
-    lif_kw = {}
-    for key in _MODEL_KEYS:
-        if key not in raw:
-            continue
-        val = _convert(key, raw[key])
-        if key in ("tau", "v_threshold", "v_reset", "surrogate_alpha"):
-            lif_kw[key] = val
-        else:
-            kw[key] = val
-    if lif_kw:
-        kw["lif"] = LifParams(**lif_kw)
-    cfg = ModelConfig(**kw)
-    cfg.validate()
-    return cfg
+    defaults = cls()
+    for f in fields(cls):
+        default = getattr(defaults, f.name)
+        if is_dataclass(default):
+            kw[f.name] = _build(type(default), raw)
+        elif f.name in raw:
+            kw[f.name] = _convert(f.name, raw[f.name])
+    return cls(**kw)
+
+
+def build_model_config(raw: dict) -> ModelConfig:
+    return _build(ModelConfig, raw).validate()
 
 
 def build_distill_config(raw: dict, n_blocks: int | None = None) -> DistillConfig:
-    kw = {}
-    if "lambda_p" in raw:
-        kw["lambda_p"] = _convert("lambda_p", raw["lambda_p"])
-    if "lambda_2" in raw:
-        kw["lambda_2"] = _convert("lambda_2", raw["lambda_2"])
-    if "teacher_dim" in raw:
-        kw["teacher_dim"] = _convert("teacher_dim", raw["teacher_dim"])
-    if "si_log_domain" in raw:
-        kw["si_log_domain"] = _flag("si_log_domain", raw["si_log_domain"])
-    if "matched_blocks" in raw:
-        try:
-            blocks = tuple(int(p) for p in raw["matched_blocks"].split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"config key 'matched_blocks': bad value {raw['matched_blocks']!r}") from exc
-        kw["matched_blocks"] = blocks
-    cfg = DistillConfig(**kw)
-    cfg.validate(n_blocks)
-    return cfg
+    return _build(DistillConfig, raw).validate(n_blocks)
+
+
+def build_train_config(raw: dict) -> TrainConfig:
+    return _build(TrainConfig, raw).validate()
 
 
 def encode_model_config(cfg: ModelConfig, distill: DistillConfig | None = None) -> str:
     """Serialize configs to the flat text form embedded in checkpoints."""
-    lines = [
-        f"t={cfg.t}", f"c={cfg.c}", f"h={cfg.h}", f"w={cfg.w}",
-        f"d={cfg.d}", f"l={cfg.l}", f"s={cfg.s!r}", f"mlp_ratio={cfg.mlp_ratio}",
-        f"tau={cfg.lif.tau!r}", f"v_threshold={cfg.lif.v_threshold!r}",
-        f"v_reset={cfg.lif.v_reset!r}", f"surrogate_alpha={cfg.lif.surrogate_alpha!r}",
-        f"merge={cfg.merge}", f"rate_mode={cfg.rate_mode}", f"head={cfg.head}",
-    ]
+    items = list(_items(cfg))
     if distill is not None:
-        blocks = ",".join(str(b) for b in distill.matched_blocks)
-        lines += [
-            f"lambda_p={distill.lambda_p!r}", f"lambda_2={distill.lambda_2!r}",
-            f"matched_blocks={blocks}", f"teacher_dim={distill.teacher_dim}",
-            f"si_log_domain={'on' if distill.si_log_domain else 'off'}",
-        ]
-    return "\n".join(lines) + "\n"
+        items += _items(distill)
+    return "".join(f"{key}={_format(key, value)}\n" for key, value in items)
 
 
 def decode_model_config(text: str):
@@ -161,6 +182,6 @@ def decode_model_config(text: str):
     raw = parse_config_text(text)
     model_cfg = build_model_config(raw)
     distill = None
-    if any(k in raw for k in _DISTILL_KEYS):
+    if any(f.name in raw for f in fields(DistillConfig)):
         distill = build_distill_config(raw, n_blocks=model_cfg.l)
     return model_cfg, distill

@@ -10,13 +10,14 @@ File formats (all headers little-endian u32 after a 4-byte ASCII magic):
   FEAT  magic "FEAT", D, H, W, then D*H*W float32 LE row-major.
 
 A dataset directory holds one .spkt/.dpth/.feat triple per sample plus a
-plain-text manifest listing relative paths.
+plain-text manifest listing their paths relative to it.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +113,22 @@ def _read_exact(f, n, what):
     if len(buf) != n:
         raise FormatError(f"truncated {what}: wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a temporary binary file beside `path`; it replaces `path` only
+    when the block exits cleanly.  On an exception it is removed and `path`
+    keeps its old contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_spikes(path, spikes: SpikeTensor) -> None:
@@ -363,6 +380,16 @@ def write_dataset(out_dir, samples: list[SampleTuple]) -> list[str]:
     return written + [MANIFEST_NAME]
 
 
+def _member(root: Path, rel: str) -> Path:
+    """`root / rel` for a manifest path `rel`, which must name a file inside
+    the dataset directory: relative, not climbing above it, no NUL byte."""
+    norm = os.path.normpath(rel)
+    climbs = norm == os.pardir or norm.startswith(os.pardir + os.sep)
+    if os.path.isabs(rel) or climbs or "\0" in rel:
+        raise DataError(f"manifest path {rel!r} names no file inside the dataset directory {root}")
+    return root / rel
+
+
 def load_dataset(data_dir, need_teacher: bool = False) -> list[SampleTuple]:
     root = Path(data_dir)
     manifest = root / MANIFEST_NAME
@@ -383,14 +410,12 @@ def load_dataset(data_dir, need_teacher: bool = False) -> list[SampleTuple]:
             raise DataError(f"malformed manifest line: {line!r}") from None
         if "spk" not in fields or "depth" not in fields:
             raise DataError(f"malformed manifest line: {line!r}")
-        spikes = read_spikes(root / fields["spk"])
-        depth = read_depth(root / fields["depth"])
+        spikes = read_spikes(_member(root, fields["spk"]))
+        depth = read_depth(_member(root, fields["depth"]))
         teacher = None
         feat_rel = fields.get("feat", "-")
-        if feat_rel != "-" and (root / feat_rel).is_file():
+        if feat_rel != "-" and _member(root, feat_rel).is_file():
             teacher = read_features(root / feat_rel)
-        elif need_teacher:
-            raise DataError(f"missing teacher feature file for sample {fields.get('sample')}")
         if need_teacher and teacher is None:
             raise DataError(f"missing teacher feature file for sample {fields.get('sample')}")
         if spikes.h != depth.shape[0] or spikes.w != depth.shape[1]:

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import save_checkpoint
-from .dataio import DepthMap, SampleTuple, load_dataset
+from .config import TrainConfig
+from .dataio import DepthMap, SampleTuple, atomic_write, load_dataset
 from .errors import ConfigError, DataError, EmptyMaskError, NumericError
 from .losses import DistillConfig, FeatureProjections, total_loss
 from .metrics import DEFAULT_EPS, average_reports, evaluate
@@ -23,49 +24,6 @@ from .model import DepthModel, ModelConfig
 
 LOSS_CSV_NAME = "loss_curve.csv"
 CHECKPOINT_NAME = "model.sdtw"
-
-
-@dataclass
-class TrainConfig:
-    seed: int = 0
-    epochs: int = 1
-    steps: int = 0  # >0 caps total optimizer steps, cycling epochs as needed
-    batch_size: int = 1
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float = 1.0
-    kd: bool = True
-    checkpoint_every: int = 0  # 0 = final checkpoint only
-
-    def validate(self):
-        if self.epochs < 0 or self.steps < 0 or (self.epochs == 0 and self.steps == 0):
-            raise ConfigError("need epochs > 0 or steps > 0")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps must be positive")
-        return self
-
-
-def build_train_config(raw: dict) -> TrainConfig:
-    from .config import _convert, _flag  # shared key typing
-
-    kw = {}
-    for key in ("seed", "epochs", "steps", "batch_size", "checkpoint_every"):
-        if key in raw:
-            kw[key] = _convert(key, raw[key])
-    for key in ("lr", "beta1", "beta2", "adam_eps", "grad_clip"):
-        if key in raw:
-            kw[key] = _convert(key, raw[key])
-    if "kd" in raw:
-        kw["kd"] = _flag("kd", raw["kd"])
-    return TrainConfig(**kw).validate()
 
 
 class Adam:
@@ -137,7 +95,8 @@ class TrainResult:
 def _write_csv(path, rows):
     lines = ["step,total,l_p,l_2"]
     lines += [f"{s},{t!r},{lp!r},{l2!r}" for s, t, lp, l2 in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def train(

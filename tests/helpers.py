@@ -7,6 +7,11 @@ rather than mirrors.
 """
 from __future__ import annotations
 
+import builtins
+import errno
+import io
+from contextlib import contextmanager
+
 import numpy as np
 
 from spikedepth import autodiff as ad
@@ -178,3 +183,40 @@ def depth_map(values, mask=None) -> DepthMap:
     if mask is None:
         mask = np.ones_like(values, dtype=bool)
     return DepthMap(values, np.asarray(mask, dtype=bool))
+
+
+class _FullDisk:
+    """A file that takes `budget` more bytes (or characters), then fails."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            self.budget = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@contextmanager
+def disk_full_after(monkeypatch, budget):
+    """Inside the block every file opened for writing fails with ENOSPC once
+    `budget` bytes have gone into it, as on a full disk."""
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh, budget) if "w" in mode else fh
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", fake_open)
+        m.setattr(io, "open", fake_open)
+        yield

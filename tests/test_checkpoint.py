@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import poison_payload, random_spikes, tiny_distill_cfg, tiny_model, tiny_projections
+from helpers import (
+    disk_full_after,
+    poison_payload,
+    random_spikes,
+    tiny_distill_cfg,
+    tiny_model,
+    tiny_projections,
+)
 from spikedepth.checkpoint import load_model, read_checkpoint, save_checkpoint
 from spikedepth.errors import FormatError, NumericError, SpikeDepthError
 
@@ -110,6 +117,16 @@ def test_non_finite_tensors_are_refused(tmp_path, value):
     with pytest.raises(NumericError, match=r"embed\.s1\.conv\.w"):
         save_checkpoint(poisoned, model)
     assert not poisoned.exists()
+
+
+def test_failed_save_leaves_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.sdtw"
+    save_checkpoint(path, tiny_model(seed=0))
+    old = path.read_bytes()
+    with disk_full_after(monkeypatch, 1000), pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, tiny_model(seed=1))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.sdtw"]  # no temp file left
 
 
 # sha256 of the untrained tiny checkpoints, pinned when tensor names were still

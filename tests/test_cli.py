@@ -206,6 +206,17 @@ def test_sdt_threads_validation(tmp_path, value, ok):
         assert proc.stdout.startswith("error=CONFIG/SDT_THREADS")
 
 
+@pytest.mark.parametrize("module", ["config", "train", "checkpoint", "cli"])
+def test_each_module_imports_first(module):
+    """No import cycle: any of these can be the first spikedepth import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", f"import spikedepth.{module}"],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _tiny_data(tmp_path, capsys):
     data = tmp_path / "data"
     rc, _ = _run(capsys, ["gen", "--out", str(data)] + TINY_GEN)

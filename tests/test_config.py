@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikedepth.config import (
+    KEY_TYPES,
     KNOWN_KEYS,
     apply_overrides,
     build_distill_config,
     build_model_config,
+    build_train_config,
     decode_model_config,
     encode_model_config,
     parse_config_text,
@@ -15,9 +17,45 @@ from spikedepth.config import (
 )
 from spikedepth.errors import ConfigError, SpikeDepthError
 from spikedepth.losses import DistillConfig
-from spikedepth.model import ModelConfig
+from spikedepth.model import HEAD_KINDS, MERGE_MODES, RATE_MODES, ModelConfig
 from spikedepth.neuron import LifParams
-from spikedepth.train import build_train_config
+
+
+# The 33 keys and their types written out by hand: what config.py derives from
+# the config dataclasses must not drift from them.
+_PINNED_TYPES = {
+    int: {"t", "c", "h", "w", "d", "l", "mlp_ratio", "teacher_dim",
+          "seed", "epochs", "batch_size", "checkpoint_every", "steps"},
+    float: {"s", "tau", "v_threshold", "v_reset", "surrogate_alpha",
+            "lr", "beta1", "beta2", "adam_eps", "grad_clip", "lambda_p", "lambda_2"},
+    bool: {"kd", "si_log_domain"},
+    tuple: {"matched_blocks"},
+    str: {"merge", "rate_mode", "head", "data", "out"},
+}
+
+
+def test_key_schema_is_pinned():
+    assert len(KNOWN_KEYS) == 33
+    assert KNOWN_KEYS == set().union(*_PINNED_TYPES.values())
+    assert KEY_TYPES == {key: kind for kind, keys in _PINNED_TYPES.items() for key in keys}
+
+
+@pytest.mark.parametrize("build, raw, message", [
+    (build_model_config, {"t": "two"}, "config key 't': bad value 'two'"),
+    (build_train_config, {"seed": "1.5"}, "config key 'seed': bad value '1.5'"),
+    (build_model_config, {"s": "nan"}, "config key 's': value must be finite, got 'nan'"),
+    (build_train_config, {"lr": "inf"}, "config key 'lr': value must be finite, got 'inf'"),
+    (build_distill_config, {"lambda_p": "x"}, "config key 'lambda_p': bad value 'x'"),
+    (build_distill_config, {"si_log_domain": "1"},
+     "config key 'si_log_domain': expected on/off, got '1'"),
+    (build_train_config, {"kd": "yes"}, "config key 'kd': expected on/off, got 'yes'"),
+    (build_distill_config, {"matched_blocks": "1;2"},
+     "config key 'matched_blocks': bad value '1;2'"),
+])
+def test_bad_values_keep_their_messages(build, raw, message):
+    with pytest.raises(ConfigError) as info:
+        build(raw)
+    assert str(info.value) == message
 
 
 def test_parse_basic_with_comments():
@@ -130,3 +168,45 @@ def test_config_text_and_overrides_raise_only_package_errors(text, overrides):
         build_train_config(raw)
     except SpikeDepthError:
         pass
+
+
+@st.composite
+def _configs(draw):
+    """A valid ModelConfig and a DistillConfig (or None) for it."""
+    head = draw(st.sampled_from(HEAD_KINDS))
+    l = 4 if head == "fusion" else draw(st.integers(1, 6))
+    v_reset = draw(st.floats(min_value=-1e300, max_value=1e300))  # leaves room for v_threshold
+    model = ModelConfig(
+        t=draw(st.integers(1, 64)), c=draw(st.integers(1, 8)),
+        h=8 * draw(st.integers(1, 64)), w=8 * draw(st.integers(1, 64)),
+        d=4 * draw(st.integers(1, 64)), l=l,
+        s=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+        mlp_ratio=draw(st.integers(1, 8)),
+        lif=LifParams(
+            tau=draw(st.floats(min_value=1.0, allow_infinity=False)),
+            v_threshold=draw(st.floats(min_value=v_reset, exclude_min=True, allow_infinity=False)),
+            v_reset=v_reset,
+            surrogate_alpha=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+        ),
+        merge=draw(st.sampled_from(MERGE_MODES)),
+        rate_mode=draw(st.sampled_from(RATE_MODES)),
+        head=head,
+    )
+    distill = draw(st.none() | st.builds(
+        DistillConfig,
+        lambda_p=st.floats(min_value=0, allow_infinity=False),
+        lambda_2=st.floats(min_value=0, allow_infinity=False),
+        matched_blocks=st.lists(st.integers(1, l), min_size=1, max_size=4).map(tuple),
+        teacher_dim=st.integers(1, 1024),
+        si_log_domain=st.booleans(),
+    ))
+    return model, distill
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(configs=_configs())
+def test_encode_decode_encode_is_byte_identical(configs):
+    model, distill = configs
+    text = encode_model_config(model, distill)
+    assert decode_model_config(text) == (model, distill)
+    assert encode_model_config(*decode_model_config(text)) == text

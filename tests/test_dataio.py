@@ -1,6 +1,8 @@
 """File codecs (bit-exact) and the synthetic event-scene generator."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import depth_map
 from spikedepth import dataio
@@ -18,7 +20,7 @@ from spikedepth.dataio import (
     write_features,
     write_spikes,
 )
-from spikedepth.errors import DataError, DimensionError, FormatError
+from spikedepth.errors import DataError, DimensionError, FormatError, SpikeDepthError
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +226,106 @@ def test_write_dataset_requires_teacher(tmp_path):
     )
     with pytest.raises(DataError):
         write_dataset(tmp_path, [s])
+
+
+@pytest.mark.parametrize("field, outside", [
+    ("spk", "../outside.spkt"),
+    ("depth", "../outside.dpth"),
+    ("feat", "../outside.feat"),
+    ("spk", "ABSOLUTE"),
+    ("spk", "sub/../../outside.spkt"),
+    ("spk", "sample_000\0.spkt"),
+], ids=["spk_dotdot", "depth_dotdot", "feat_dotdot", "spk_absolute", "spk_inner_dotdot", "spk_nul"])
+def test_manifest_paths_must_stay_inside_dataset(tmp_path, field, outside):
+    data = tmp_path / "data"
+    write_dataset(data, gen_synthetic(seed=1, n_samples=1, t=2, h=16, w=16, teacher_dim=4))
+    (data / "sub").mkdir()
+    # valid files outside the dataset directory: only the path rule can refuse them
+    for ext in ("spkt", "dpth", "feat"):
+        (tmp_path / f"outside.{ext}").write_bytes((data / f"sample_000.{ext}").read_bytes())
+    if outside == "ABSOLUTE":
+        outside = str(tmp_path / "outside.spkt")
+    manifest = data / "manifest.txt"
+    suffix = {"spk": "spkt", "depth": "dpth", "feat": "feat"}[field]
+    manifest.write_text(manifest.read_text().replace(f"{field}=sample_000.{suffix}",
+                                                     f"{field}={outside}"))
+    with pytest.raises(DataError, match="names no file inside the dataset directory"):
+        load_dataset(data, need_teacher=True)
+
+
+# ---------------------------------------------------------------------------
+# hostile bytes: decoders and the manifest parser raise only package errors
+# (or OSError, e.g. for a manifest path naming a directory)
+
+
+def _hostile(data, blob, header_words=0):
+    """Draw a corruption of the valid file `blob`: a truncation, 1-4 byte
+    flips, random bytes (mostly not UTF-8) or, for a binary format, a huge
+    value in one of the `header_words` u32 words after the magic."""
+    kinds = ["truncate", "flip", "random"] + (["huge"] if header_words else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    if kind == "random":
+        return data.draw(st.binary(max_size=64), label="bytes")
+    out = bytearray(blob)
+    if kind == "flip":
+        flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+            out[pos] ^= mask
+    else:
+        word = data.draw(st.integers(0, header_words - 1), label="word")
+        value = data.draw(st.integers(2**16, 2**32 - 1), label="value")
+        out[4 + 4 * word:8 + 4 * word] = value.to_bytes(4, "little")
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def valid_dataset(tmp_path_factory):
+    """A one-sample dataset on disk and its files' bytes; each fuzz example
+    overwrites one file."""
+    root = tmp_path_factory.mktemp("hostile")
+    names = write_dataset(root, gen_synthetic(seed=1, n_samples=1, t=2, h=16, w=16, teacher_dim=4))
+    return root, {name: (root / name).read_bytes() for name in names}
+
+
+_DECODERS = {  # suffix -> (reader, number of u32 header words after the magic)
+    "spkt": (read_spikes, 5),
+    "dpth": (read_depth, 2),
+    "feat": (read_features, 3),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(_DECODERS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_tensor_files_raise_only_package_errors(valid_dataset, suffix, data):
+    root, valid = valid_dataset
+    reader, header_words = _DECODERS[suffix]
+    bad = root / f"mutated.{suffix}"
+    bad.write_bytes(_hostile(data, valid[f"sample_000.{suffix}"], header_words))
+    try:
+        reader(bad)
+    except (SpikeDepthError, OSError):
+        pass
+
+
+_MANIFEST_LINE = st.one_of(
+    st.text(max_size=40),
+    st.builds("sample=s spk={} depth={} feat={}".format, *[st.text(max_size=12)] * 3),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_manifest_raises_only_package_errors(valid_dataset, data):
+    root, valid = valid_dataset
+    if data.draw(st.booleans(), label="lines"):
+        mutated = "\n".join(data.draw(st.lists(_MANIFEST_LINE, max_size=4), label="text")).encode()
+    else:
+        mutated = _hostile(data, valid["manifest.txt"])
+    (root / "manifest.txt").write_bytes(mutated)
+    try:
+        load_dataset(root, need_teacher=data.draw(st.booleans(), label="teacher"))
+    except (SpikeDepthError, OSError):
+        pass

@@ -4,9 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import tiny_dataset, tiny_distill_cfg, tiny_model_cfg
+from helpers import disk_full_after, tiny_dataset, tiny_distill_cfg, tiny_model_cfg
 from spikedepth import autodiff as ad
 from spikedepth.checkpoint import load_model
+from spikedepth.config import build_train_config
 from spikedepth.dataio import DepthMap, SampleTuple, load_dataset, write_dataset
 from spikedepth.energy import audit
 from spikedepth.errors import ConfigError, DataError, EmptyMaskError, NumericError
@@ -15,7 +16,7 @@ from spikedepth.model import DepthModel
 from spikedepth.train import (
     Adam,
     TrainConfig,
-    build_train_config,
+    _write_csv,
     evaluate_checkpoint,
     evaluate_model,
     train,
@@ -136,6 +137,17 @@ def test_loss_csv_format_and_steps(tmp_path):
     for i, row in enumerate(res.rows, start=1):
         assert row[0] == i
         assert row[1] == pytest.approx(row[2] + row[3], rel=1e-5)  # unit weights, f32
+
+
+def test_failed_csv_write_leaves_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "loss_curve.csv"
+    _write_csv(path, [(1, 0.5, 0.25, 0.25)])
+    old = path.read_bytes()
+    rows = [(s, 1.0 / s, 0.5 / s, 0.5 / s) for s in range(1, 50)]
+    with disk_full_after(monkeypatch, 100), pytest.raises(OSError, match="No space"):
+        _write_csv(path, rows)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["loss_curve.csv"]  # no temp file left
 
 
 def test_kd_off_total_is_depth_loss_only(tmp_path):
