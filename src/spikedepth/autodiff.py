@@ -361,16 +361,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _corr2d(x, w, stride, pad):
-    """Raw correlation core: x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols)."""
+    """Raw correlation core: x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols).
+
+    Channel-major im2col (Chellapilla et al., IWFHR 2006): `cols` is
+    [Ci*k*k, B*Ho*Wo] and the output is one GEMM, w[Co, Ci*k*k] @ cols.  A
+    1x1 stride-1 unpadded conv needs no window view: it is a batched matmul
+    over x itself, and `cols` is None.
+    """
     B, Ci, H, W = x.shape
     Co, _, k, _ = w.shape
+    w2d = w.reshape(Co, -1)
+    if k == 1 and stride == 1 and not pad:
+        return np.matmul(w2d, x.reshape(B, Ci, H * W)).reshape(B, Co, H, W), None
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     Ho, Wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Ci * k * k)
-    out = cols @ w.reshape(Co, -1).T
-    return np.ascontiguousarray(out.reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2)), cols
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Ci * k * k, B * Ho * Wo)
+    out = (w2d @ cols).reshape(Co, B, Ho, Wo)
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -410,10 +419,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     def bwd(g):
         if squeezed:
             g = g[None]
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, Co)
-        gw = (gmat.T @ cols).reshape(wd.shape) if w.requires_grad else None
-        gb = gmat.sum(0) if (b is not None and b.requires_grad) else None
-        gx = None
+        gw = gb = gx = None
+        if w.requires_grad:
+            # one GEMM over K = B*Ho*Wo; a 1x1 conv's cols is x, channel-major
+            c = cols if cols is not None else xd.transpose(1, 0, 2, 3).reshape(Ci, -1)
+            gw = (g.transpose(1, 0, 2, 3).reshape(Co, -1) @ c.T).reshape(wd.shape)
+        if b is not None and b.requires_grad:
+            gb = g.transpose(0, 2, 3, 1).reshape(-1, Co).sum(0)
         if x.requires_grad:
             Ho, Wo = g.shape[2], g.shape[3]
             if stride > 1:
@@ -489,23 +501,31 @@ def batchnorm(
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    # (x - mu) * inv_std * gamma + beta with in-place ops; when no backward
+    # will read xhat, its buffer becomes the output
+    xhat = xd - mu[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    reuse = (active_tape() is None or not _needs(x, gamma, beta)) and gamma.data.dtype == xhat.dtype
+    out_data = np.multiply(gamma.data[None, :, None, None], xhat, out=xhat if reuse else None)
+    out_data += beta.data[None, :, None, None]
     _guard("batchnorm", out_data)
     out = Tensor(out_data[0] if squeezed else out_data, requires_grad=_needs(x, gamma, beta))
 
     def bwd(g):
         if squeezed:
             g = g[None]
-        ggamma = (g * xhat).sum(axis=axes) if gamma.requires_grad else None
+        gxhat = g * xhat
+        ggamma = gxhat.sum(axis=axes) if gamma.requires_grad else None
         gbeta = g.sum(axis=axes) if beta.requires_grad else None
         gx = None
         if x.requires_grad:
             gs = gamma.data[None, :, None, None] * inv_std[None, :, None, None]
             if training:
-                gm = g.mean(axis=axes)[None, :, None, None]
-                gxh = (g * xhat).mean(axis=axes)[None, :, None, None]
-                gx = gs * (g - gm - xhat * gxh)
+                # gs * (g - mean(g) - xhat * mean(g * xhat)), built in place
+                gxh = gxhat.mean(axis=axes)[None, :, None, None]
+                gx = g - g.mean(axis=axes)[None, :, None, None]
+                gx -= np.multiply(xhat, gxh, out=gxhat)
+                gx *= gs
             else:
                 gx = gs * g
             if squeezed:

@@ -30,10 +30,10 @@ SDTW_VERSION = 1
 
 
 def _named_tensors(model, projections=None):
-    for name, p in model.named_params():
+    params, buffers = model.named_tensors()
+    for name, p in params:
         yield name, p.data
-    for name, buf in model.named_buffers():
-        yield name, buf
+    yield from buffers
     if projections is not None:
         for name, p in projections.named_params():
             yield name, p.data

@@ -91,10 +91,8 @@ def _cmd_eval(args) -> int:
     if args.csv:
         from .metrics import MetricsReport
 
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(MetricsReport.csv_header() + "\n")
-            for name, rep in res.per_sample:
-                fh.write(rep.to_csv_row(name) + "\n")
+        dataio.write_lines(args.csv, [MetricsReport.csv_header()]
+                           + [rep.to_csv_row(name) for name, rep in res.per_sample])
         _emit(csv=args.csv)
     return 0
 
@@ -118,9 +116,7 @@ def _cmd_energy(args) -> int:
     for line in report.to_lines():
         print(line)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            for row in report.csv_rows():
-                fh.write(row + "\n")
+        dataio.write_lines(args.csv, report.csv_rows())
         _emit(csv=args.csv)
     return 0
 

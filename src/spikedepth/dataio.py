@@ -131,6 +131,12 @@ def atomic_write(path):
         raise
 
 
+def write_lines(path, lines) -> None:
+    """Write UTF-8 text lines, each ending in a newline, atomically."""
+    with atomic_write(path) as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
 def write_spikes(path, spikes: SpikeTensor) -> None:
     with open(path, "wb") as f:
         f.write(SPKT_MAGIC)
@@ -157,7 +163,7 @@ def read_spikes(path) -> SpikeTensor:
 def write_depth(path, depth: DepthMap) -> None:
     vals = depth.values.astype("<f4", copy=True)
     vals[~depth.mask] = np.float32("nan")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(DPTH_MAGIC)
         f.write(struct.pack("<2I", depth.values.shape[0], depth.values.shape[1]))
         f.write(vals.tobytes())
@@ -209,7 +215,7 @@ def export_pgm(path, depth_values: np.ndarray) -> None:
         raise DataError("export_pgm: depth values must lie in [0, 1]")
     h, w = vals.shape
     pix = np.rint(vals * 65535.0).astype(">u2")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(pix.tobytes())
 
@@ -266,12 +272,13 @@ def gen_synthetic(
     per dataset so one frozen "teacher" explains every sample.  Fully
     deterministic in `seed`.
     """
-    if h % 8 or w % 8:
-        raise DimensionError(f"gen_synthetic: H and W must be divisible by 8, got ({h},{w})")
+    if h < 8 or w < 8 or h % 8 or w % 8:
+        raise DimensionError(f"gen_synthetic: H and W must be positive multiples of 8, got ({h},{w})")
     if t < 1 or n_samples < 0:
         raise DimensionError("gen_synthetic: need t >= 1 and n_samples >= 0")
-    if contrast_threshold <= 0:
-        raise DataError("gen_synthetic: contrast_threshold must be positive")
+    if not 0 < contrast_threshold < math.inf:  # NaN fails both comparisons
+        raise DataError(
+            f"gen_synthetic: contrast_threshold must be finite and positive, got {contrast_threshold}")
     if not 0.0 < bg_depth <= 1.0:
         raise DataError(f"gen_synthetic: bg_depth must lie in (0, 1], got {bg_depth}")
 

@@ -21,30 +21,39 @@ class Module:
     Naming rule: `name` is both the `ad.scope` that `forward` runs in and
     the prefix of the module's tensor names, so one path names a layer on
     the tape and in a checkpoint (scope `block1.attn.q.conv`, tensor
-    `block1.attn.q.conv.w`).  `named_params()` / `named_buffers()` walk
-    `vars(self)` in assignment order: an `ad.Tensor` with `is_param` is a
-    parameter and an `np.ndarray` a buffer, each named after its attribute;
-    a child `Module`, also one inside a list, tuple or dict (dicts in sorted
-    key order), contributes its own names under `name + "."`.  The root
-    model keeps the empty name and adds no prefix.
+    `block1.attn.q.conv.w`).  `named_tensors()` walks `vars(self)` once, in
+    assignment order, and returns the parameters and the buffers it met,
+    which `named_params()` / `named_buffers()` give one at a time: an
+    `ad.Tensor` with `is_param` is a parameter and an `np.ndarray` a buffer,
+    each named after its attribute; a child `Module`, also one inside a
+    list, tuple or dict (dicts in sorted key order), contributes its own
+    names under `name + "."`.  The root model keeps the empty name and adds
+    no prefix.
     """
 
     name = ""
 
     def named_params(self):
-        return self._named(lambda v: isinstance(v, ad.Tensor) and v.is_param)
+        return self.named_tensors()[0]
 
     def named_buffers(self):
-        return self._named(lambda v: isinstance(v, np.ndarray))
+        return self.named_tensors()[1]
 
-    def _named(self, keep, prefix=""):
+    def named_tensors(self):
+        """(named_params(), named_buffers()) from one walk of the tree."""
+        params, buffers = [], []
+        for name, value in self._named():
+            (params if isinstance(value, ad.Tensor) else buffers).append((name, value))
+        return params, buffers
+
+    def _named(self, prefix=""):
         prefix = f"{prefix}{self.name}." if self.name else prefix
         out = []
         for attr, value in vars(self).items():
-            if keep(value):
+            if isinstance(value, np.ndarray) or (isinstance(value, ad.Tensor) and value.is_param):
                 out.append((prefix + attr, value))
             for child in _modules(value):
-                out += child._named(keep, prefix)
+                out += child._named(prefix)
         return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
-from .dataio import DepthMap, SampleTuple, atomic_write, load_dataset
+from .dataio import DepthMap, SampleTuple, load_dataset, write_lines
 from .errors import ConfigError, DataError, EmptyMaskError, NumericError
 from .losses import DistillConfig, FeatureProjections, total_loss
 from .metrics import DEFAULT_EPS, average_reports, evaluate
@@ -95,8 +95,7 @@ class TrainResult:
 def _write_csv(path, rows):
     lines = ["step,total,l_p,l_2"]
     lines += [f"{s},{t!r},{lp!r},{l2!r}" for s, t, lp, l2 in rows]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(path, lines)
 
 
 def train(
@@ -139,7 +138,7 @@ def train(
         epochs = train_cfg.epochs
         max_steps = epochs * per_epoch
 
-    dense_cache = {s.name or id(s): s.spikes.to_dense() for s in dataset}
+    dense = [s.spikes.to_dense() for s in dataset]  # by dataset position: names may repeat
     save_distill = distill_cfg if train_cfg.kd else None
 
     rows = []
@@ -151,12 +150,13 @@ def train(
         for start in range(0, n, train_cfg.batch_size):
             if step >= max_steps:
                 break
-            batch = [dataset[i] for i in order[start:start + train_cfg.batch_size]]
+            batch = order[start:start + train_cfg.batch_size]
             opt.zero_grad()
             tot_acc = lp_acc = l2_acc = 0.0
-            for sample in batch:
+            for i in batch:
+                sample = dataset[i]
                 with ad.tape() as tp:
-                    feats, pred = model.forward(dense_cache[sample.name or id(sample)], training=True)
+                    feats, pred = model.forward(dense[i], training=True)
                     total, lp, l2 = total_loss(
                         feats, pred, sample.depth, sample.teacher_features,
                         projections, distill_cfg, rate_mode=model_cfg.rate_mode,

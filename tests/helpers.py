@@ -1,9 +1,10 @@
 """Shared test utilities: finite-difference oracles and tiny model builders.
 
 Everything here is deliberately independent of the library's own backward
-implementations: gradients are re-derived by central differences and LIF
-dynamics by a hand-written scalar simulator, so the tests act as oracles
-rather than mirrors.
+implementations: gradients are re-derived by central differences, LIF
+dynamics by a hand-written scalar simulator, and the conv and batchnorm
+kernels by the plain formulas they were optimised from, so the tests act as
+oracles rather than mirrors.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import io
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spikedepth import autodiff as ad
 from spikedepth.dataio import DepthMap, gen_synthetic
@@ -85,6 +87,65 @@ def assert_fd_match(fn, arrays, h=1e-5, frac=0.95, rel_tol=REL_TOL, worst_tol=WO
         ok, worst = grad_agreement(got, want, rel_tol)
         assert ok >= frac, f"input {k}: only {ok:.1%} of coords within {rel_tol}"
         assert worst <= worst_tol, f"input {k}: worst relative error {worst:.2e}"
+
+
+def rowmajor_corr2d(x, w, stride, pad):
+    """Reference correlation with the row-major im2col layout that `ad.conv2d`
+    used before its channel-major core: cols [B*Ho*Wo, Ci*k*k], out = cols @ w2dᵀ.
+    x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols)."""
+    B, Ci, H, W = x.shape
+    Co, _, k, _ = w.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    Ho, Wo = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Ci * k * k)
+    out = cols @ w.reshape(Co, -1).T
+    return np.ascontiguousarray(out.reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2)), cols
+
+
+def rowmajor_conv2d(x, w, b, g, stride, pad):
+    """Reference forward and backward of the row-major conv2d for 4-D x and
+    upstream gradient g [B,Co,Ho,Wo] -> (out, gx, gw, gb); gb is None without b."""
+    B, Ci, H, W = x.shape
+    Co, _, k, _ = w.shape
+    out, cols = rowmajor_corr2d(x, w, stride, pad)
+    if b is not None:
+        out += b[None, :, None, None]
+    gmat = g.transpose(0, 2, 3, 1).reshape(-1, Co)
+    gw = (gmat.T @ cols).reshape(w.shape)
+    gb = gmat.sum(0) if b is not None else None
+    Ho, Wo = g.shape[2], g.shape[3]
+    if stride > 1:
+        gd = np.zeros((B, Co, (Ho - 1) * stride + 1, (Wo - 1) * stride + 1), dtype=g.dtype)
+        gd[:, :, ::stride, ::stride] = g
+    else:
+        gd = g
+    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    gx_full, _ = rowmajor_corr2d(gd, wf, 1, k - 1 - pad)
+    if gx_full.shape[2] < H or gx_full.shape[3] < W:
+        gx_full = np.pad(
+            gx_full, ((0, 0), (0, 0), (0, H - gx_full.shape[2]), (0, W - gx_full.shape[3])))
+    return out, gx_full[:, :, :H, :W], gw, gb
+
+
+def batchnorm_reference(x, gamma, beta, g, running=None, eps=1e-5):
+    """Reference batchnorm over 4-D x with the plain (allocating) formulas:
+    batch statistics when `running` is None, else eval mode with the
+    (mean, var) pair -> (out, gx, ggamma, gbeta)."""
+    axes = (0, 2, 3)
+    mu, var = (x.mean(axis=axes), x.var(axis=axes)) if running is None else running
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    gs = gamma[None, :, None, None] * inv_std[None, :, None, None]
+    if running is None:
+        gm = g.mean(axis=axes)[None, :, None, None]
+        gxh = (g * xhat).mean(axis=axes)[None, :, None, None]
+        gx = gs * (g - gm - xhat * gxh)
+    else:
+        gx = gs * g
+    return out, gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
 
 def scalar_lif_reference(inputs, p: LifParams):

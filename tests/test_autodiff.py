@@ -2,9 +2,18 @@
 import numpy as np
 import pytest
 
-from helpers import assert_fd_match, fd_gradient, grad_agreement
+from helpers import (
+    assert_fd_match,
+    batchnorm_reference,
+    fd_gradient,
+    grad_agreement,
+    rowmajor_conv2d,
+)
 from spikedepth import autodiff as ad
 from spikedepth.errors import DimensionError, NumericError, StaleTapeError
+from spikedepth.head import rate_encode
+from spikedepth.losses import DistillConfig, FeatureProjections
+from spikedepth.model import DepthModel, ModelConfig
 
 # ---------------------------------------------------------------------------
 # forward oracles
@@ -321,6 +330,98 @@ def test_fd_composite_conv_bn_sigmoid(rng):
         return ad.reduce_sum(ad.sigmoid(ad.batchnorm(ad.conv2d(xx, ww, None, 1, 1), gg, bb)))
 
     assert_fd_match(graph, [x, w, gamma, beta])
+
+
+# ---------------------------------------------------------------------------
+# kernels against their reference formulas, bit for bit
+
+# the acceptance recipe and the same network at a 256x320 sensor
+_CONV_MODELS = {
+    "recipe": dict(t=4, c=2, h=64, w=64, d=64, l=4),
+    "sensor": dict(t=4, c=2, h=256, w=320, d=64, l=4),
+}
+
+
+def _conv_calls(model_kw, monkeypatch):
+    """Every distinct (x shape, w shape, has bias, stride, pad) that one
+    forward of the model and its KD projections passes to ad.conv2d."""
+    rng = np.random.default_rng(0)
+    model = DepthModel(ModelConfig(**model_kw), rng)
+    projections = FeatureProjections(DistillConfig(teacher_dim=16), model_kw["d"], rng)
+    calls = set()
+    conv2d = ad.conv2d
+
+    def spy(x, w, b=None, stride=1, pad=0):
+        calls.add((x.data.shape, w.data.shape, b is not None, stride, pad))
+        return conv2d(x, w, b, stride, pad)
+
+    spikes = (rng.random((model_kw["t"], model_kw["c"], model_kw["h"], model_kw["w"])) < 0.3)
+    with monkeypatch.context() as m:
+        m.setattr(ad, "conv2d", spy)
+        feats, _ = model.forward(spikes.astype(np.float32), training=False)
+        for i in projections.cfg.matched_blocks:
+            projections.forward(i, rate_encode(feats[i - 1]))
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("model", sorted(_CONV_MODELS))
+def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
+    """The channel-major core gives the row-major im2col kernel's exact bits
+    (forward, gx, gw and the KD projections' gb) at every conv of the model."""
+    calls = _conv_calls(_CONV_MODELS[model], monkeypatch)
+    # 3 embed stages, 3 block 1x1 shapes, 3 head 3x3 levels, head.proj, a KD projection
+    assert len(calls) == 11
+    assert sum(has_bias for _, _, has_bias, _, _ in calls) == 1
+    rng = np.random.default_rng(1)
+    for x_shape, w_shape, has_bias, stride, pad in calls:
+        x = rng.standard_normal(x_shape, dtype=np.float32)
+        w = rng.standard_normal(w_shape, dtype=np.float32)
+        b = rng.standard_normal(w_shape[0], dtype=np.float32) if has_bias else None
+        with ad.tape() as t:
+            y = ad.conv2d(ad.parameter(x), ad.parameter(w),
+                          ad.parameter(b) if has_bias else None, stride, pad)
+        g = rng.standard_normal(y.data.shape, dtype=np.float32)
+        gx, gw, gb = t.entries[-1].bwd(g)
+        out = y.data
+        del t, y  # the tape holds cols: free it before the reference builds its own
+        four_d = x.ndim == 4
+        ref = rowmajor_conv2d(x if four_d else x[None], w, b, g if four_d else g[None], stride, pad)
+        what = f"{model} x{x_shape} w{w_shape}"
+        assert np.array_equal(out, ref[0].reshape(out.shape)), f"forward {what}"
+        assert np.array_equal(gx, ref[1].reshape(x_shape)), f"gx {what}"
+        assert np.array_equal(gw, ref[2]), f"gw {what}"
+        assert (gb is None) == (not has_bias)
+        assert not has_bias or np.array_equal(gb, ref[3]), f"gb {what}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 16, 32, 40), (64, 16, 20)])
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
+    """The in-place forward (with and without a tape) and backward give the
+    plain formulas' exact bits."""
+    rng = np.random.default_rng(2)
+    c = shape[-3]
+    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    gamma = (rng.random(c) + 0.5).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    rm, rv = rng.standard_normal(c).astype(dtype), (rng.random(c) + 0.5).astype(dtype)
+    running = None if training else (rm.copy(), rv.copy())
+    untaped = ad.batchnorm(ad.tensor(x), ad.tensor(gamma), ad.tensor(beta),
+                           running_mean=rm.copy(), running_var=rv.copy(), training=training)
+    with ad.tape() as t:
+        y = ad.batchnorm(ad.parameter(x), ad.parameter(gamma), ad.parameter(beta),
+                         running_mean=rm, running_var=rv, training=training)
+    gx, ggamma, gbeta = t.entries[-1].bwd(g)
+    four_d = len(shape) == 4
+    ref = batchnorm_reference(x if four_d else x[None], gamma, beta,
+                              g if four_d else g[None], running)
+    assert np.array_equal(untaped.data, ref[0].reshape(shape))
+    assert np.array_equal(y.data, ref[0].reshape(shape))
+    assert np.array_equal(gx, ref[1].reshape(shape))
+    assert np.array_equal(ggamma, ref[2])
+    assert np.array_equal(gbeta, ref[3])
 
 
 # ---------------------------------------------------------------------------

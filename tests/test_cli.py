@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import poison_payload
+from helpers import disk_full_after, poison_payload
 from spikedepth import dataio
 from spikedepth.cli import main
 from spikedepth.metrics import METRIC_KEYS
@@ -80,6 +80,20 @@ def test_gen_bad_height_is_config_error(tmp_path, capsys):
     rc, out = _run(capsys, ["gen", "--out", str(tmp_path / "d"), "--height", "20"])
     assert rc == 1
     assert len(out) == 1 and out[0].startswith("error=CONFIG/")
+
+
+@pytest.mark.parametrize("flag,value,category", [
+    ("--height", "0", "CONFIG"),
+    ("--width", "-8", "CONFIG"),
+    ("--contrast", "nan", "DATA"),
+    ("--contrast", "inf", "DATA"),
+    ("--contrast", "0", "DATA"),
+])
+def test_gen_hostile_argument_is_one_error_line(tmp_path, capsys, flag, value, category):
+    rc, out = _run(capsys, ["gen", "--out", str(tmp_path / "d"), "--samples", "1", flag, value])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith(f"error={category}/"), out
+    assert not (tmp_path / "d").exists()
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -169,6 +183,31 @@ def _pipeline_untrained(tmp_path):
     ckpt = tmp_path / "init.sdtw"
     save_checkpoint(ckpt, tiny_model(seed=0))
     return None, str(ckpt), None
+
+
+@pytest.mark.parametrize("command,out_name", [
+    ("eval", "metrics.csv"), ("energy", "energy.csv"),
+    ("infer", "pred.pgm"), ("infer", "pred.dpth"),
+])
+def test_failed_output_write_leaves_old_file(tmp_path, capsys, monkeypatch, command, out_name):
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    spk = str(data / "sample_000.spkt")
+    out = tmp_path / "out" / out_name
+    out.parent.mkdir()
+    out.write_bytes(b"old contents\n")
+    argv = {
+        "eval": ["eval", "--ckpt", ckpt, "--data", str(data), "--csv", str(out)],
+        "energy": ["energy", "--ckpt", ckpt, "--spk", spk, "--csv", str(out)],
+        "infer": ["infer", "--ckpt", ckpt, "--spk", spk, "--out", str(out)],
+    }[command]
+    with disk_full_after(monkeypatch, 10):
+        rc, lines = _run(capsys, argv)
+    assert rc == 1
+    errors = [line for line in lines if line.startswith("error=")]
+    assert errors == lines[-1:] and errors[0].startswith("error=IO/") and "No space" in errors[0]
+    assert out.read_bytes() == b"old contents\n"
+    assert [p.name for p in out.parent.iterdir()] == [out_name]  # no temp file left
 
 
 def test_error_categories(tmp_path, capsys):

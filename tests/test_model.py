@@ -254,3 +254,24 @@ def test_module_walker_naming():
     ]
     assert dict(tree.named_params())["tree.a.w"] is tree.by_key["a"].w
     assert dict(tree.named_buffers())["tree.table"] is tree.table
+
+
+def test_named_tensors_is_one_walk(monkeypatch):
+    from spikedepth.checkpoint import _named_tensors
+
+    model = tiny_model()
+    params, buffers = model.named_tensors()
+    for got, want in ((params, model.named_params()), (buffers, model.named_buffers())):
+        assert [n for n, _ in got] == [n for n, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
+    walks = []
+    walk = Module._named
+
+    def spy(self, prefix=""):
+        walks.append(self is model)
+        return walk(self, prefix)
+
+    monkeypatch.setattr(Module, "_named", spy)
+    names = [n for n, _ in _named_tensors(model)]
+    assert walks.count(True) == 1
+    assert names == [n for n, _ in params] + [n for n, _ in buffers]

@@ -126,6 +126,21 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     assert (tmp_path / "a/model.sdtw").read_bytes() == (tmp_path / "b/model.sdtw").read_bytes()
 
 
+def test_duplicate_sample_names_train_on_their_own_spikes(tmp_path):
+    # two manifest lines share one sample= name; each still trains on its own files
+    write_dataset(tmp_path / "data", tiny_dataset(n=2))
+    manifest = tmp_path / "data/manifest.txt"
+    distinct = load_dataset(tmp_path / "data")
+    manifest.write_text(manifest.read_text().replace("sample=sample_001", "sample=sample_000"))
+    same = load_dataset(tmp_path / "data")
+    assert [s.name for s in same] == ["sample_000", "sample_000"]
+    assert same[0].spikes.bits != same[1].spikes.bits
+    for sub, data in (("distinct", distinct), ("same", same)):
+        train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST), tmp_path / sub)
+    for name in ("loss_curve.csv", "model.sdtw"):
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "distinct" / name).read_bytes()
+
+
 def test_loss_csv_format_and_steps(tmp_path):
     data = tiny_dataset(n=2)
     res = train(data, tiny_model_cfg(), tiny_distill_cfg(),
