@@ -4,7 +4,8 @@ The op set is exactly what the spiking depth network needs: conv / batchnorm /
 pooling / bilinear upsampling for the layers, batched matmul for attention,
 and elementwise arithmetic plus reductions for the losses.  Ops execute
 eagerly on numpy arrays and, when a tape is active, append an entry holding
-the backward closure.  `Tape.backward` replays the entries in reverse (the
+the backward closure (None when the output needs no gradient, as on an
+inspection tape).  `Tape.backward` replays the entries in reverse (the
 recording order is already topological) and accumulates gradients into every
 tensor created with `requires_grad=True`.
 
@@ -96,9 +97,15 @@ class TapeEntry:
 
 
 class Tape:
-    """Ordered record of executed ops; reverse replay computes gradients."""
+    """Ordered record of executed ops; reverse replay computes gradients.
 
-    def __init__(self):
+    With `grad=False` it is an inspection tape: entries keep their op, scope,
+    inputs and output, but no op output needs a gradient, every `bwd` is
+    None and no op keeps state for a backward pass.
+    """
+
+    def __init__(self, grad=True):
+        self.grad = grad
         self.entries: list[TapeEntry] = []
         self._scopes: list[str] = []
         self._used = False
@@ -113,6 +120,8 @@ class Tape:
         The tape is cleared afterwards; calling backward again without a new
         forward raises StaleTapeError.
         """
+        if not self.grad:
+            raise StaleTapeError("an inspection tape records no gradients")
         if self._used:
             raise StaleTapeError("tape already consumed; run a new forward pass")
         if not self.entries:
@@ -147,8 +156,8 @@ def active_tape():
 
 
 @contextmanager
-def tape():
-    t = Tape()
+def tape(grad=True):
+    t = Tape(grad)
     _STACK.append(t)
     try:
         yield t
@@ -174,11 +183,21 @@ def _record(op, inputs, output, bwd):
     output._leaf = False  # op outputs are interior nodes; grads flow through
     t = active_tape()
     if t is not None:
-        t.entries.append(TapeEntry(op, t.scope, inputs, output, bwd))
+        t.entries.append(TapeEntry(op, t.scope, inputs, output, bwd if output.requires_grad else None))
 
 
 def _needs(*tensors):
+    """Whether an op's output needs a gradient: never under an inspection tape."""
+    tp = active_tape()
+    if tp is not None and not tp.grad:
+        return False
     return any(t is not None and t.requires_grad for t in tensors)
+
+
+def _backward_may_run(*tensors):
+    """Whether a tape records a gradient through an op on these inputs, so
+    the op must keep the state its backward reads (cols, xhat, v_pre)."""
+    return active_tape() is not None and _needs(*tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +248,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(x.data * s, requires_grad=x.requires_grad)
+    out = Tensor(x.data * s, requires_grad=_needs(x))
     _guard("scale", out.data)
 
     def bwd(g):
-        return (g * s if x.requires_grad else None,)
+        return (g * s,)
 
     _record("scale", (x,), out, bwd)
     return out
@@ -242,11 +261,9 @@ def scale(x: Tensor, s: float) -> Tensor:
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes inside the interval (inclusive)."""
     xd = x.data
-    out = Tensor(np.clip(xd, lo, hi), requires_grad=x.requires_grad)
+    out = Tensor(np.clip(xd, lo, hi), requires_grad=_needs(x))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         mask = (xd >= lo) & (xd <= hi)
         return (g * mask,)
 
@@ -261,10 +278,10 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
+    out = Tensor(out_data, requires_grad=_needs(x))
 
     def bwd(g):
-        return (g * out_data * (1.0 - out_data) if x.requires_grad else None,)
+        return (g * out_data * (1.0 - out_data),)
 
     _record("sigmoid", (x,), out, bwd)
     return out
@@ -274,11 +291,11 @@ def log(x: Tensor) -> Tensor:
     xd = x.data
     if np.any(xd <= 0):
         raise NumericError("log: non-positive input")
-    out = Tensor(np.log(xd), requires_grad=x.requires_grad)
+    out = Tensor(np.log(xd), requires_grad=_needs(x))
     _guard("log", out.data)
 
     def bwd(g):
-        return (g / xd if x.requires_grad else None,)
+        return (g / xd,)
 
     _record("log", (x,), out, bwd)
     return out
@@ -290,10 +307,10 @@ def log(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     orig = x.data.shape
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
+    out = Tensor(x.data.reshape(shape), requires_grad=_needs(x))
 
     def bwd(g):
-        return (g.reshape(orig) if x.requires_grad else None,)
+        return (g.reshape(orig),)
 
     _record("reshape", (x,), out, bwd)
     return out
@@ -304,10 +321,10 @@ def transpose(x: Tensor, axes) -> Tensor:
     if len(axes) != x.data.ndim:
         raise DimensionError(f"transpose: axes {axes} do not match ndim {x.data.ndim}")
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=x.requires_grad)
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=_needs(x))
 
     def bwd(g):
-        return (g.transpose(inv) if x.requires_grad else None,)
+        return (g.transpose(inv),)
 
     _record("transpose", (x,), out, bwd)
     return out
@@ -316,12 +333,10 @@ def transpose(x: Tensor, axes) -> Tensor:
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     """Sum over one axis, or over everything (axis=None -> scalar)."""
     xd = x.data
-    out = Tensor(xd.sum(axis=axis), requires_grad=x.requires_grad)
+    out = Tensor(xd.sum(axis=axis), requires_grad=_needs(x))
     _guard("reduce_sum", out.data)
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         if axis is None:
             return (np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=True),)
         ge = np.expand_dims(g, axis)
@@ -360,13 +375,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution
 
 
-def _corr2d(x, w, stride, pad):
+# im2col bytes of one row panel: half of a 2 MiB L2, so a panel stays cached
+# between its copy and its GEMM; 256 and 512 KiB were no faster at 256x320
+PANEL_BYTES = 1024 * 1024
+# OpenBLAS may hand a GEMM of at most this many MACs to a small-matrix kernel
+# whose bits differ from the large kernel's, so no panel GEMM is that small
+# unless a whole image is
+_SMALL_GEMM_MACS = 100 ** 3
+
+
+def _corr2d(x, w, stride, pad, keep_cols=False):
     """Raw correlation core: x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols).
 
-    Channel-major im2col (Chellapilla et al., IWFHR 2006): `cols` is
-    [Ci*k*k, B*Ho*Wo] and the output is one GEMM, w[Co, Ci*k*k] @ cols.  A
-    1x1 stride-1 unpadded conv needs no window view: it is a batched matmul
-    over x itself, and `cols` is None.
+    Channel-major im2col (Chellapilla et al., IWFHR 2006) in row panels (Cho
+    & Brand, MEC, arXiv 1706.06873): for each image and block of output rows
+    the panel's [Ci*k*k, rows*Wo] cols is one GEMM with w[Co, Ci*k*k],
+    written straight into those rows of the output.  With `keep_cols` the
+    whole cols matrix [Ci*k*k, B*Ho*Wo] is built once, for the weight
+    gradient, and each image's GEMM reads its column slice; otherwise `cols`
+    is None.  A 1x1 stride-1 unpadded conv needs no window view: it is a
+    batched matmul over x itself, and `cols` is None.
     """
     B, Ci, H, W = x.shape
     Co, _, k, _ = w.shape
@@ -377,9 +405,23 @@ def _corr2d(x, w, stride, pad):
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     Ho, Wo = win.shape[2], win.shape[3]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(Ci * k * k, B * Ho * Wo)
-    out = (w2d @ cols).reshape(Co, B, Ho, Wo)
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
+    K = Ci * k * k
+    out = np.empty((B, Co, Ho, Wo), dtype=np.result_type(x, w))
+    if keep_cols:
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(K, B * Ho * Wo)
+        for b in range(B):
+            np.matmul(w2d, cols[:, b * Ho * Wo:(b + 1) * Ho * Wo], out=out[b].reshape(Co, -1))
+        return out, cols
+    rows = max(PANEL_BYTES // (K * Wo * x.itemsize), _SMALL_GEMM_MACS // (Co * K * Wo) + 1)
+    n_panels = max(1, Ho // rows)  # the remainder rows spread over the panels
+    bounds = [Ho * i // n_panels for i in range(n_panels + 1)]
+    buf = np.empty(K * (Ho // n_panels + 1) * Wo, dtype=x.dtype)
+    for b in range(B):
+        for r0, r1 in zip(bounds, bounds[1:]):
+            panel = buf[:K * (r1 - r0) * Wo].reshape(K, -1)
+            np.copyto(panel.reshape(Ci, k, k, r1 - r0, Wo), win[b, :, r0:r1].transpose(0, 3, 4, 1, 2))
+            np.matmul(w2d, panel, out=out[b].reshape(Co, -1)[:, r0 * Wo:r1 * Wo])
+    return out, None
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -402,7 +444,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     if xd.shape[2] + 2 * pad < wd.shape[2] or xd.shape[3] + 2 * pad < wd.shape[3]:
         raise DimensionError("conv2d: kernel larger than padded input")
 
-    out_data, cols = _corr2d(xd, wd, stride, pad)
+    # the weight gradient is one GEMM over every column, so it needs all of cols
+    out_data, cols = _corr2d(xd, wd, stride, pad, keep_cols=_backward_may_run(w))
     if b is not None:
         if b.data.shape != (wd.shape[0],):
             raise DimensionError(f"conv2d: bias shape {b.data.shape} != ({wd.shape[0]},)")
@@ -505,7 +548,7 @@ def batchnorm(
     # will read xhat, its buffer becomes the output
     xhat = xd - mu[None, :, None, None]
     xhat *= inv_std[None, :, None, None]
-    reuse = (active_tape() is None or not _needs(x, gamma, beta)) and gamma.data.dtype == xhat.dtype
+    reuse = not _backward_may_run(x, gamma, beta) and gamma.data.dtype == xhat.dtype
     out_data = np.multiply(gamma.data[None, :, None, None], xhat, out=xhat if reuse else None)
     out_data += beta.data[None, :, None, None]
     _guard("batchnorm", out_data)
@@ -557,11 +600,9 @@ def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     out_data = views[0].copy()
     for v in views[1:]:
         np.maximum(out_data, v, out=out_data)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
+    out = Tensor(out_data, requires_grad=_needs(x))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         gx = np.zeros_like(xd)
         taken = np.zeros(out_data.shape, dtype=bool)
         for i in range(k):
@@ -619,11 +660,9 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     Mw = _bilinear_matrix(W, factor, xd.dtype)
     out_data = Mh @ xd @ Mw.T
     _guard("upsample_bilinear", out_data)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
+    out = Tensor(out_data, requires_grad=_needs(x))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         return (Mh.T @ g @ Mw,)
 
     _record("upsample_bilinear", (x,), out, bwd)

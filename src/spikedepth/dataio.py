@@ -274,8 +274,10 @@ def gen_synthetic(
     """
     if h < 8 or w < 8 or h % 8 or w % 8:
         raise DimensionError(f"gen_synthetic: H and W must be positive multiples of 8, got ({h},{w})")
-    if t < 1 or n_samples < 0:
-        raise DimensionError("gen_synthetic: need t >= 1 and n_samples >= 0")
+    if t < 1 or n_samples < 0 or teacher_dim < 1:
+        raise DimensionError(
+            f"gen_synthetic: need t >= 1, n_samples >= 0 and teacher_dim >= 1, got "
+            f"t={t}, n_samples={n_samples}, teacher_dim={teacher_dim}")
     if not 0 < contrast_threshold < math.inf:  # NaN fails both comparisons
         raise DataError(
             f"gen_synthetic: contrast_threshold must be finite and positive, got {contrast_threshold}")

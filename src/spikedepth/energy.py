@@ -18,12 +18,13 @@ Per-layer rows always sum exactly to the reported total.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .trace import is_binary
 
 E_MAC_PJ = 4.6
@@ -168,12 +169,13 @@ def _matmul_row(entry, e_mac_pj, e_ac_pj):
     if not (a_bin or b_bin) or any(entry.scope.startswith(p) for p in FLOAT_SCOPES):
         macs = equiv * T
         return EnergyRow(entry.scope, "float", equiv, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
+    # float64 sums count exactly up to 2**53; float32 ones drift past 2**24
     if a_bin and b_bin:
-        synops = float(entry.output.data.sum())  # exact co-activation count
+        synops = float(entry.output.data.sum(dtype=np.float64))  # co-activation count
     elif b_bin:
-        synops = m * float(b.data.sum())
+        synops = m * float(b.data.sum(dtype=np.float64))
     else:
-        synops = n * float(a.data.sum())
+        synops = n * float(a.data.sum(dtype=np.float64))
     rate = synops / (equiv * T) if equiv else 0.0
     return EnergyRow(entry.scope, "spike", equiv, T,
                      rate, synops, spike_energy_pj(equiv, rate, T, e_ac_pj))
@@ -188,15 +190,16 @@ def _mlif_row(entry, e_mac_pj):
 
 
 def trace_forward(model, spikes_dense):
-    """Run one eval-mode forward pass under a tape.
+    """Run one eval-mode forward pass under an inspection tape.
 
     Returns (depth prediction [H, W], the tape entries); the prediction is
-    the array `model.predict` returns for the same input.
+    the array `model.predict` returns for the same input.  The entries hold
+    every op's inputs and output but no backward state.
     """
     spikes_dense = np.asarray(spikes_dense)
     if spikes_dense.ndim != 4:
         raise DimensionError(f"audit: spikes must be (T,C,H,W), got {spikes_dense.shape}")
-    with ad.tape() as tp:
+    with ad.tape(grad=False) as tp:
         _, pred = model.forward(spikes_dense, training=False)
     return pred.data, tp.entries
 
@@ -204,6 +207,9 @@ def trace_forward(model, spikes_dense):
 def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
     """Price every weighted layer among the tape entries of one forward pass
     of `model` (loss scopes are skipped)."""
+    for name, pj in (("e_mac_pj", e_mac_pj), ("e_ac_pj", e_ac_pj)):
+        if not 0 <= pj < math.inf:  # NaN fails both comparisons
+            raise ConfigError(f"energy: {name} must be finite and non-negative, got {pj}")
     rows = []
     for e in entries:
         if e.scope.startswith("loss"):

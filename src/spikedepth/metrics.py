@@ -6,12 +6,13 @@ differences use the raw values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dataio import DepthMap
-from .errors import DimensionError, EmptyMaskError
+from .errors import ConfigError, DimensionError, EmptyMaskError
 
 DEFAULT_EPS = 1e-6
 
@@ -49,6 +50,8 @@ class MetricsReport:
 
 def evaluate(pred: DepthMap, gt: DepthMap, eps: float = DEFAULT_EPS) -> MetricsReport:
     """Compute the eight depth metrics over pixels valid in both maps."""
+    if not 0 < eps < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"evaluate: eps must be finite and positive, got {eps}")
     if pred.shape != gt.shape:
         raise DimensionError(f"evaluate: pred {pred.shape} vs gt {gt.shape}")
     mask = pred.mask & gt.mask

@@ -116,21 +116,21 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
         raise NumericError("mlif: non-finite input current")
     T = xd.shape[0]
     inv_tau = 1.0 / params.tau
+    # the pre-reset membrane is kept only for a backward pass
+    v_pre = np.empty_like(xd) if ad._backward_may_run(x) else None
     v = np.zeros(xd.shape[1:], dtype=xd.dtype)
-    v_pre = np.empty_like(xd)
     spikes = np.empty_like(xd)
     reset = np.asarray(params.v_reset, dtype=xd.dtype)
     for t in range(T):
         v = v + (xd[t] - v) * inv_tau
-        v_pre[t] = v
+        if v_pre is not None:
+            v_pre[t] = v
         s = (v >= params.v_threshold).astype(xd.dtype)
         spikes[t] = s
         v = np.where(s > 0, reset, v)
-    out = ad.Tensor(spikes, requires_grad=x.requires_grad)
+    out = ad.Tensor(spikes, requires_grad=ad._needs(x))
 
     def bwd(g):
-        if not x.requires_grad:
-            return (None,)
         return (lif_backward(v_pre, g, params),)
 
     ad._record("mlif", (x,), out, bwd)

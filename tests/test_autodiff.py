@@ -1,4 +1,6 @@
 """Dense ops and reverse-mode gradients against hand and FD oracles."""
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,17 @@ def test_backward_on_empty_tape_raises():
         t.backward(ad.tensor(np.zeros(())))
 
 
+def test_inspection_tape_records_without_gradients():
+    x = ad.parameter(np.ones(3))
+    with ad.tape(grad=False) as t:
+        y = ad.reduce_sum(ad.mul(x, x))
+    assert [e.op for e in t.entries] == ["mul", "reduce_sum"]
+    assert all(e.bwd is None for e in t.entries) and not y.requires_grad
+    with pytest.raises(StaleTapeError):
+        t.backward(y)
+    assert x.grad is None
+
+
 def test_backward_needs_scalar_loss():
     x = ad.parameter(np.ones(3))
     with ad.tape() as t:
@@ -342,9 +355,19 @@ _CONV_MODELS = {
 }
 
 
+# convs no model forward makes: several images of one 3x3 conv whose last
+# row panel differs in height from the others, and a stride-2 conv
+_EXTRA_CONVS = [((3, 64, 37, 40), (64, 64, 3, 3), False, 1, 1),
+                ((2, 32, 64, 80), (64, 32, 3, 3), True, 2, 1)]
+
+# no tape, an inspection tape and a gradient tape take different conv paths
+_TAPE_MODES = {"none": nullcontext, "inspect": lambda: ad.tape(grad=False), "grad": ad.tape}
+
+
 def _conv_calls(model_kw, monkeypatch):
-    """Every distinct (x shape, w shape, has bias, stride, pad) that one
-    forward of the model and its KD projections passes to ad.conv2d."""
+    """Every distinct (x shape, w shape, has bias, stride, pad) that a
+    forward of the model and its KD projections passes to ad.conv2d; the
+    forward runs in each tape mode and predicts the same bits in all."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**model_kw), rng)
     projections = FeatureProjections(DistillConfig(teacher_dim=16), model_kw["d"], rng)
@@ -356,38 +379,51 @@ def _conv_calls(model_kw, monkeypatch):
         return conv2d(x, w, b, stride, pad)
 
     spikes = (rng.random((model_kw["t"], model_kw["c"], model_kw["h"], model_kw["w"])) < 0.3)
+    preds = {}
     with monkeypatch.context() as m:
         m.setattr(ad, "conv2d", spy)
-        feats, _ = model.forward(spikes.astype(np.float32), training=False)
+        for mode, context in _TAPE_MODES.items():
+            with context():
+                feats, pred = model.forward(spikes.astype(np.float32), training=False)
+            preds[mode] = pred.data
         for i in projections.cfg.matched_blocks:
             projections.forward(i, rate_encode(feats[i - 1]))
+    assert all(np.array_equal(p, preds["none"]) for p in preds.values())
     return sorted(calls)
 
 
-@pytest.mark.parametrize("model", sorted(_CONV_MODELS))
+@pytest.mark.parametrize("model", sorted(_CONV_MODELS) + ["extra"])
 def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
-    """The channel-major core gives the row-major im2col kernel's exact bits
-    (forward, gx, gw and the KD projections' gb) at every conv of the model."""
-    calls = _conv_calls(_CONV_MODELS[model], monkeypatch)
-    # 3 embed stages, 3 block 1x1 shapes, 3 head 3x3 levels, head.proj, a KD projection
-    assert len(calls) == 11
-    assert sum(has_bias for _, _, has_bias, _, _ in calls) == 1
+    """The panelled channel-major core gives the row-major im2col kernel's
+    exact bits (forward in every tape mode, gx, gw and gb) at every conv of
+    the model and at the extra shapes."""
+    if model == "extra":
+        calls = _EXTRA_CONVS
+    else:
+        calls = _conv_calls(_CONV_MODELS[model], monkeypatch)
+        # 3 embed stages, 3 block 1x1 shapes, 3 head 3x3 levels, head.proj, a KD projection
+        assert len(calls) == 11
+        assert sum(has_bias for _, _, has_bias, _, _ in calls) == 1
     rng = np.random.default_rng(1)
     for x_shape, w_shape, has_bias, stride, pad in calls:
         x = rng.standard_normal(x_shape, dtype=np.float32)
         w = rng.standard_normal(w_shape, dtype=np.float32)
         b = rng.standard_normal(w_shape[0], dtype=np.float32) if has_bias else None
-        with ad.tape() as t:
-            y = ad.conv2d(ad.parameter(x), ad.parameter(w),
-                          ad.parameter(b) if has_bias else None, stride, pad)
+        outs = {}
+        for mode, context in _TAPE_MODES.items():
+            with context() as t:
+                y = ad.conv2d(ad.parameter(x), ad.parameter(w),
+                              ad.parameter(b) if has_bias else None, stride, pad)
+            outs[mode] = y.data
+        # t is now the gradient tape, the last mode
         g = rng.standard_normal(y.data.shape, dtype=np.float32)
         gx, gw, gb = t.entries[-1].bwd(g)
-        out = y.data
         del t, y  # the tape holds cols: free it before the reference builds its own
         four_d = x.ndim == 4
         ref = rowmajor_conv2d(x if four_d else x[None], w, b, g if four_d else g[None], stride, pad)
         what = f"{model} x{x_shape} w{w_shape}"
-        assert np.array_equal(out, ref[0].reshape(out.shape)), f"forward {what}"
+        for mode, out in outs.items():
+            assert np.array_equal(out, ref[0].reshape(out.shape)), f"forward ({mode} tape) {what}"
         assert np.array_equal(gx, ref[1].reshape(x_shape)), f"gx {what}"
         assert np.array_equal(gw, ref[2]), f"gw {what}"
         assert (gb is None) == (not has_bias)

@@ -88,6 +88,8 @@ def test_gen_bad_height_is_config_error(tmp_path, capsys):
     ("--contrast", "nan", "DATA"),
     ("--contrast", "inf", "DATA"),
     ("--contrast", "0", "DATA"),
+    ("--teacher-dim", "-3", "CONFIG"),
+    ("--teacher-dim", "0", "CONFIG"),
 ])
 def test_gen_hostile_argument_is_one_error_line(tmp_path, capsys, flag, value, category):
     rc, out = _run(capsys, ["gen", "--out", str(tmp_path / "d"), "--samples", "1", flag, value])
@@ -299,6 +301,20 @@ def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
     assert "embed.s1.conv.w" in out[0]
     assert not (run / "model.sdtw").exists()
     assert not (run / "loss_curve.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--eps", "nan"), ("eval", "--eps", "0"), ("eval", "--eps", "inf"),
+    ("energy", "--e-mac", "nan"), ("energy", "--e-mac", "inf"), ("energy", "--e-ac", "-5"),
+])
+def test_eval_energy_hostile_argument_is_one_error_line(tmp_path, capsys, command, flag, value):
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    argv = {"eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
+            "energy": ["energy", "--ckpt", ckpt, "--spk", str(data / "sample_000.spkt")]}[command]
+    rc, out = _run(capsys, argv + [flag, value])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
 
 
 def _corrupt_manifest(tmp_path, capsys, old, new):

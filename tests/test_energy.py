@@ -4,16 +4,19 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import random_spikes, tiny_model
+from spikedepth import autodiff as ad
 from spikedepth.energy import (
     E_AC_PJ,
     E_MAC_PJ,
+    _matmul_row,
     _window_active_sum,
     audit,
     float_energy_pj,
     param_count,
     spike_energy_pj,
+    trace_forward,
 )
-from spikedepth.errors import DimensionError
+from spikedepth.errors import ConfigError, DimensionError
 from spikedepth.layers import Conv
 
 
@@ -33,6 +36,28 @@ def test_window_active_sum_matches_brute_force(rng, k, pad, shape):
     padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     want = sliding_window_view(padded, (k, k), axis=(2, 3)).sum(dtype=np.float64)
     assert _window_active_sum(x, k, pad) == want
+
+
+def test_coactivation_count_is_exact():
+    """A spike-by-spike product is charged its exact co-activation count,
+    here past float32's exact integers (a float32 sum reads 37803164)."""
+    rng = np.random.default_rng(1)
+    q = rng.random((4, 1280, 64)) < 0.3
+    kt = rng.random((4, 64, 1280)) < 0.3
+    want = int(np.einsum("tnd,tdm->", q.astype(np.int64), kt.astype(np.int64)))
+    with ad.tape() as tp, ad.scope("block1.attn.qk"):
+        ad.matmul(ad.tensor(q), ad.tensor(kt))
+    row = _matmul_row(tp.entries[0], E_MAC_PJ, E_AC_PJ)
+    assert row.kind == "spike" and row.synops == want == 37803165
+
+
+def test_trace_forward_keeps_no_backward_state(rng):
+    model = tiny_model(seed=0)
+    spikes = random_spikes(rng, p=0.4)
+    pred, entries = trace_forward(model, spikes)
+    assert {"conv2d", "batchnorm", "matmul", "mlif"} <= {e.op for e in entries}
+    assert all(e.bwd is None for e in entries)
+    assert np.array_equal(pred, model.predict(spikes))
 
 
 def test_param_count_conv_oracle(rng):
@@ -131,7 +156,10 @@ def test_csv_rows(rng):
     assert all(len(row.split(",")) == 7 for row in rows)
 
 
-def test_audit_input_validation():
+def test_audit_input_validation(rng):
     model = tiny_model(seed=0)
     with pytest.raises(DimensionError):
         audit(model, np.zeros((2, 16, 16), np.float32))
+    for e_mac, e_ac in [(np.nan, E_AC_PJ), (np.inf, E_AC_PJ), (E_MAC_PJ, -5.0), (E_MAC_PJ, np.nan)]:
+        with pytest.raises(ConfigError):
+            audit(model, random_spikes(rng), e_mac_pj=e_mac, e_ac_pj=e_ac)

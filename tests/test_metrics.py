@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from helpers import depth_map
-from spikedepth.errors import DimensionError, EmptyMaskError
+from spikedepth.errors import ConfigError, DimensionError, EmptyMaskError
 from spikedepth.metrics import METRIC_KEYS, MetricsReport, average_reports, evaluate
 
 # gt [0.25, 0.5, 1.0] vs constant prediction 0.5; every value below is
@@ -90,6 +90,13 @@ def test_eps_floor_keeps_metrics_finite():
     # a larger eps floor changes the relative error of the zero-gt pixel
     loose = evaluate(pred, gt, eps=0.1)
     assert loose.abs_rel <= rep.abs_rel
+
+
+def test_eps_must_be_finite_and_positive():
+    pred = depth_map(np.array([[0.25, 0.5]]))
+    for eps in (np.nan, np.inf, 0.0, -1e-6):
+        with pytest.raises(ConfigError):
+            evaluate(pred, pred, eps=eps)
 
 
 def test_shape_and_mask_errors():
