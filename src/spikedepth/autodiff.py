@@ -1,13 +1,14 @@
 """Reverse-mode autodiff over dense numpy tensors.
 
-The op set is exactly what the spiking depth network needs: conv / batchnorm /
-pooling / bilinear upsampling for the layers, batched matmul for attention,
-and elementwise arithmetic plus reductions for the losses.  Ops execute
-eagerly on numpy arrays and, when a tape is active, append an entry holding
-the backward closure (None when the output needs no gradient, as on an
-inspection tape).  `Tape.backward` replays the entries in reverse (the
-recording order is already topological) and accumulates gradients into every
-tensor created with `requires_grad=True`.
+The op set is exactly what the spiking depth network needs: stride-1 conv and
+batchnorm over [B,C,H,W], k x k max pooling and bilinear upsampling for the
+layers, batched matmul for attention, and elementwise arithmetic plus
+reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
+tape is active, append an entry holding the backward closure (None when the
+output needs no gradient, as on an inspection tape).  `Tape.backward`
+replays the entries in reverse (the recording order is already topological)
+and accumulates gradients into every tensor created with
+`requires_grad=True`.
 
 float32 is the production dtype; gradient-check tests build float64 graphs.
 Ops keep the dtype of their inputs and never broadcast beyond the documented
@@ -45,25 +46,6 @@ class Tensor:
         self.grad = None
         self.is_param = is_param
         self._leaf = requires_grad
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -187,17 +169,12 @@ def _record(op, inputs, output, bwd):
 
 
 def _needs(*tensors):
-    """Whether an op's output needs a gradient: never under an inspection tape."""
+    """Whether an op's output needs a gradient, so that the op keeps the
+    state its backward reads (cols, xhat, v_pre): only under a gradient tape."""
     tp = active_tape()
-    if tp is not None and not tp.grad:
+    if tp is None or not tp.grad:
         return False
     return any(t is not None and t.requires_grad for t in tensors)
-
-
-def _backward_may_run(*tensors):
-    """Whether a tape records a gradient through an op on these inputs, so
-    the op must keep the state its backward reads (cols, xhat, v_pre)."""
-    return active_tape() is not None and _needs(*tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +308,14 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    """Sum over one axis, or over everything (axis=None -> scalar)."""
+    """Sum over everything (axis=None -> scalar), or over one axis, which
+    stays with size 1."""
     xd = x.data
-    out = Tensor(xd.sum(axis=axis), requires_grad=_needs(x))
+    out = Tensor(xd.sum(axis=axis, keepdims=axis is not None), requires_grad=_needs(x))
     _guard("reduce_sum", out.data)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=True),)
-        ge = np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, xd.shape).astype(xd.dtype, copy=True),)
+        return (np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=True),)
 
     _record("reduce_sum", (x,), out, bwd)
     return out
@@ -384,8 +359,9 @@ PANEL_BYTES = 1024 * 1024
 _SMALL_GEMM_MACS = 100 ** 3
 
 
-def _corr2d(x, w, stride, pad, keep_cols=False):
-    """Raw correlation core: x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols).
+def _corr2d(x, w, pad, keep_cols=False):
+    """Raw stride-1 correlation core: x [B,Ci,H,W], w [Co,Ci,k,k] ->
+    ([B,Co,H+2*pad-k+1,W+2*pad-k+1], cols).
 
     Channel-major im2col (Chellapilla et al., IWFHR 2006) in row panels (Cho
     & Brand, MEC, arXiv 1706.06873): for each image and block of output rows
@@ -393,17 +369,17 @@ def _corr2d(x, w, stride, pad, keep_cols=False):
     written straight into those rows of the output.  With `keep_cols` the
     whole cols matrix [Ci*k*k, B*Ho*Wo] is built once, for the weight
     gradient, and each image's GEMM reads its column slice; otherwise `cols`
-    is None.  A 1x1 stride-1 unpadded conv needs no window view: it is a
-    batched matmul over x itself, and `cols` is None.
+    is None.  A 1x1 unpadded conv needs no window view: it is a batched
+    matmul over x itself, and `cols` is None.
     """
     B, Ci, H, W = x.shape
     Co, _, k, _ = w.shape
     w2d = w.reshape(Co, -1)
-    if k == 1 and stride == 1 and not pad:
+    if k == 1 and not pad:
         return np.matmul(w2d, x.reshape(B, Ci, H * W)).reshape(B, Co, H, W), None
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(x, (k, k), axis=(2, 3))
     Ho, Wo = win.shape[2], win.shape[3]
     K = Ci * k * k
     out = np.empty((B, Co, Ho, Wo), dtype=np.result_type(x, w))
@@ -424,44 +400,36 @@ def _corr2d(x, w, stride, pad, keep_cols=False):
     return out, None
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D correlation with optional bias.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
+    """Stride-1 2-D correlation with optional bias.
 
-    x: [Cin,H,W] or [B,Cin,H,W]; w: [Cout,Cin,k,k] (square kernel); b: [Cout].
-    pad=(k-1)//2 with stride 1 preserves the spatial size for odd k.
+    x: [B,Cin,H,W]; w: [Cout,Cin,k,k] (square kernel); b: [Cout];
+    0 <= pad < k.  pad=(k-1)//2 preserves the spatial size for odd k.
     """
-    xd = x.data
-    squeezed = xd.ndim == 3
-    if squeezed:
-        xd = xd[None]
+    xd, wd = x.data, w.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv2d: input must be 3-D or 4-D, got {x.data.shape}")
-    wd = w.data
+        raise DimensionError(f"conv2d: input must be [B,Cin,H,W], got {xd.shape}")
     if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
         raise DimensionError(f"conv2d: kernel must be [Cout,Cin,k,k] square, got {wd.shape}")
     if wd.shape[1] != xd.shape[1]:
         raise DimensionError(f"conv2d: channel mismatch input {xd.shape[1]} vs kernel {wd.shape[1]}")
-    if xd.shape[2] + 2 * pad < wd.shape[2] or xd.shape[3] + 2 * pad < wd.shape[3]:
+    B, Ci, H, W = xd.shape
+    Co, _, k, _ = wd.shape
+    if not 0 <= pad < k:
+        raise DimensionError(f"conv2d: pad {pad} outside [0, {k})")
+    if H + 2 * pad < k or W + 2 * pad < k:
         raise DimensionError("conv2d: kernel larger than padded input")
 
     # the weight gradient is one GEMM over every column, so it needs all of cols
-    out_data, cols = _corr2d(xd, wd, stride, pad, keep_cols=_backward_may_run(w))
+    out_data, cols = _corr2d(xd, wd, pad, keep_cols=_needs(w))
     if b is not None:
-        if b.data.shape != (wd.shape[0],):
-            raise DimensionError(f"conv2d: bias shape {b.data.shape} != ({wd.shape[0]},)")
+        if b.data.shape != (Co,):
+            raise DimensionError(f"conv2d: bias shape {b.data.shape} != ({Co},)")
         out_data += b.data[None, :, None, None]
     _guard("conv2d", out_data)
-    if squeezed:
-        out = Tensor(out_data[0], requires_grad=_needs(x, w, b))
-    else:
-        out = Tensor(out_data, requires_grad=_needs(x, w, b))
-
-    B, Ci, H, W = xd.shape
-    Co, _, k, _ = wd.shape
+    out = Tensor(out_data, requires_grad=_needs(x, w, b))
 
     def bwd(g):
-        if squeezed:
-            g = g[None]
         gw = gb = gx = None
         if w.requires_grad:
             # one GEMM over K = B*Ho*Wo; a 1x1 conv's cols is x, channel-major
@@ -470,23 +438,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         if b is not None and b.requires_grad:
             gb = g.transpose(0, 2, 3, 1).reshape(-1, Co).sum(0)
         if x.requires_grad:
-            Ho, Wo = g.shape[2], g.shape[3]
-            if stride > 1:
-                gd = np.zeros((B, Co, (Ho - 1) * stride + 1, (Wo - 1) * stride + 1), dtype=g.dtype)
-                gd[:, :, ::stride, ::stride] = g
-            else:
-                gd = g
-            # full correlation with the flipped, channel-swapped kernel
+            # full correlation with the flipped, channel-swapped kernel; at
+            # stride 1 with pad k-1-pad it is exactly [B,Ci,H,W]
             wf = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx_full, _ = _corr2d(gd, np.ascontiguousarray(wf), 1, k - 1 - pad)
-            if gx_full.shape[2] < H or gx_full.shape[3] < W:
-                gx_full = np.pad(
-                    gx_full,
-                    ((0, 0), (0, 0), (0, H - gx_full.shape[2]), (0, W - gx_full.shape[3])),
-                )
-            gx = gx_full[:, :, :H, :W]
-            if squeezed:
-                gx = gx[0]
+            gx, _ = _corr2d(g, np.ascontiguousarray(wf), k - 1 - pad)
         return (gx, gw, gb)
 
     _record("conv2d", (x, w, b), out, bwd)
@@ -497,29 +452,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 # batch normalisation
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean=None,
-    running_var=None,
-    training: bool = True,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Per-channel normalisation over all non-channel axes.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
-    x: [C,H,W] or [B,C,H,W]; channel axis is 1 after promotion.  Training mode
-    normalises with batch statistics and, when running buffers are passed,
-    updates them in place with `momentum` (unbiased variance, matching the
-    usual convention).  Eval mode requires running buffers.
+
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running_var=None,
+              training: bool = True) -> Tensor:
+    """Per-channel normalisation of x [B,C,H,W] over the B, H and W axes.
+
+    Training mode normalises with batch statistics and, when running buffers
+    are passed, updates them in place with momentum `BN_MOMENTUM` (unbiased
+    variance, matching the usual convention).  Eval mode requires running
+    buffers.
     """
     xd = x.data
-    squeezed = xd.ndim == 3
-    if squeezed:
-        xd = xd[None]
     if xd.ndim != 4:
-        raise DimensionError(f"batchnorm: input must be 3-D or 4-D, got {x.data.shape}")
+        raise DimensionError(f"batchnorm: input must be [B,C,H,W], got {xd.shape}")
     C = xd.shape[1]
     if C == 0:
         raise DimensionError("batchnorm: zero-size channel axis")
@@ -533,30 +481,29 @@ def batchnorm(
         var = xd.var(axis=axes)
         if running_mean is not None and running_var is not None:
             unbiased = var * (n / (n - 1)) if n > 1 else var
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mu
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * unbiased
     else:
         if running_mean is None or running_var is None:
             raise DimensionError("batchnorm: eval mode needs running statistics")
         mu = running_mean
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # (x - mu) * inv_std * gamma + beta with in-place ops; when no backward
     # will read xhat, its buffer becomes the output
     xhat = xd - mu[None, :, None, None]
     xhat *= inv_std[None, :, None, None]
-    reuse = not _backward_may_run(x, gamma, beta) and gamma.data.dtype == xhat.dtype
+    needs = _needs(x, gamma, beta)
+    reuse = not needs and gamma.data.dtype == xhat.dtype
     out_data = np.multiply(gamma.data[None, :, None, None], xhat, out=xhat if reuse else None)
     out_data += beta.data[None, :, None, None]
     _guard("batchnorm", out_data)
-    out = Tensor(out_data[0] if squeezed else out_data, requires_grad=_needs(x, gamma, beta))
+    out = Tensor(out_data, requires_grad=needs)
 
     def bwd(g):
-        if squeezed:
-            g = g[None]
         gxhat = g * xhat
         ggamma = gxhat.sum(axis=axes) if gamma.requires_grad else None
         gbeta = g.sum(axis=axes) if beta.requires_grad else None
@@ -571,8 +518,6 @@ def batchnorm(
                 gx *= gs
             else:
                 gx = gs * g
-            if squeezed:
-                gx = gx[0]
         return (gx, ggamma, gbeta)
 
     _record("batchnorm", (x, gamma, beta), out, bwd)
@@ -583,17 +528,15 @@ def batchnorm(
 # pooling
 
 
-def maxpool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Max pooling over the last two axes; ties resolve to the first index
-    in row-major window order."""
-    if k != stride:
-        raise DimensionError("maxpool2d: only kernel == stride is supported")
+def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
+    """Max pooling over non-overlapping k x k windows of the last two axes;
+    ties resolve to the first index in row-major window order."""
     xd = x.data
     if xd.ndim < 2:
         raise DimensionError("maxpool2d: input must be at least 2-D")
     H, W = xd.shape[-2:]
-    if H % stride or W % stride:
-        raise DimensionError(f"maxpool2d: spatial dims ({H},{W}) not divisible by stride {stride}")
+    if H % k or W % k:
+        raise DimensionError(f"maxpool2d: spatial dims ({H},{W}) not divisible by {k}")
     # the k*k strided views hold the window elements in row-major window
     # order; a running max over them needs no window copy or argmax array
     views = [xd[..., i::k, j::k] for i in range(k) for j in range(k)]

@@ -63,11 +63,6 @@ class SpikeTensor:
         flat = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=n, bitorder="big")
         return flat.reshape(self.t, self.c, self.h, self.w).astype(dtype)
 
-    def firing_rate(self) -> float:
-        n = self.t * self.c * self.h * self.w
-        flat = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=n, bitorder="big")
-        return float(flat.mean()) if n else 0.0
-
 
 @dataclass
 class DepthMap:
@@ -274,10 +269,10 @@ def gen_synthetic(
     """
     if h < 8 or w < 8 or h % 8 or w % 8:
         raise DimensionError(f"gen_synthetic: H and W must be positive multiples of 8, got ({h},{w})")
-    if t < 1 or n_samples < 0 or teacher_dim < 1:
+    if t < 1 or n_samples < 0 or teacher_dim < 1 or seed < 0:
         raise DimensionError(
-            f"gen_synthetic: need t >= 1, n_samples >= 0 and teacher_dim >= 1, got "
-            f"t={t}, n_samples={n_samples}, teacher_dim={teacher_dim}")
+            f"gen_synthetic: need t >= 1, n_samples >= 0, teacher_dim >= 1 and seed >= 0, got "
+            f"t={t}, n_samples={n_samples}, teacher_dim={teacher_dim}, seed={seed}")
     if not 0 < contrast_threshold < math.inf:  # NaN fails both comparisons
         raise DataError(
             f"gen_synthetic: contrast_threshold must be finite and positive, got {contrast_threshold}")
@@ -371,7 +366,11 @@ MANIFEST_NAME = "manifest.txt"
 
 def write_dataset(out_dir, samples: list[SampleTuple]) -> list[str]:
     """Write one .spkt/.dpth/.feat triple per sample plus the manifest.
-    Returns the relative paths written (manifest last)."""
+    Returns the relative paths written (manifest last).  A sample without
+    teacher features is refused before anything is written."""
+    for s in samples:
+        if s.teacher_features is None:
+            raise DataError(f"write_dataset: sample {s.name} has no teacher features")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"count={len(samples)}"]
@@ -380,8 +379,6 @@ def write_dataset(out_dir, samples: list[SampleTuple]) -> list[str]:
         spk, dpt, fea = f"{s.name}.spkt", f"{s.name}.dpth", f"{s.name}.feat"
         write_spikes(out / spk, s.spikes)
         write_depth(out / dpt, s.depth)
-        if s.teacher_features is None:
-            raise DataError(f"write_dataset: sample {s.name} has no teacher features")
         write_features(out / fea, s.teacher_features)
         lines.append(f"sample={s.name} spk={spk} depth={dpt} feat={fea}")
         written += [spk, dpt, fea]

@@ -140,7 +140,7 @@ def _window_active_sum(x, k, pad):
 
 def _conv_row(entry, e_mac_pj, e_ac_pj):
     x, w = entry.inputs[0], entry.inputs[1]
-    xd = x.data if x.data.ndim == 4 else x.data[None]
+    xd = x.data
     B = xd.shape[0]
     cout, cin, k, _ = w.data.shape
     od = entry.output.data
@@ -150,7 +150,7 @@ def _conv_row(entry, e_mac_pj, e_ac_pj):
     if is_float or not is_binary(xd):
         macs = equiv * B
         return EnergyRow(entry.scope, "float", equiv, B, 1.0, macs, float_energy_pj(macs, e_mac_pj))
-    # stride/pad are recoverable from shapes for the layers we build (stride 1)
+    # conv2d is stride 1, so its pad follows from the shapes
     pad = ((ho - 1) + k - xd.shape[2]) // 2
     synops = cout * _window_active_sum(xd, k, pad)
     rate = synops / (equiv * B) if equiv else 0.0

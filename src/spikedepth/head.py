@@ -16,8 +16,8 @@ from .layers import Conv, ConvBN, Module
 
 
 def rate_encode(x: ad.Tensor, mode: str = "mean") -> ad.Tensor:
-    """Collapse the leading time axis of a spike stack to firing rates
-    (mode="mean") or spike counts (mode="sum")."""
+    """Collapse the leading time axis of a spike stack [T,D,h,w] to firing
+    rates (mode="mean") or spike counts (mode="sum"), as one map [1,D,h,w]."""
     if x.data.ndim < 1 or x.data.shape[0] < 1:
         raise DimensionError(f"rate_encode: need a non-empty time axis, got {x.data.shape}")
     with ad.scope("rate"):

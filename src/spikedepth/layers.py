@@ -85,7 +85,7 @@ class Conv(Module):
 
     def forward(self, x):
         with ad.scope(self.name):
-            return ad.conv2d(x, self.w, self.b, stride=1, pad=self.pad)
+            return ad.conv2d(x, self.w, self.b, pad=self.pad)
 
 
 class ConvBN(Module):
@@ -107,7 +107,7 @@ class ConvBN(Module):
 
     def forward(self, x, training):
         with ad.scope(self.name):
-            y = ad.conv2d(x, self.w, None, stride=1, pad=self.pad)
+            y = ad.conv2d(x, self.w, pad=self.pad)
             return ad.batchnorm(
                 y,
                 self.gamma,

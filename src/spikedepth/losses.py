@@ -111,8 +111,10 @@ def total_loss(
 ):
     """lambda_p * sum of matched perceptual terms + lambda_2 * SI-L2.
 
-    Returns (total tensor, perceptual value, si value).  With use_kd=False
-    no teacher ops are recorded at all and the perceptual component is 0.
+    `teacher` is one sample's feature map [d,h,w], compared with every
+    projected rate map [1,d,h,w].  Returns (total tensor, perceptual value,
+    si value).  With use_kd=False no teacher ops are recorded at all and the
+    perceptual component is 0.
     """
     with ad.scope("loss.si"):
         l2 = si_l2_loss(pred, gt, log_domain=cfg.si_log_domain)
@@ -123,7 +125,7 @@ def total_loss(
             raise DataError("total_loss: teacher features required when KD is on")
         if projections is None:
             raise ConfigError("total_loss: KD requires feature projections")
-        teacher_t = ad.tensor(np.asarray(teacher, dtype=pred.data.dtype))
+        teacher_t = ad.tensor(np.asarray(teacher, dtype=pred.data.dtype)[None])
         with ad.scope("loss.perceptual"):
             lp_sum = None
             for i in cfg.matched_blocks:

@@ -119,7 +119,7 @@ class PatchEmbed(Module):
             for i, (conv, lif) in enumerate(self.stages, start=1):
                 x = conv.forward(x, training)
                 with ad.scope(f"s{i}.pool"):
-                    x = ad.maxpool2d(x, 2, 2)
+                    x = ad.maxpool2d(x, 2)
                 x = lif.forward(x)
         return x
 

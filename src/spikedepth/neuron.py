@@ -117,7 +117,8 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
     T = xd.shape[0]
     inv_tau = 1.0 / params.tau
     # the pre-reset membrane is kept only for a backward pass
-    v_pre = np.empty_like(xd) if ad._backward_may_run(x) else None
+    needs = ad._needs(x)
+    v_pre = np.empty_like(xd) if needs else None
     v = np.zeros(xd.shape[1:], dtype=xd.dtype)
     spikes = np.empty_like(xd)
     reset = np.asarray(params.v_reset, dtype=xd.dtype)
@@ -128,7 +129,7 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
         s = (v >= params.v_threshold).astype(xd.dtype)
         spikes[t] = s
         v = np.where(s > 0, reset, v)
-    out = ad.Tensor(spikes, requires_grad=ad._needs(x))
+    out = ad.Tensor(spikes, requires_grad=needs)
 
     def bwd(g):
         return (lif_backward(v_pre, g, params),)

@@ -89,44 +89,35 @@ def assert_fd_match(fn, arrays, h=1e-5, frac=0.95, rel_tol=REL_TOL, worst_tol=WO
         assert worst <= worst_tol, f"input {k}: worst relative error {worst:.2e}"
 
 
-def rowmajor_corr2d(x, w, stride, pad):
-    """Reference correlation with the row-major im2col layout that `ad.conv2d`
-    used before its channel-major core: cols [B*Ho*Wo, Ci*k*k], out = cols @ w2dᵀ.
-    x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols)."""
+def rowmajor_corr2d(x, w, pad):
+    """Reference stride-1 correlation with the row-major im2col layout that
+    `ad.conv2d` used before its channel-major core: cols [B*Ho*Wo, Ci*k*k],
+    out = cols @ w2dᵀ.  x [B,Ci,H,W], w [Co,Ci,k,k] -> ([B,Co,Ho,Wo], cols)."""
     B, Ci, H, W = x.shape
     Co, _, k, _ = w.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = sliding_window_view(x, (k, k), axis=(2, 3))
     Ho, Wo = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(B * Ho * Wo, Ci * k * k)
     out = cols @ w.reshape(Co, -1).T
     return np.ascontiguousarray(out.reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2)), cols
 
 
-def rowmajor_conv2d(x, w, b, g, stride, pad):
-    """Reference forward and backward of the row-major conv2d for 4-D x and
-    upstream gradient g [B,Co,Ho,Wo] -> (out, gx, gw, gb); gb is None without b."""
-    B, Ci, H, W = x.shape
+def rowmajor_conv2d(x, w, b, g, pad):
+    """Reference forward and backward of the row-major conv2d for x
+    [B,Ci,H,W] and upstream gradient g [B,Co,Ho,Wo] -> (out, gx, gw, gb); gb
+    is None without b."""
     Co, _, k, _ = w.shape
-    out, cols = rowmajor_corr2d(x, w, stride, pad)
+    out, cols = rowmajor_corr2d(x, w, pad)
     if b is not None:
         out += b[None, :, None, None]
     gmat = g.transpose(0, 2, 3, 1).reshape(-1, Co)
     gw = (gmat.T @ cols).reshape(w.shape)
     gb = gmat.sum(0) if b is not None else None
-    Ho, Wo = g.shape[2], g.shape[3]
-    if stride > 1:
-        gd = np.zeros((B, Co, (Ho - 1) * stride + 1, (Wo - 1) * stride + 1), dtype=g.dtype)
-        gd[:, :, ::stride, ::stride] = g
-    else:
-        gd = g
     wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    gx_full, _ = rowmajor_corr2d(gd, wf, 1, k - 1 - pad)
-    if gx_full.shape[2] < H or gx_full.shape[3] < W:
-        gx_full = np.pad(
-            gx_full, ((0, 0), (0, 0), (0, H - gx_full.shape[2]), (0, W - gx_full.shape[3])))
-    return out, gx_full[:, :, :H, :W], gw, gb
+    gx, _ = rowmajor_corr2d(g, wf, k - 1 - pad)
+    return out, gx, gw, gb
 
 
 def batchnorm_reference(x, gamma, beta, g, running=None, eps=1e-5):

@@ -23,33 +23,52 @@ from spikedepth.model import DepthModel, ModelConfig
 
 def test_conv2d_ones_kernel_hand_oracle():
     # 3x3 ones * 3x3 ones kernel, pad 1: each output counts the live window.
-    x = ad.tensor(np.ones((1, 3, 3)))
+    x = ad.tensor(np.ones((1, 1, 3, 3)))
     w = ad.tensor(np.ones((1, 1, 3, 3)))
-    out = ad.conv2d(x, w, None, stride=1, pad=1)
+    out = ad.conv2d(x, w, pad=1)
     expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float64)
-    np.testing.assert_array_equal(out.data[0], expected)
-    assert out.data[0, 1, 1] == 9.0
+    np.testing.assert_array_equal(out.data[0, 0], expected)
+    assert out.data[0, 0, 1, 1] == 9.0
 
 
 def test_conv2d_identity_kernel_passthrough(rng):
-    x = rng.standard_normal((3, 5, 7))
+    x = rng.standard_normal((2, 3, 5, 7))
     w = np.zeros((3, 3, 1, 1))
     w[np.arange(3), np.arange(3), 0, 0] = 1.0
-    out = ad.conv2d(ad.tensor(x), ad.tensor(w), None, 1, 0)
+    out = ad.conv2d(ad.tensor(x), ad.tensor(w))
     np.testing.assert_allclose(out.data, x, rtol=0, atol=0)
 
 
 def test_conv2d_shape_arithmetic(rng):
     x = ad.tensor(rng.standard_normal((2, 3, 8, 8)))
     w = ad.tensor(rng.standard_normal((4, 3, 3, 3)))
-    assert ad.conv2d(x, w, None, 1, 1).data.shape == (2, 4, 8, 8)
+    assert ad.conv2d(x, w, pad=1).data.shape == (2, 4, 8, 8)
 
 
 def test_conv2d_channel_mismatch_raises(rng):
-    x = ad.tensor(rng.standard_normal((2, 8, 8)))
+    x = ad.tensor(rng.standard_normal((1, 2, 8, 8)))
     w = ad.tensor(rng.standard_normal((4, 3, 3, 3)))
     with pytest.raises(DimensionError):
-        ad.conv2d(x, w, None, 1, 1)
+        ad.conv2d(x, w, pad=1)
+
+
+def test_conv2d_and_batchnorm_take_only_4d_input(rng):
+    w = ad.tensor(rng.standard_normal((4, 3, 3, 3)))
+    ones, zeros = ad.tensor(np.ones(3)), ad.tensor(np.zeros(3))
+    for shape in [(3, 8, 8), (1, 1, 3, 8, 8)]:
+        x = ad.tensor(rng.standard_normal(shape))
+        with pytest.raises(DimensionError):
+            ad.conv2d(x, w, pad=1)
+        with pytest.raises(DimensionError):
+            ad.batchnorm(x, ones, zeros)
+
+
+@pytest.mark.parametrize("pad", [-1, 3])
+def test_conv2d_pad_must_lie_below_kernel_size(rng, pad):
+    # the stride-1 input gradient pads by k-1-pad, so 0 <= pad < k
+    x = ad.tensor(rng.standard_normal((1, 3, 8, 8)))
+    with pytest.raises(DimensionError):
+        ad.conv2d(x, ad.tensor(rng.standard_normal((4, 3, 3, 3))), pad=pad)
 
 
 def _standardize(x, axes=(0, 2, 3), eps=1e-5):
@@ -89,7 +108,7 @@ def test_batchnorm_updates_running_stats(rng):
     x = rng.standard_normal((4, 2, 3, 3))
     rm, rv = np.zeros(2), np.ones(2)
     ad.batchnorm(ad.tensor(x), ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)),
-                 running_mean=rm, running_var=rv, training=True, momentum=0.1)
+                 running_mean=rm, running_var=rv, training=True)
     n = 4 * 3 * 3
     np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2, 3)), atol=1e-12)
     np.testing.assert_allclose(
@@ -97,22 +116,22 @@ def test_batchnorm_updates_running_stats(rng):
 
 
 def test_maxpool_forward_and_binary(rng):
-    out = ad.maxpool2d(ad.tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), 2, 2)
+    out = ad.maxpool2d(ad.tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), 2)
     assert out.data.shape == (1, 1, 1) and out.data.item() == 4.0
     spikes = (rng.random((2, 4, 4)) < 0.5).astype(np.float64)
-    pooled = ad.maxpool2d(ad.tensor(spikes), 2, 2).data
+    pooled = ad.maxpool2d(ad.tensor(spikes), 2).data
     assert set(np.unique(pooled)) <= {0.0, 1.0}
 
 
 def test_maxpool_indivisible_raises(rng):
     with pytest.raises(DimensionError):
-        ad.maxpool2d(ad.tensor(rng.standard_normal((1, 3, 4))), 2, 2)
+        ad.maxpool2d(ad.tensor(rng.standard_normal((1, 3, 4))), 2)
 
 
 def test_maxpool_tie_routes_to_first_element():
     x = ad.parameter(np.full((1, 2, 2), 5.0))
     with ad.tape() as t:
-        loss = ad.reduce_sum(ad.maxpool2d(x, 2, 2))
+        loss = ad.reduce_sum(ad.maxpool2d(x, 2))
     t.backward(loss)
     np.testing.assert_array_equal(x.grad, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
 
@@ -137,7 +156,7 @@ def test_maxpool_matches_argmax_oracle_on_spike_stacks(rng, shape, k, p):
     x = ad.parameter((rng.random(shape) < p).astype(np.float32))
     g = rng.standard_normal(shape[:-2] + (shape[-2] // k, shape[-1] // k)).astype(np.float32)
     with ad.tape() as t:
-        out = ad.maxpool2d(x, k, k)
+        out = ad.maxpool2d(x, k)
         loss = ad.reduce_sum(ad.mul(out, ad.tensor(g)))
     t.backward(loss)
     want_out, want_gx = _maxpool_oracle(x.data, k, g)
@@ -284,7 +303,7 @@ def test_fd_conv2d(rng):
     w = rng.standard_normal((4, 3, 3, 3)) * 0.5
     b = rng.standard_normal(4)
     assert_fd_match(
-        lambda xx, ww, bb: ad.reduce_sum(ad.mul(c := ad.conv2d(xx, ww, bb, 1, 1), c)),
+        lambda xx, ww, bb: ad.reduce_sum(ad.mul(c := ad.conv2d(xx, ww, bb, pad=1), c)),
         [x, w, b],
     )
 
@@ -293,7 +312,7 @@ def test_fd_conv2d_stride_no_pad(rng):
     x = rng.standard_normal((1, 2, 6, 6))
     w = rng.standard_normal((3, 2, 3, 3)) * 0.5
     assert_fd_match(
-        lambda xx, ww: ad.reduce_sum(ad.mul(c := ad.conv2d(xx, ww, None, 1, 0), c)),
+        lambda xx, ww: ad.reduce_sum(ad.mul(c := ad.conv2d(xx, ww), c)),
         [x, w],
     )
 
@@ -325,7 +344,7 @@ def test_fd_batchnorm_eval_mode(rng):
 def test_fd_maxpool_distinct(rng):
     # distinct entries keep the argmax stable under the FD wiggle
     x = rng.permutation(64).astype(np.float64).reshape(1, 8, 8)
-    assert_fd_match(lambda z: ad.reduce_sum(ad.mul(y := ad.maxpool2d(z, 2, 2), y)), [x])
+    assert_fd_match(lambda z: ad.reduce_sum(ad.mul(y := ad.maxpool2d(z, 2), y)), [x])
 
 
 def test_fd_upsample(rng):
@@ -340,7 +359,7 @@ def test_fd_composite_conv_bn_sigmoid(rng):
     gamma, beta = rng.random(3) + 0.5, rng.standard_normal(3)
 
     def graph(xx, ww, gg, bb):
-        return ad.reduce_sum(ad.sigmoid(ad.batchnorm(ad.conv2d(xx, ww, None, 1, 1), gg, bb)))
+        return ad.reduce_sum(ad.sigmoid(ad.batchnorm(ad.conv2d(xx, ww, pad=1), gg, bb)))
 
     assert_fd_match(graph, [x, w, gamma, beta])
 
@@ -356,16 +375,17 @@ _CONV_MODELS = {
 
 
 # convs no model forward makes: several images of one 3x3 conv whose last
-# row panel differs in height from the others, and a stride-2 conv
-_EXTRA_CONVS = [((3, 64, 37, 40), (64, 64, 3, 3), False, 1, 1),
-                ((2, 32, 64, 80), (64, 32, 3, 3), True, 2, 1)]
+# row panel differs in height from the others, and a conv whose input
+# gradient runs in 12 panels of uneven height
+_EXTRA_CONVS = [((3, 64, 37, 40), (64, 64, 3, 3), False, 1),
+                ((2, 32, 64, 80), (64, 32, 3, 3), True, 1)]
 
 # no tape, an inspection tape and a gradient tape take different conv paths
 _TAPE_MODES = {"none": nullcontext, "inspect": lambda: ad.tape(grad=False), "grad": ad.tape}
 
 
 def _conv_calls(model_kw, monkeypatch):
-    """Every distinct (x shape, w shape, has bias, stride, pad) that a
+    """Every distinct (x shape, w shape, has bias, pad) that a
     forward of the model and its KD projections passes to ad.conv2d; the
     forward runs in each tape mode and predicts the same bits in all."""
     rng = np.random.default_rng(0)
@@ -374,9 +394,9 @@ def _conv_calls(model_kw, monkeypatch):
     calls = set()
     conv2d = ad.conv2d
 
-    def spy(x, w, b=None, stride=1, pad=0):
-        calls.add((x.data.shape, w.data.shape, b is not None, stride, pad))
-        return conv2d(x, w, b, stride, pad)
+    def spy(x, w, b=None, pad=0):
+        calls.add((x.data.shape, w.data.shape, b is not None, pad))
+        return conv2d(x, w, b, pad=pad)
 
     spikes = (rng.random((model_kw["t"], model_kw["c"], model_kw["h"], model_kw["w"])) < 0.3)
     preds = {}
@@ -403,9 +423,9 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
         calls = _conv_calls(_CONV_MODELS[model], monkeypatch)
         # 3 embed stages, 3 block 1x1 shapes, 3 head 3x3 levels, head.proj, a KD projection
         assert len(calls) == 11
-        assert sum(has_bias for _, _, has_bias, _, _ in calls) == 1
+        assert sum(has_bias for _, _, has_bias, _ in calls) == 1
     rng = np.random.default_rng(1)
-    for x_shape, w_shape, has_bias, stride, pad in calls:
+    for x_shape, w_shape, has_bias, pad in calls:
         x = rng.standard_normal(x_shape, dtype=np.float32)
         w = rng.standard_normal(w_shape, dtype=np.float32)
         b = rng.standard_normal(w_shape[0], dtype=np.float32) if has_bias else None
@@ -413,31 +433,60 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
         for mode, context in _TAPE_MODES.items():
             with context() as t:
                 y = ad.conv2d(ad.parameter(x), ad.parameter(w),
-                              ad.parameter(b) if has_bias else None, stride, pad)
+                              ad.parameter(b) if has_bias else None, pad=pad)
             outs[mode] = y.data
         # t is now the gradient tape, the last mode
         g = rng.standard_normal(y.data.shape, dtype=np.float32)
         gx, gw, gb = t.entries[-1].bwd(g)
         del t, y  # the tape holds cols: free it before the reference builds its own
-        four_d = x.ndim == 4
-        ref = rowmajor_conv2d(x if four_d else x[None], w, b, g if four_d else g[None], stride, pad)
+        ref = rowmajor_conv2d(x, w, b, g, pad)
         what = f"{model} x{x_shape} w{w_shape}"
         for mode, out in outs.items():
-            assert np.array_equal(out, ref[0].reshape(out.shape)), f"forward ({mode} tape) {what}"
-        assert np.array_equal(gx, ref[1].reshape(x_shape)), f"gx {what}"
+            assert np.array_equal(out, ref[0]), f"forward ({mode} tape) {what}"
+        assert np.array_equal(gx, ref[1]), f"gx {what}"
         assert np.array_equal(gw, ref[2]), f"gw {what}"
         assert (gb is None) == (not has_bias)
         assert not has_bias or np.array_equal(gb, ref[3]), f"gb {what}"
 
 
+def test_untaped_forward_keeps_no_backward_state(monkeypatch):
+    """With no tape no op output needs a gradient and no conv keeps its
+    cols: the no-tape counterpart of `energy.trace_forward`'s inspection tape."""
+    rng = np.random.default_rng(0)
+    model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
+    projections = FeatureProjections(DistillConfig(matched_blocks=(2, 4)), 64, rng)
+    outputs, kept = [], []
+    record, corr2d = ad._record, ad._corr2d
+
+    def spy_record(op, inputs, output, bwd):
+        outputs.append((op, output.requires_grad))
+        record(op, inputs, output, bwd)
+
+    def spy_corr2d(x, w, pad, keep_cols=False):
+        kept.append(keep_cols)
+        return corr2d(x, w, pad, keep_cols)
+
+    monkeypatch.setattr(ad, "_record", spy_record)
+    monkeypatch.setattr(ad, "_corr2d", spy_corr2d)
+    spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(np.float32)
+    for training in (True, False):
+        feats, _ = model.forward(spikes, training=training)
+        for i in projections.cfg.matched_blocks:
+            projections.forward(i, rate_encode(feats[i - 1]))
+    ops = {op for op, _ in outputs}
+    assert {"conv2d", "batchnorm", "maxpool2d", "mlif", "matmul", "upsample_bilinear"} <= ops
+    assert not any(needs for _, needs in outputs)
+    assert kept and not any(kept)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(4, 16, 32, 40), (64, 16, 20)])
+@pytest.mark.parametrize("shape", [(4, 16, 32, 40), (1, 64, 16, 20)])
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
     """The in-place forward (with and without a tape) and backward give the
     plain formulas' exact bits."""
     rng = np.random.default_rng(2)
-    c = shape[-3]
+    c = shape[1]
     x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
     gamma = (rng.random(c) + 0.5).astype(dtype)
     beta = rng.standard_normal(c).astype(dtype)
@@ -450,12 +499,10 @@ def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
         y = ad.batchnorm(ad.parameter(x), ad.parameter(gamma), ad.parameter(beta),
                          running_mean=rm, running_var=rv, training=training)
     gx, ggamma, gbeta = t.entries[-1].bwd(g)
-    four_d = len(shape) == 4
-    ref = batchnorm_reference(x if four_d else x[None], gamma, beta,
-                              g if four_d else g[None], running)
-    assert np.array_equal(untaped.data, ref[0].reshape(shape))
-    assert np.array_equal(y.data, ref[0].reshape(shape))
-    assert np.array_equal(gx, ref[1].reshape(shape))
+    ref = batchnorm_reference(x, gamma, beta, g, running)
+    assert np.array_equal(untaped.data, ref[0])
+    assert np.array_equal(y.data, ref[0])
+    assert np.array_equal(gx, ref[1])
     assert np.array_equal(ggamma, ref[2])
     assert np.array_equal(gbeta, ref[3])
 
@@ -471,7 +518,7 @@ def test_forward_backward_bit_identical(rng):
     def run():
         x, w = ad.parameter(x0.copy()), ad.parameter(w0.copy())
         with ad.tape() as t:
-            loss = ad.reduce_sum(ad.sigmoid(ad.conv2d(x, w, None, 1, 1)))
+            loss = ad.reduce_sum(ad.sigmoid(ad.conv2d(x, w, pad=1)))
         t.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

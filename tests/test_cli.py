@@ -90,6 +90,7 @@ def test_gen_bad_height_is_config_error(tmp_path, capsys):
     ("--contrast", "0", "DATA"),
     ("--teacher-dim", "-3", "CONFIG"),
     ("--teacher-dim", "0", "CONFIG"),
+    ("--seed", "-1", "CONFIG"),
 ])
 def test_gen_hostile_argument_is_one_error_line(tmp_path, capsys, flag, value, category):
     rc, out = _run(capsys, ["gen", "--out", str(tmp_path / "d"), "--samples", "1", flag, value])

@@ -218,14 +218,20 @@ def test_load_dataset_checks_teacher_grid(tmp_path):
 
 
 def test_write_dataset_requires_teacher(tmp_path):
-    s = SampleTuple(
-        spikes=SpikeTensor.from_dense(np.zeros((1, 2, 8, 8), dtype=np.uint8)),
-        depth=depth_map(np.full((8, 8), 0.5)),
-        teacher_features=None,
-        name="s0",
-    )
+    def sample(name, teacher):
+        return SampleTuple(
+            spikes=SpikeTensor.from_dense(np.zeros((1, 2, 8, 8), dtype=np.uint8)),
+            depth=depth_map(np.full((8, 8), 0.5)),
+            teacher_features=teacher,
+            name=name,
+        )
+
     with pytest.raises(DataError):
-        write_dataset(tmp_path, [s])
+        write_dataset(tmp_path, [sample("s0", None)])
+    # a later sample without features is refused before any file is written
+    with pytest.raises(DataError):
+        write_dataset(tmp_path, [sample("s0", np.zeros((2, 1, 1), np.float32)), sample("s1", None)])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("field, outside", [

@@ -26,7 +26,7 @@ def _head(seed=0):
 
 def test_rate_all_ones_is_one():
     x = ad.tensor(np.ones((4, 3, 2, 2)))
-    np.testing.assert_array_equal(rate_encode(x).data, np.ones((3, 2, 2)))
+    np.testing.assert_array_equal(rate_encode(x).data, np.ones((1, 3, 2, 2)))
 
 
 def test_rate_one_in_four_is_quarter():
@@ -41,7 +41,7 @@ def test_rate_zero_spikes_zero_rate():
 
 def test_rate_sum_mode_counts_spikes(rng):
     x = (rng.random((3, 2, 4, 4)) < 0.5).astype(np.float64)
-    np.testing.assert_array_equal(rate_encode(ad.tensor(x), "sum").data, x.sum(axis=0))
+    np.testing.assert_array_equal(rate_encode(ad.tensor(x), "sum").data, x.sum(axis=0, keepdims=True))
 
 
 def test_rate_rejects_empty_time_axis_and_bad_mode():
@@ -111,7 +111,7 @@ def test_fusion_resolution_doubles_per_level(rng):
     add_shapes = {e.output.data.shape for e in t.entries
                   if e.op == "add" and e.scope.startswith("head")}
     # fusion levels Y2, Y3, Y4 at H/4, H/2, H for H=16
-    assert {(8, 4, 4), (8, 8, 8), (8, 16, 16)} <= add_shapes
+    assert {(1, 8, 4, 4), (1, 8, 8, 8), (1, 8, 16, 16)} <= add_shapes
 
 
 def test_fusion_needs_exactly_four_levels(rng):

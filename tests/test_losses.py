@@ -215,7 +215,7 @@ def test_total_both_components_zero(rng):
         from spikedepth.head import rate_encode
 
         projected = projections.convs[4].forward(rate_encode(feats[3]))
-        total, lp, l2 = total_loss(feats, pred, gt, projected.data.copy(),
+        total, lp, l2 = total_loss(feats, pred, gt, projected.data[0].copy(),
                                    projections, cfg)
     assert total.data == pytest.approx(0.0, abs=1e-10)
     assert lp == pytest.approx(0.0, abs=1e-12) and l2 == pytest.approx(0.0, abs=1e-12)
