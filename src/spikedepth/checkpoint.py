@@ -3,8 +3,8 @@
 Layout (all integers little-endian uint32):
 
     magic   b"SDTW"
-    version 1
-    config  length-prefixed UTF-8 flat key=value text
+    header  version 1, config length (the `write_framed` frame)
+    config  UTF-8 flat key=value text
     count   number of tensors
     tensor  name length, name bytes, ndim, dims..., float32 payload
 
@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from . import config as cfgmod
-from .dataio import _read_exact, atomic_write
+from .dataio import _read_exact, open_framed, write_framed
 from .errors import FormatError, NumericError
 from .losses import FeatureProjections
 from .model import DepthModel
@@ -49,18 +49,13 @@ def save_checkpoint(path, model, projections=None, distill=None) -> None:
         # one vectorised pass above; the offending names are found only on failure
         bad = [name for name, arr in items if not np.isfinite(arr).all()]
         raise NumericError(f"refusing to save non-finite tensors: {', '.join(bad)}")
-    with atomic_write(path) as fh:
-        fh.write(SDTW_MAGIC)
-        fh.write(struct.pack("<I", SDTW_VERSION))
-        blob = text.encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            nb = name.encode("utf-8")
-            arr = np.asarray(arr)
-            fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+    blob = text.encode("utf-8")
+    chunks = [blob, struct.pack("<I", len(items))]
+    for name, arr in items:
+        nb, arr = name.encode("utf-8"), np.asarray(arr)
+        chunks += [struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f4")]
+    write_framed(path, SDTW_MAGIC, (SDTW_VERSION, len(blob)), chunks)
 
 
 def _utf8(blob: bytes, what: str) -> str:
@@ -72,14 +67,9 @@ def _utf8(blob: bytes, what: str) -> str:
 
 def read_checkpoint(path):
     """→ (model config, distill config or None, {name: float32 array})."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "checkpoint magic")
-        if magic != SDTW_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "checkpoint version"))
+    with open_framed(path, SDTW_MAGIC, 2, "checkpoint") as ((version, clen), fh):
         if version != SDTW_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         text = _utf8(_read_exact(fh, clen, "config text"), "config text")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = {}

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen, train, eval, infer, energy.  Standard output is
-machine-parsable ``key=value`` lines only; failures print a single
-``error=CATEGORY/message`` line and exit non-zero.  The ``SDT_THREADS``
-environment variable (default 1) caps BLAS/OpenMP thread pools for
-reproducible timings.
+machine-parsable ``key=value`` lines only; failures, usage errors included,
+print a single ``error=CATEGORY/message`` line and exit 1.  The
+``SDT_THREADS`` environment variable (default 1) caps BLAS/OpenMP thread
+pools for reproducible timings.
 """
 from __future__ import annotations
 
@@ -121,8 +121,18 @@ def _cmd_energy(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it ends in one error= line
+    and exit 1 like any other failure; the usage text still goes to stderr.
+    Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"usage: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spikedepth", description=__doc__)
+    parser = _Parser(prog="spikedepth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic event/depth dataset")
@@ -172,8 +182,8 @@ def main(argv=None) -> int:
     if _THREAD_ERROR is not None:
         print(f"error=CONFIG/{_THREAD_ERROR}")
         return 1
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SpikeDepthError as exc:
         msg = str(exc).replace("\n", "; ")

@@ -1,6 +1,8 @@
 """Binary tensor formats, the synthetic event-scene generator, and dataset IO.
 
-File formats (all headers little-endian u32 after a 4-byte ASCII magic):
+File formats (all headers little-endian u32 after a 4-byte ASCII magic;
+`write_framed` writes every such file atomically and `open_framed` checks
+its magic and header):
 
   SPKT  magic "SPKT", version=1, T, C, H, W, then ceil(T*C*H*W/8) payload
         bytes.  Bits are packed MSB-first in flattened row-major order,
@@ -10,7 +12,7 @@ File formats (all headers little-endian u32 after a 4-byte ASCII magic):
   FEAT  magic "FEAT", D, H, W, then D*H*W float32 LE row-major.
 
 A dataset directory holds one .spkt/.dpth/.feat triple per sample plus a
-plain-text manifest listing their paths relative to it.
+plain-text manifest listing their paths relative to it, written last.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
+from .trace import is_binary
 
 SPKT_MAGIC = b"SPKT"
 SPKT_VERSION = 1
@@ -53,7 +56,7 @@ class SpikeTensor:
         arr = np.asarray(arr)
         if arr.ndim != 4:
             raise DimensionError(f"SpikeTensor.from_dense: need (T,C,H,W), got {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if not is_binary(arr):
             raise DataError("SpikeTensor.from_dense: values must be exactly 0 or 1")
         packed = np.packbits(arr.astype(np.uint8).reshape(-1), bitorder="big")
         return cls(*arr.shape, packed.tobytes())
@@ -132,24 +135,36 @@ def write_lines(path, lines) -> None:
         fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
+def write_framed(path, magic: bytes, header, chunks) -> None:
+    """Write `magic`, the `header` words as little-endian u32 and then each
+    byte chunk of the payload to `path` atomically."""
+    with atomic_write(path) as fh:
+        fh.write(magic + struct.pack(f"<{len(header)}I", *header))
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+@contextmanager
+def open_framed(path, magic: bytes, n_header: int, what: str):
+    """Open `path`, check its magic and read its `n_header` u32 header words;
+    yields (header, file), the file positioned at the payload."""
+    with open(path, "rb") as fh:
+        got = _read_exact(fh, 4, f"{what} magic")
+        if got != magic:
+            raise FormatError(f"bad {what} magic {got!r}, expected {magic!r}")
+        yield struct.unpack(f"<{n_header}I", _read_exact(fh, 4 * n_header, f"{what} header")), fh
+
+
 def write_spikes(path, spikes: SpikeTensor) -> None:
-    with open(path, "wb") as f:
-        f.write(SPKT_MAGIC)
-        f.write(struct.pack("<5I", SPKT_VERSION, spikes.t, spikes.c, spikes.h, spikes.w))
-        f.write(spikes.bits)
+    write_framed(path, SPKT_MAGIC, (SPKT_VERSION, *spikes.shape), [spikes.bits])
 
 
 def read_spikes(path) -> SpikeTensor:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "SPKT magic")
-        if magic != SPKT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {SPKT_MAGIC!r}")
-        version, t, c, h, w = struct.unpack("<5I", _read_exact(f, 20, "SPKT header"))
+    with open_framed(path, SPKT_MAGIC, 5, "SPKT") as ((version, t, c, h, w), f):
         if version != SPKT_VERSION:
             raise FormatError(f"unsupported SPKT version {version}")
-        n = t * c * h * w
         payload = f.read()
-    need = (n + 7) // 8
+    need = (t * c * h * w + 7) // 8
     if len(payload) != need:
         raise FormatError(f"SPKT payload length {len(payload)}, expected {need}")
     return SpikeTensor(t, c, h, w, payload)
@@ -158,18 +173,11 @@ def read_spikes(path) -> SpikeTensor:
 def write_depth(path, depth: DepthMap) -> None:
     vals = depth.values.astype("<f4", copy=True)
     vals[~depth.mask] = np.float32("nan")
-    with atomic_write(path) as f:
-        f.write(DPTH_MAGIC)
-        f.write(struct.pack("<2I", depth.values.shape[0], depth.values.shape[1]))
-        f.write(vals.tobytes())
+    write_framed(path, DPTH_MAGIC, vals.shape, [vals.tobytes()])
 
 
 def read_depth(path) -> DepthMap:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "DPTH magic")
-        if magic != DPTH_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {DPTH_MAGIC!r}")
-        h, w = struct.unpack("<2I", _read_exact(f, 8, "DPTH header"))
+    with open_framed(path, DPTH_MAGIC, 2, "DPTH") as ((h, w), f):
         payload = f.read()
     if len(payload) != h * w * 4:
         raise FormatError(f"DPTH payload length {len(payload)}, expected {h * w * 4}")
@@ -183,18 +191,11 @@ def write_features(path, feats: np.ndarray) -> None:
     feats = np.asarray(feats, dtype="<f4")
     if feats.ndim != 3:
         raise DimensionError(f"write_features: need (D,H,W), got {feats.shape}")
-    with open(path, "wb") as f:
-        f.write(FEAT_MAGIC)
-        f.write(struct.pack("<3I", *feats.shape))
-        f.write(feats.tobytes())
+    write_framed(path, FEAT_MAGIC, feats.shape, [feats.tobytes()])
 
 
 def read_features(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "FEAT magic")
-        if magic != FEAT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {FEAT_MAGIC!r}")
-        d, h, w = struct.unpack("<3I", _read_exact(f, 12, "FEAT header"))
+    with open_framed(path, FEAT_MAGIC, 3, "FEAT") as ((d, h, w), f):
         payload = f.read()
     if len(payload) != d * h * w * 4:
         raise FormatError(f"FEAT payload length {len(payload)}, expected {d * h * w * 4}")
@@ -367,12 +368,15 @@ MANIFEST_NAME = "manifest.txt"
 def write_dataset(out_dir, samples: list[SampleTuple]) -> list[str]:
     """Write one .spkt/.dpth/.feat triple per sample plus the manifest.
     Returns the relative paths written (manifest last).  A sample without
-    teacher features is refused before anything is written."""
+    teacher features is refused before anything is written.  Any old
+    manifest is removed first and the new one written last, so a run that
+    stops partway leaves no manifest to load mixed old and new files."""
     for s in samples:
         if s.teacher_features is None:
             raise DataError(f"write_dataset: sample {s.name} has no teacher features")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
     lines = [f"count={len(samples)}"]
     written = []
     for s in samples:
@@ -382,7 +386,7 @@ def write_dataset(out_dir, samples: list[SampleTuple]) -> list[str]:
         write_features(out / fea, s.teacher_features)
         lines.append(f"sample={s.name} spk={spk} depth={dpt} feat={fea}")
         written += [spk, dpt, fea]
-    (out / MANIFEST_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / MANIFEST_NAME, lines)
     return written + [MANIFEST_NAME]
 
 
@@ -405,10 +409,15 @@ def load_dataset(data_dir, need_teacher: bool = False) -> list[SampleTuple]:
         text = manifest.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {manifest} is not UTF-8 text: {exc.reason}") from exc
-    samples = []
+    count, entries = None, []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#") or line.startswith("count="):
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("count="):
+            if count is not None:
+                raise DataError(f"manifest {manifest} has more than one count= line")
+            count = line[len("count="):]
             continue
         try:
             fields = dict(part.split("=", 1) for part in line.split())
@@ -416,6 +425,11 @@ def load_dataset(data_dir, need_teacher: bool = False) -> list[SampleTuple]:
             raise DataError(f"malformed manifest line: {line!r}") from None
         if "spk" not in fields or "depth" not in fields:
             raise DataError(f"malformed manifest line: {line!r}")
+        entries.append(fields)
+    if count is not None and count != str(len(entries)):
+        raise DataError(f"manifest {manifest} says count={count} but lists {len(entries)} samples")
+    samples = []
+    for fields in entries:
         spikes = read_spikes(_member(root, fields["spk"]))
         depth = read_depth(_member(root, fields["depth"]))
         teacher = None

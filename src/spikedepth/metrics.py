@@ -7,7 +7,7 @@ differences use the raw values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class MetricsReport:
     delta2: float
     delta3: float
     n_valid: int
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_lines(self):
         out = [f"{k}={getattr(self, k):.9f}" for k in METRIC_KEYS]

@@ -99,6 +99,31 @@ def test_gen_hostile_argument_is_one_error_line(tmp_path, capsys, flag, value, c
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--samples", "abc"],
+    ["bogus"],
+    [],
+    ["gen", "--samples", "1", "--nope", "1"],
+], ids=["gen_samples_not_int", "unknown_subcommand", "no_subcommand", "unknown_flag"])
+def test_usage_error_is_one_error_line(tmp_path, capsys, argv):
+    if argv[:1] == ["gen"]:
+        argv = argv + ["--out", str(tmp_path / "d")]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith("error=CONFIG/usage: "), out
+    assert captured.err.startswith("usage: spikedepth")
+    assert not (tmp_path / "d").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    assert "--teacher-dim" in capsys.readouterr().out
+
+
 def test_full_pipeline(tmp_path, capsys):
     data, ckpt, lines = _pipeline(tmp_path, capsys)
 

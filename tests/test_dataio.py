@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import depth_map
+from helpers import depth_map, disk_full_after
 from spikedepth import dataio
 from spikedepth.dataio import (
     DepthMap,
@@ -232,6 +232,53 @@ def test_write_dataset_requires_teacher(tmp_path):
     with pytest.raises(DataError):
         write_dataset(tmp_path, [sample("s0", np.zeros((2, 1, 1), np.float32)), sample("s1", None)])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda text: text.replace("count=2", "count=3"), "says count=3 but lists 2 samples"),
+    (lambda text: text.replace("count=2", "count=1"), "says count=1 but lists 2 samples"),
+    (lambda text: text.replace("count=2", "count=two"), "says count=two but lists 2 samples"),
+    (lambda text: "count=2\n" + text, "more than one count= line"),
+    (lambda text: text.replace("count=2\n", ""), None),
+], ids=["count_too_high", "count_too_low", "count_not_a_number", "count_twice", "no_count"])
+def test_manifest_count_must_match_sample_lines(tmp_path, edit, error):
+    write_dataset(tmp_path, gen_synthetic(seed=1, n_samples=2, t=2, h=16, w=16, teacher_dim=4))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(edit(manifest.read_text()))
+    if error is None:
+        assert len(load_dataset(tmp_path, need_teacher=True)) == 2
+    else:
+        with pytest.raises(DataError, match=error):
+            load_dataset(tmp_path, need_teacher=True)
+
+
+def _assert_every_file_decodes(root):
+    readers = {".spkt": read_spikes, ".dpth": read_depth, ".feat": read_features}
+    for p in root.iterdir():
+        assert p.suffix in readers or p.name == "manifest.txt", p.name  # no temporary file
+        if p.suffix in readers:
+            readers[p.suffix](p)
+
+
+def test_interrupted_first_write_dataset_leaves_no_partial_file(tmp_path, monkeypatch):
+    samples = gen_synthetic(seed=1, n_samples=2, t=2, h=16, w=16, teacher_dim=4)
+    with disk_full_after(monkeypatch, 40), pytest.raises(OSError, match="No space"):
+        write_dataset(tmp_path, samples)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_rewrite_leaves_no_loadable_mix(tmp_path, monkeypatch):
+    """A re-run over an existing dataset that stops partway (here after the
+    first new .spkt) must not let the old manifest pair new spikes with old
+    depth maps."""
+    write_dataset(tmp_path, gen_synthetic(seed=1, n_samples=2, t=2, h=16, w=16, teacher_dim=4))
+    new = gen_synthetic(seed=2, n_samples=2, t=2, h=16, w=16, teacher_dim=4)
+    with disk_full_after(monkeypatch, 200), pytest.raises(OSError, match="No space"):
+        write_dataset(tmp_path, new)
+    assert read_spikes(tmp_path / "sample_000.spkt").bits == new[0].spikes.bits
+    with pytest.raises(DataError, match="no manifest"):
+        load_dataset(tmp_path)
+    _assert_every_file_decodes(tmp_path)
 
 
 @pytest.mark.parametrize("field, outside", [
