@@ -51,18 +51,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    """Wrap `data` as a Tensor; non-float input defaults to float32."""
+def tensor(data, requires_grad=False) -> Tensor:
+    """Wrap `data` as a Tensor; non-float input becomes float32."""
     arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
+    if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def parameter(data, dtype=None) -> Tensor:
-    t = tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    t = tensor(data, requires_grad=True)
     t.is_param = True
     return t
 

@@ -93,10 +93,10 @@ def read_checkpoint(path):
     return model_cfg, distill, tensors
 
 
-def load_model(path, seed: int = 0):
+def load_model(path):
     """Rebuild a model (and projections, if saved) from a checkpoint."""
     model_cfg, distill, tensors = read_checkpoint(path)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # every tensor it draws is overwritten below
     model = DepthModel(model_cfg, rng)
     projections = None
     if distill is not None and any(k.startswith("kd.") for k in tensors):

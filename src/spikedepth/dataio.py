@@ -61,10 +61,11 @@ class SpikeTensor:
         packed = np.packbits(arr.astype(np.uint8).reshape(-1), bitorder="big")
         return cls(*arr.shape, packed.tobytes())
 
-    def to_dense(self, dtype=np.float32) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
+        """The spikes as a float32 array (T, C, H, W) of 0s and 1s."""
         n = self.t * self.c * self.h * self.w
         flat = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=n, bitorder="big")
-        return flat.reshape(self.t, self.c, self.h, self.w).astype(dtype)
+        return flat.reshape(self.t, self.c, self.h, self.w).astype(np.float32)
 
 
 @dataclass
@@ -220,12 +221,22 @@ def export_pgm(path, depth_values: np.ndarray) -> None:
 # synthetic scenes
 
 
-def _block_texture(rng, h, w, cell=4):
+# scene constants of `gen_synthetic` (see its docstring)
+N_RECTS = (2, 5)
+DEPTH_RANGE = (0.45, 0.75)
+SIZE_RANGE = (0.55, 0.85)
+SPEED_RANGE = (1, 2)
+BG_DEPTH = 0.85
+TEACHER_NOISE = 0.05
+TEXTURE_CELL = 4
+
+
+def _block_texture(rng, h, w):
     """Blocky random texture in (0.15, 1.0]; coarse cells so 1-px motion only
     fires events at cell borders and object edges."""
-    gh, gw = math.ceil(h / cell), math.ceil(w / cell)
+    gh, gw = math.ceil(h / TEXTURE_CELL), math.ceil(w / TEXTURE_CELL)
     grid = 0.15 + 0.85 * rng.random((gh, gw))
-    return np.repeat(np.repeat(grid, cell, axis=0), cell, axis=1)[:h, :w]
+    return np.repeat(np.repeat(grid, TEXTURE_CELL, axis=0), TEXTURE_CELL, axis=1)[:h, :w]
 
 
 def _box_smooth3(x):
@@ -245,16 +256,18 @@ def gen_synthetic(
     h: int = 64,
     w: int = 64,
     contrast_threshold: float = 0.15,
-    n_rects: tuple = (2, 5),
-    depth_range: tuple = (0.45, 0.75),
-    size_range: tuple = (0.55, 0.85),
-    speed_range: tuple = (1, 2),
-    bg_depth: float = 0.85,
     teacher_dim: int = 16,
-    teacher_noise: float = 0.05,
 ) -> list[SampleTuple]:
     """Procedural event scenes: textured rectangles at distinct depths
-    translating over a static textured background at depth `bg_depth`.
+    translating over a static textured background.
+
+    The scene is fixed by module constants: each sample holds N_RECTS =
+    (2, 5) rectangles (inclusive bounds), each at a distinct depth from a
+    16-step grid over DEPTH_RANGE = (0.45, 0.75) and with sides of
+    SIZE_RANGE = (0.55, 0.85) of the frame, moving SPEED_RANGE = (1, 2)
+    pixels per step (at least 1 on one axis) over a background at
+    BG_DEPTH = 0.85.  Textures are blocks of TEXTURE_CELL = 4 pixels, and
+    teacher features carry Gaussian noise of std TEACHER_NOISE = 0.05.
 
     A spike fires on a pixel/polarity when the log-intensity change between
     consecutive frames reaches `contrast_threshold` (channel 0 positive,
@@ -277,43 +290,39 @@ def gen_synthetic(
     if not 0 < contrast_threshold < math.inf:  # NaN fails both comparisons
         raise DataError(
             f"gen_synthetic: contrast_threshold must be finite and positive, got {contrast_threshold}")
-    if not 0.0 < bg_depth <= 1.0:
-        raise DataError(f"gen_synthetic: bg_depth must lie in (0, 1], got {bg_depth}")
 
     rng = np.random.default_rng(seed)
     # teacher encoding basis, drawn once per dataset
     gains = rng.uniform(0.8, 1.6, size=teacher_dim) * rng.choice((-1.0, 1.0), size=teacher_dim)
     offsets = rng.uniform(-0.2, 0.2, size=teacher_dim)
 
-    depth_grid = np.linspace(depth_range[0], depth_range[1], 16)
+    depth_grid = np.linspace(DEPTH_RANGE[0], DEPTH_RANGE[1], 16)
     samples = []
     for idx in range(n_samples):
         bg = _block_texture(rng, h, w)
-        k = int(rng.integers(n_rects[0], n_rects[1] + 1))
-        depths = rng.choice(depth_grid, size=min(k, len(depth_grid)), replace=False)
+        k = int(rng.integers(N_RECTS[0], N_RECTS[1] + 1))
+        depths = rng.choice(depth_grid, size=k, replace=False)
         rects = []
         for d in depths:
-            # sizes and final-frame corners on the 8-px grid (see docstring)
-            rh = max(8, int(round(h * rng.uniform(*size_range) / 8)) * 8)
-            rw = max(8, int(round(w * rng.uniform(*size_range) / 8)) * 8)
-            yf = int(rng.integers(0, max((h - rh) // 8, 0) + 1)) * 8
-            xf = int(rng.integers(0, max((w - rw) // 8, 0) + 1)) * 8
-            lo, hi = int(speed_range[0]), int(speed_range[1])
-            if hi == 0:
-                vy = vx = 0
-            else:
-                while True:
-                    vy = int(rng.integers(-hi, hi + 1))
-                    vx = int(rng.integers(-hi, hi + 1))
-                    if max(abs(vy), abs(vx)) >= max(lo, 1):
-                        break
+            # sizes and final-frame corners on the 8-px grid (see docstring);
+            # SIZE_RANGE inside (0.5, 1) keeps every side within [8, frame]
+            rh = int(round(h * rng.uniform(*SIZE_RANGE) / 8)) * 8
+            rw = int(round(w * rng.uniform(*SIZE_RANGE) / 8)) * 8
+            yf = int(rng.integers(0, (h - rh) // 8 + 1)) * 8
+            xf = int(rng.integers(0, (w - rw) // 8 + 1)) * 8
+            lo, hi = SPEED_RANGE
+            while True:
+                vy = int(rng.integers(-hi, hi + 1))
+                vx = int(rng.integers(-hi, hi + 1))
+                if max(abs(vy), abs(vx)) >= lo:
+                    break
             rects.append(
                 dict(depth=float(d), tex=_block_texture(rng, rh, rw), yf=yf, xf=xf, vy=vy, vx=vx)
             )
 
         def render(step):
             inten = bg.copy()
-            dep = np.full((h, w), bg_depth, dtype=np.float64)
+            dep = np.full((h, w), BG_DEPTH, dtype=np.float64)
             # paint far to near so nearer surfaces occlude
             for r in sorted(rects, key=lambda r: -r["depth"]):
                 y = r["yf"] - r["vy"] * (t - step)
@@ -345,7 +354,7 @@ def gen_synthetic(
         feats = np.empty((teacher_dim, h // 8, w // 8), dtype=np.float32)
         for j in range(teacher_dim):
             feats[j] = _box_smooth3(gains[j] * 2.0 * (d8 - 0.5) + offsets[j])
-        feats += rng.normal(0.0, teacher_noise, size=feats.shape).astype(np.float32)
+        feats += rng.normal(0.0, TEACHER_NOISE, size=feats.shape).astype(np.float32)
 
         samples.append(
             SampleTuple(

@@ -42,10 +42,10 @@ class ModelConfig:
     head: str = "fusion"
 
     def validate(self):
-        if self.h % 8 or self.w % 8:
-            raise DimensionError(f"h and w must be divisible by 8, got ({self.h},{self.w})")
-        if self.d % 4:
-            raise DimensionError(f"d must be divisible by 4, got {self.d}")
+        if self.h < 8 or self.w < 8 or self.h % 8 or self.w % 8:
+            raise DimensionError(f"h and w must be positive multiples of 8, got ({self.h},{self.w})")
+        if self.d < 4 or self.d % 4:
+            raise DimensionError(f"d must be a positive multiple of 4, got {self.d}")
         if self.t < 1 or self.c < 1 or self.l < 1:
             raise DimensionError("t, c and l must all be >= 1")
         if not self.s > 0:
@@ -207,10 +207,8 @@ class DepthModel(Module):
     """Patch embedding, L transformer blocks and a depth head; the single
     object checkpoints serialise, and the unnamed root of the module tree."""
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         cfg.validate()
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.cfg = cfg
         self.dtype = dtype
         self.embed = PatchEmbed(cfg, rng, dtype)

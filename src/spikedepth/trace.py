@@ -26,7 +26,7 @@ def _backbone_scope(scope: str) -> bool:
     return scope.startswith("embed") or scope.startswith("block")
 
 
-def assert_spike_purity(entries, boundary_tensors=(), merge_mode="clamp") -> dict:
+def assert_spike_purity(entries, boundary_tensors=()) -> dict:
     """Raise ContractError on any purity violation; returns audit counters."""
     checked = {"convs": 0, "matmuls": 0, "muls": 0, "neurons": 0, "merges": 0, "boundaries": 0}
     for e in entries:
@@ -63,7 +63,7 @@ def assert_spike_purity(entries, boundary_tensors=(), merge_mode="clamp") -> dic
             if not is_binary(e.output.data):
                 raise ContractError(f"residual merge at {e.scope!r} is not binary")
             checked["merges"] += 1
-        elif e.op == "add" and ".merge" in e.scope and merge_mode == "clamp":
+        elif e.op == "add" and ".merge" in e.scope:
             # pre-clamp integer sum of two binary streams
             if not is_binary(e.inputs[0].data) or not is_binary(e.inputs[1].data):
                 raise ContractError(f"residual merge at {e.scope!r} adds non-binary operands")

@@ -129,51 +129,41 @@ def train(
     opt = Adam([p for _, p in named], train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
                train_cfg.adam_eps, train_cfg.grad_clip)
 
-    n = len(dataset)
-    per_epoch = math.ceil(n / train_cfg.batch_size)
-    if train_cfg.steps > 0:
-        max_steps = train_cfg.steps
-        epochs = math.ceil(max_steps / per_epoch)
-    else:
-        epochs = train_cfg.epochs
-        max_steps = epochs * per_epoch
+    n, bs = len(dataset), train_cfg.batch_size
+    per_epoch = math.ceil(n / bs)
+    max_steps = train_cfg.steps or train_cfg.epochs * per_epoch
 
     dense = [s.spikes.to_dense() for s in dataset]  # by dataset position: names may repeat
     save_distill = distill_cfg if train_cfg.kd else None
 
     rows = []
-    step = 0
-    for _ in range(epochs):
-        if step >= max_steps:
-            break
-        order = rng.permutation(n)
-        for start in range(0, n, train_cfg.batch_size):
-            if step >= max_steps:
-                break
-            batch = order[start:start + train_cfg.batch_size]
-            opt.zero_grad()
-            tot_acc = lp_acc = l2_acc = 0.0
-            for i in batch:
-                sample = dataset[i]
-                with ad.tape() as tp:
-                    feats, pred = model.forward(dense[i], training=True)
-                    total, lp, l2 = total_loss(
-                        feats, pred, sample.depth, sample.teacher_features,
-                        projections, distill_cfg, rate_mode=model_cfg.rate_mode,
-                        use_kd=train_cfg.kd,
-                    )
-                    tp.backward(total)
-                tot_acc += float(total.data)
-                lp_acc += lp
-                l2_acc += l2
-            k = len(batch)
-            if not math.isfinite(tot_acc):
-                raise NumericError(f"training diverged at step {step + 1}: loss {tot_acc}")
-            opt.step(grad_scale=1.0 / k)
-            step += 1
-            rows.append((step, tot_acc / k, lp_acc / k, l2_acc / k))
-            if train_cfg.checkpoint_every > 0 and step % train_cfg.checkpoint_every == 0:
-                save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, save_distill)
+    for step in range(1, max_steps + 1):
+        start = (step - 1) % per_epoch * bs
+        if start == 0:  # a fresh sample order at each epoch's first step
+            order = rng.permutation(n)
+        batch = order[start:start + bs]
+        opt.zero_grad()
+        tot_acc = lp_acc = l2_acc = 0.0
+        for i in batch:
+            sample = dataset[i]
+            with ad.tape() as tp:
+                feats, pred = model.forward(dense[i], training=True)
+                total, lp, l2 = total_loss(
+                    feats, pred, sample.depth, sample.teacher_features,
+                    projections, distill_cfg, rate_mode=model_cfg.rate_mode,
+                    use_kd=train_cfg.kd,
+                )
+                tp.backward(total)
+            tot_acc += float(total.data)
+            lp_acc += lp
+            l2_acc += l2
+        k = len(batch)
+        if not math.isfinite(tot_acc):
+            raise NumericError(f"training diverged at step {step}: loss {tot_acc}")
+        opt.step(grad_scale=1.0 / k)
+        rows.append((step, tot_acc / k, lp_acc / k, l2_acc / k))
+        if train_cfg.checkpoint_every > 0 and step % train_cfg.checkpoint_every == 0:
+            save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, save_distill)
 
     # save_checkpoint refuses non-finite tensors before it writes anything, so
     # a refused run leaves neither the checkpoint nor the loss CSV

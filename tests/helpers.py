@@ -238,12 +238,15 @@ def depth_map(values, mask=None) -> DepthMap:
 
 
 class _FullDisk:
-    """A file that takes `budget` more bytes (or characters), then fails."""
+    """A file that takes `budget` more bytes (or characters), then fails.
+    Bytes-like data, numpy arrays included, is charged by its byte count."""
 
     def __init__(self, fh, budget):
         self.fh, self.budget = fh, budget
 
     def write(self, data):
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
         if len(data) > self.budget:
             self.fh.write(data[:self.budget])
             self.budget = 0

@@ -49,7 +49,7 @@ def test_tensor_round_trip_bit_exact(tmp_path):
 
 def test_load_model_reproduces_predictions(tmp_path, rng):
     path, model, _, _ = _saved(tmp_path, seed=5)
-    rebuilt, projections, distill = load_model(path, seed=999)
+    rebuilt, projections, distill = load_model(path)
     assert projections is not None and distill is not None
     spikes = random_spikes(rng)
     np.testing.assert_array_equal(model.predict(spikes), rebuilt.predict(spikes))

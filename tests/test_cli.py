@@ -176,6 +176,17 @@ def test_full_pipeline(tmp_path, capsys):
         assert KEY_VALUE.match(line), line
 
 
+@pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8"])
+def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):
+    data = _tiny_data(tmp_path, capsys)
+    run = tmp_path / "run"
+    rc, out = _run(capsys, ["train", "--data", str(data), "--out", str(run),
+                            "--set", "h=16", "--set", "w=16", "--set", override])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
+    assert not run.exists()
+
+
 def test_train_overrides_and_missing_paths(tmp_path, capsys):
     data = tmp_path / "data"
     rc, _ = _run(capsys, ["gen", "--out", str(data)] + TINY_GEN)
@@ -383,6 +394,8 @@ def _non_utf8_config(tmp_path, capsys):
                  "IO", id="checkpoint_config_not_utf8"),
     pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, None, None), "IO",
                  id="checkpoint_payload_nan"),
+    pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, b"\nd=8\n", b"\nd=0\n"), "CONFIG",
+                 id="checkpoint_config_d_0"),
     pytest.param(_non_utf8_config, "CONFIG", id="config_file_not_utf8"),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, make_argv, category):

@@ -94,6 +94,10 @@ def test_config_validation():
         tiny_model_cfg(h=20)
     with pytest.raises(DimensionError):
         tiny_model_cfg(d=6)
+    # multiples of 8 (or 4) that are not positive sizes
+    for bad in (dict(d=0), dict(d=-4), dict(h=0), dict(w=0), dict(h=-8), dict(w=-16)):
+        with pytest.raises(DimensionError):
+            tiny_model_cfg(**bad)
     with pytest.raises(ConfigError):
         tiny_model_cfg(s=0.0)
     with pytest.raises(ConfigError):
