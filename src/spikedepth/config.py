@@ -46,6 +46,10 @@ class TrainConfig:
             raise ConfigError("adam betas must lie in [0, 1)")
         if not self.adam_eps > 0:
             raise ConfigError("adam_eps must be positive")
+        if not self.grad_clip >= 0:  # 0 = no clipping
+            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         return self
 
 

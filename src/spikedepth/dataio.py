@@ -118,15 +118,18 @@ def _read_exact(f, n, what):
 def atomic_write(path):
     """Open a temporary binary file beside `path`; it replaces `path` only
     when the block exits cleanly.  On an exception it is removed and `path`
-    keeps its old contents."""
+    keeps its old contents; an OSError about the temporary file is raised
+    again naming `path` alone."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

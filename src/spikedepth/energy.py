@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .trace import is_binary
 
 E_MAC_PJ = 4.6
@@ -196,9 +196,6 @@ def trace_forward(model, spikes_dense):
     the array `model.predict` returns for the same input.  The entries hold
     every op's inputs and output but no backward state.
     """
-    spikes_dense = np.asarray(spikes_dense)
-    if spikes_dense.ndim != 4:
-        raise DimensionError(f"audit: spikes must be (T,C,H,W), got {spikes_dense.shape}")
     with ad.tape(grad=False) as tp:
         _, pred = model.forward(spikes_dense, training=False)
     return pred.data, tp.entries

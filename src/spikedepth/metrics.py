@@ -6,7 +6,6 @@ differences use the raw values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +46,9 @@ class MetricsReport:
 
 def evaluate(pred: DepthMap, gt: DepthMap, eps: float = DEFAULT_EPS) -> MetricsReport:
     """Compute the eight depth metrics over pixels valid in both maps."""
-    if not 0 < eps < math.inf:  # NaN fails both comparisons
-        raise ConfigError(f"evaluate: eps must be finite and positive, got {eps}")
+    # depths and predictions lie in [0, 1]: an eps >= 1 would floor them all
+    if not 0 < eps < 1:  # NaN fails both comparisons
+        raise ConfigError(f"evaluate: eps must lie in (0, 1), got {eps}")
     if pred.shape != gt.shape:
         raise DimensionError(f"evaluate: pred {pred.shape} vs gt {gt.shape}")
     mask = pred.mask & gt.mask

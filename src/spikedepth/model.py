@@ -71,19 +71,15 @@ class ModelConfig:
         return (self.h // 8) * (self.w // 8)
 
 
-def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float,
-                            validate: bool = True) -> ad.Tensor:
+def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float) -> ad.Tensor:
     """Scaled spiking attention current ((Q K^T) V) * s for [T, N, D] inputs.
 
     Q K^T entries are co-activation counts (non-negative integers bounded by
     D); the whole chain is exact integer arithmetic so either association
-    yields identical values.  Inputs must be binary.
+    yields identical values.  `trace.assert_spike_purity` checks on the tape
+    that the operands are spikes; one that is not [T, N, D] raises
+    DimensionError in the products.
     """
-    for name, x in (("q", q), ("k", k), ("v", v)):
-        if x.data.ndim != 3:
-            raise DimensionError(f"spike_attention_product: {name} must be [T,N,D], got {x.data.shape}")
-        if validate and not is_binary(x.data):
-            raise ContractError(f"spike_attention_product: {name} is not a binary spike tensor")
     with ad.scope("qk"):
         attn = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
     with ad.scope("av"):
@@ -144,7 +140,7 @@ class SpikingSelfAttention(Module):
         self.out_conv = ConvBN("out.conv", d, d, 1, 0, rng, dtype)
         self.post_lif = Mlif("post.lif", cfg.lif)
 
-    def forward(self, x, training, validate=False):
+    def forward(self, x, training):
         T, d, hh, ww = x.data.shape
 
         def tokens(z):
@@ -154,7 +150,7 @@ class SpikingSelfAttention(Module):
             q = self.q_lif.forward(self.q_conv.forward(x, training))
             k = self.k_lif.forward(self.k_conv.forward(x, training))
             v = self.v_lif.forward(self.v_conv.forward(x, training))
-            a = spike_attention_product(tokens(q), tokens(k), tokens(v), self.s, validate=validate)
+            a = spike_attention_product(tokens(q), tokens(k), tokens(v), self.s)
             a = ad.reshape(ad.transpose(a, (0, 2, 1)), (T, d, hh, ww))
             out = self.attn_lif.forward(a)
             out = self.out_conv.forward(out, training)
@@ -193,9 +189,9 @@ class TransformerBlock(Module):
         self.attn = SpikingSelfAttention(cfg, rng, dtype)
         self.mlp = SpikingMlp(cfg, rng, dtype)
 
-    def forward(self, x, training, validate=False):
+    def forward(self, x, training):
         with ad.scope(self.name):
-            a = self.attn.forward(x, training, validate=validate)
+            a = self.attn.forward(x, training)
             with ad.scope("merge1"):
                 y = merge_spikes(x, a, self.merge_mode)
             m = self.mlp.forward(y, training)
@@ -220,7 +216,9 @@ class DepthModel(Module):
 
     def forward(self, spikes_dense: np.ndarray, training: bool, validate: bool = False):
         """Run backbone + head on one dense event stream [T,C,H,W].
-        Returns (per-block feature list, depth prediction tensor [H, W])."""
+        Returns (per-block feature list, depth prediction tensor [H, W]).
+        `validate` checks only that the stream is binary: the spikes inside
+        the network are checked on the tape (`trace.assert_spike_purity`)."""
         x = ad.tensor(np.asarray(spikes_dense, dtype=self.dtype))
         if x.data.shape != (self.cfg.t, self.cfg.c, self.cfg.h, self.cfg.w):
             raise DimensionError(
@@ -232,7 +230,7 @@ class DepthModel(Module):
         feats = []
         z = self.embed.forward(x, training)
         for block in self.blocks:
-            z = block.forward(z, training, validate=validate)
+            z = block.forward(z, training)
             feats.append(z)
         pred = self.head.forward(feats, training)
         return feats, pred

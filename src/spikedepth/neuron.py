@@ -13,7 +13,7 @@ is detached, so gradient flows only through the leak and the surrogate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,11 @@ class LifParams:
 
 @dataclass
 class LifState:
-    """Mutable membrane potential carried across timesteps of one sample."""
+    """Mutable membrane potential carried across timesteps of one sample;
+    `v_pre` is the membrane of the last step just before its reset."""
 
     v: np.ndarray
+    v_pre: np.ndarray | None = None
 
 
 def fresh_state(shape, dtype=np.float32) -> LifState:
@@ -63,7 +65,8 @@ def surrogate_grad(v_minus_threshold, alpha: float):
 def lif_step(state: LifState, input_current: np.ndarray, params: LifParams) -> np.ndarray:
     """Advance the membrane one step; returns the binary spike plane.
 
-    Mutates `state.v` (hard reset where a spike fired).
+    Mutates `state.v` (hard reset where a spike fired) and sets
+    `state.v_pre` to the membrane before that reset.
     """
     x = np.asarray(input_current)
     if x.shape != state.v.shape:
@@ -72,6 +75,7 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams) -> n
         raise NumericError("lif_step: non-finite input current")
     v = state.v + (x - state.v) / params.tau
     spikes = (v >= params.v_threshold).astype(x.dtype if x.dtype.kind == "f" else np.float32)
+    state.v_pre = v
     state.v = np.where(spikes > 0, np.asarray(params.v_reset, dtype=v.dtype), v)
     return spikes
 
@@ -84,12 +88,6 @@ def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> 
     The reset is detached: the post-reset membrane passes gradient only where
     no spike fired.
     """
-    if v_pre.shape != upstream.shape:
-        raise DimensionError(
-            f"lif_backward: v_pre shape {v_pre.shape} != upstream shape {upstream.shape}"
-        )
-    if v_pre.ndim < 1 or v_pre.shape[0] < 1:
-        raise DimensionError("lif_backward: need at least one timestep")
     decay = 1.0 - 1.0 / params.tau
     gx = np.empty_like(v_pre)
     g_vpost = np.zeros(v_pre.shape[1:], dtype=v_pre.dtype)
@@ -103,32 +101,25 @@ def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> 
 
 
 def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
-    """Multistep LIF over the leading time axis of x [T, ...].
+    """Multistep LIF over the leading time axis of x [T, ...]: T calls of
+    `lif_step` on one fresh state.
 
     State starts at zero for every call (one call = one sample) and is
-    carried across the T steps internally.  Output is binary with the input
-    dtype.
+    carried across the T steps.  Output is binary with the input dtype; a
+    non-finite input current raises NumericError.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[0] < 1:
         raise DimensionError(f"mlif: need a non-empty time axis, got shape {xd.shape}")
-    if not np.isfinite(xd).all():
-        raise NumericError("mlif: non-finite input current")
-    T = xd.shape[0]
-    inv_tau = 1.0 / params.tau
     # the pre-reset membrane is kept only for a backward pass
     needs = ad._needs(x)
     v_pre = np.empty_like(xd) if needs else None
-    v = np.zeros(xd.shape[1:], dtype=xd.dtype)
     spikes = np.empty_like(xd)
-    reset = np.asarray(params.v_reset, dtype=xd.dtype)
-    for t in range(T):
-        v = v + (xd[t] - v) * inv_tau
-        if v_pre is not None:
-            v_pre[t] = v
-        s = (v >= params.v_threshold).astype(xd.dtype)
-        spikes[t] = s
-        v = np.where(s > 0, reset, v)
+    state = fresh_state(xd.shape[1:], xd.dtype)
+    for t in range(xd.shape[0]):
+        spikes[t] = lif_step(state, xd[t], params)
+        if needs:
+            v_pre[t] = state.v_pre
     out = ad.Tensor(spikes, requires_grad=needs)
 
     def bwd(g):

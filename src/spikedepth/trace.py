@@ -18,8 +18,9 @@ from .errors import ContractError
 
 
 def is_binary(arr) -> bool:
-    """True when every element of `arr` is exactly 0 or 1."""
-    return bool(np.isin(arr, (0, 1)).all())
+    """True when every element of `arr` is exactly 0 or 1 (-0.0 counts as 0,
+    NaN as neither)."""
+    return bool(((arr == 0) | (arr == 1)).all())
 
 
 def _backbone_scope(scope: str) -> bool:

@@ -176,7 +176,9 @@ def test_full_pipeline(tmp_path, capsys):
         assert KEY_VALUE.match(line), line
 
 
-@pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8"])
+# model sizes that are not positive, and train settings below their range
+@pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8",
+                                      "grad_clip=-1", "checkpoint_every=-2"])
 def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):
     data = _tiny_data(tmp_path, capsys)
     run = tmp_path / "run"
@@ -247,6 +249,19 @@ def test_failed_output_write_leaves_old_file(tmp_path, capsys, monkeypatch, comm
     assert errors == lines[-1:] and errors[0].startswith("error=IO/") and "No space" in errors[0]
     assert out.read_bytes() == b"old contents\n"
     assert [p.name for p in out.parent.iterdir()] == [out_name]  # no temp file left
+
+
+def test_io_error_names_the_target_not_the_temp_file(tmp_path, capsys):
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    target = tmp_path / "out_dir"
+    target.mkdir()
+    rc, lines = _run(capsys, ["infer", "--ckpt", ckpt, "--spk", str(data / "sample_000.spkt"),
+                              "--out", str(target)])
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error=IO/"), lines
+    assert "out_dir" in lines[0] and ".tmp" not in lines[0], lines[0]
+    assert not list(tmp_path.glob(".*.tmp"))  # the temporary file is removed
 
 
 def test_error_categories(tmp_path, capsys):
@@ -342,6 +357,7 @@ def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,flag,value", [
     ("eval", "--eps", "nan"), ("eval", "--eps", "0"), ("eval", "--eps", "inf"),
+    ("eval", "--eps", "1e300"),
     ("energy", "--e-mac", "nan"), ("energy", "--e-mac", "inf"), ("energy", "--e-ac", "-5"),
 ])
 def test_eval_energy_hostile_argument_is_one_error_line(tmp_path, capsys, command, flag, value):

@@ -94,7 +94,8 @@ def test_eps_floor_keeps_metrics_finite():
 
 def test_eps_must_be_finite_and_positive():
     pred = depth_map(np.array([[0.25, 0.5]]))
-    for eps in (np.nan, np.inf, 0.0, -1e-6):
+    # depths lie in [0, 1], so an eps of 1 or more would floor every value
+    for eps in (np.nan, np.inf, 0.0, -1e-6, 1.0, 1e300):
         with pytest.raises(ConfigError):
             evaluate(pred, pred, eps=eps)
 

@@ -12,7 +12,7 @@ from spikedepth.model import (
     merge_spikes,
     spike_attention_product,
 )
-from spikedepth.trace import assert_spike_purity, has_scope_prefix, trace_scopes
+from spikedepth.trace import assert_spike_purity, has_scope_prefix, is_binary, trace_scopes
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,12 @@ def test_attention_annihilates_zero_query():
     assert not out.data.any()
 
 
-def test_attention_rejects_non_binary_input():
-    bad = ad.tensor(np.full((1, 2, 2), 0.5))
+def test_attention_rejects_non_tnd_operand():
     good = ad.tensor(np.ones((1, 2, 2)))
-    with pytest.raises(ContractError):
-        spike_attention_product(bad, good, good, 1.0, validate=True)
+    for bad in (ad.tensor(np.ones((2, 2))), ad.tensor(np.ones((1, 1, 2, 2)))):
+        for operands in ((bad, good, good), (good, bad, good), (good, good, bad)):
+            with pytest.raises(DimensionError):
+                spike_attention_product(*operands, 1.0)
 
 
 def test_attention_scale_keeps_nonnegativity(rng):
@@ -196,6 +197,29 @@ def test_purity_catches_planted_violation(rng):
     bad = ad.tensor(np.full((2, 2), 0.5))
     with pytest.raises(ContractError):
         assert_spike_purity(t.entries, boundary_tensors=[bad])
+
+
+def test_purity_catches_non_binary_attention_operand(rng):
+    # the tape, not spike_attention_product, checks the spikes that reach QK^T
+    model = tiny_model()
+    with ad.tape() as t:
+        model.forward(random_spikes(rng), training=False)
+    q_lif = next(e for e in t.entries if e.op == "mlif" and e.scope == "block1.attn.q.lif")
+    q_lif.output.data[...] = 0.5
+    with pytest.raises(ContractError, match="block1.attn.q.lif"):
+        assert_spike_purity(t.entries)
+
+
+def test_is_binary_over_dtypes():
+    # same answers as the np.isin oracle: -0.0 is 0, NaN is neither 0 nor 1
+    arrays = [np.array([0.0, 1.0, -0.0], dt) for dt in (np.float32, np.float64)]
+    arrays += [np.array([0.0, 1.0, -0.0, bad], dt)
+               for dt in (np.float32, np.float64) for bad in (0.5, 2.0, np.nan)]
+    arrays += [np.array([False, True]), np.array([0, 1], np.int64), np.array([0, 1, 2], np.int32),
+               np.zeros((0, 3))]
+    got = [is_binary(a) for a in arrays]
+    assert got == [bool(np.isin(a, (0, 1)).all()) for a in arrays]
+    assert got == [True, True] + [False] * 6 + [True, True, False, True]
 
 
 def test_merge_add_mode_allows_integer_streams(rng):

@@ -20,6 +20,7 @@ def test_constant_drive_two_fires_every_step():
     spikes = [lif_step(state, np.array([2.0]), P).item() for _ in range(3)]
     assert spikes == [1.0, 1.0, 1.0]
     assert state.v.item() == 0.0  # hard reset after the last fire
+    assert state.v_pre.item() == 1.0  # the membrane just before that reset
 
 
 def test_constant_drive_one_asymptotes_below_threshold():
@@ -96,9 +97,22 @@ def test_mlif_binary_and_shape(rng):
 
 
 def test_mlif_t1_reduces_to_lif_step(rng):
-    x = rng.uniform(-1, 3, size=(1, 6))
-    state = fresh_state((6,), dtype=np.float64)
-    np.testing.assert_array_equal(mlif(ad.tensor(x), P).data[0], lif_step(state, x[0], P))
+    # mlif is T steps of lif_step: equal spikes bit for bit, also where
+    # (x - v) / tau and (x - v) * (1 / tau) round apart (tau = 3)
+    params = (P, LifParams(tau=3.0), LifParams(tau=3.0, v_threshold=0.7, v_reset=0.1),
+              LifParams(tau=1.5, v_threshold=0.4, v_reset=-0.2, surrogate_alpha=4.0))
+    for p in params:
+        for T in (1, 4):
+            for dtype in (np.float32, np.float64):
+                x = rng.uniform(-1, 3, size=(T, 6, 5)).astype(dtype)
+                state = fresh_state((6, 5), dtype)
+                want = np.stack([lif_step(state, x[t], p) for t in range(T)])
+                got = mlif(ad.tensor(x), p).data
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, T, dtype)
+    # a membrane that reaches the threshold only when divided by tau
+    x0 = 2.0165894394179498  # x0 * (1 / 3) < x0 / 3
+    p = LifParams(tau=3.0, v_threshold=x0 / 3.0)
+    assert mlif(ad.tensor(np.array([[x0]])), p).data.item() == 1.0
 
 
 def test_mlif_zero_input_zero_output():

@@ -97,6 +97,9 @@ def test_train_config_validation():
         dict(lr=float("nan")),
         dict(adam_eps=float("nan")),
         dict(beta2=float("nan")),
+        dict(grad_clip=-1.0),
+        dict(grad_clip=float("nan")),
+        dict(checkpoint_every=-2),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad).validate()
