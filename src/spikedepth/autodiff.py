@@ -7,8 +7,9 @@ reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
 tape is active, append an entry holding the backward closure (None when the
 output needs no gradient, as on an inspection tape).  `Tape.backward`
 replays the entries in reverse (the recording order is already topological)
-and accumulates gradients into every tensor created with
-`requires_grad=True`.
+and accumulates gradients into every parameter: parameters are the only
+gradient leaves, and every other tensor that needs a gradient is an op
+output.
 
 float32 is the production dtype; gradient-check tests build float64 graphs.
 Ops keep the dtype of their inputs and never broadcast beyond the documented
@@ -33,35 +34,35 @@ def _guard(op, arr):
 class Tensor:
     """A dense array plus gradient bookkeeping.
 
-    `grad` is populated by `Tape.backward` for tensors constructed with
-    `requires_grad=True`.  `is_param` marks trainable weights so audits can
-    tell parameters from activations.
+    `grad` is populated by `Tape.backward` for every parameter (made by
+    `parameter`); `is_param` also lets audits tell parameters from
+    activations.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_param", "_leaf")
+    __slots__ = ("data", "requires_grad", "grad", "is_param")
 
-    def __init__(self, data, requires_grad=False, is_param=False):
+    def __init__(self, data, requires_grad=False):
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None
-        self.is_param = is_param
-        self._leaf = requires_grad
+        self.is_param = False
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False) -> Tensor:
-    """Wrap `data` as a Tensor; non-float input becomes float32."""
+def tensor(data) -> Tensor:
+    """Wrap `data` as a constant Tensor; non-float input becomes float32."""
     arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
-    return Tensor(arr, requires_grad=requires_grad)
+    return Tensor(arr)
 
 
 def parameter(data) -> Tensor:
-    t = tensor(data, requires_grad=True)
-    t.is_param = True
+    """Wrap `data` as a trainable weight: a gradient leaf."""
+    t = tensor(data)
+    t.requires_grad = t.is_param = True
     return t
 
 
@@ -88,30 +89,27 @@ class Tape:
         self.grad = grad
         self.entries: list[TapeEntry] = []
         self._scopes: list[str] = []
-        self._used = False
 
     @property
     def scope(self) -> str:
         return ".".join(self._scopes)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate dLoss/dT into T.grad for every requires_grad leaf.
+        """Accumulate dLoss/dP into P.grad for every parameter P.
 
-        The tape is cleared afterwards; calling backward again without a new
-        forward raises StaleTapeError.
+        The replay empties the tape, so calling backward again without a
+        new forward finds it empty and raises StaleTapeError.
         """
         if not self.grad:
             raise StaleTapeError("an inspection tape records no gradients")
-        if self._used:
-            raise StaleTapeError("tape already consumed; run a new forward pass")
         if not self.entries:
-            raise StaleTapeError("tape is empty; nothing was recorded")
+            raise StaleTapeError("tape is empty or already consumed; run a new forward pass")
         if loss.data.size != 1:
             raise DimensionError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-        self._used = True
 
+        entries, self.entries = self.entries, []
         grads = {id(loss): np.ones_like(loss.data)}
-        for entry in reversed(self.entries):
+        for entry in reversed(entries):
             g = grads.pop(id(entry.output), None)
             if g is None or entry.bwd is None:
                 continue
@@ -119,13 +117,12 @@ class Tape:
             for t, gi in zip(entry.inputs, in_grads):
                 if t is None or gi is None or not t.requires_grad:
                     continue
-                if t._leaf:
+                if t.is_param:
                     t.grad = gi if t.grad is None else t.grad + gi
                 else:
                     key = id(t)
                     prev = grads.get(key)
                     grads[key] = gi if prev is None else prev + gi
-        self.entries = []
 
 
 _STACK: list[Tape] = []
@@ -159,13 +156,6 @@ def scope(name: str):
         t._scopes.pop()
 
 
-def _record(op, inputs, output, bwd):
-    output._leaf = False  # op outputs are interior nodes; grads flow through
-    t = active_tape()
-    if t is not None:
-        t.entries.append(TapeEntry(op, t.scope, inputs, output, bwd if output.requires_grad else None))
-
-
 def _needs(*tensors):
     """Whether an op's output needs a gradient, so that the op keeps the
     state its backward reads (cols, xhat, v_pre): only under a gradient tape."""
@@ -173,6 +163,17 @@ def _needs(*tensors):
     if tp is None or not tp.grad:
         return False
     return any(t is not None and t.requires_grad for t in tensors)
+
+
+def _op(op, inputs, data, bwd) -> Tensor:
+    """The output Tensor of `op` over `inputs` (None for an absent optional
+    input), holding `data`; on an active tape, also its entry, which keeps
+    `bwd` only when the output needs a gradient."""
+    out = Tensor(data, requires_grad=_needs(*inputs))
+    t = active_tape()
+    if t is not None:
+        t.entries.append(TapeEntry(op, t.scope, inputs, out, bwd if out.requires_grad else None))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,64 +187,58 @@ def _same_shape(op, a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
-    out = Tensor(a.data + b.data, requires_grad=_needs(a, b))
-    _guard("add", out.data)
+    out = a.data + b.data
+    _guard("add", out)
 
     def bwd(g):
         return (g if a.requires_grad else None, g if b.requires_grad else None)
 
-    _record("add", (a, b), out, bwd)
-    return out
+    return _op("add", (a, b), out, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("sub", a, b)
-    out = Tensor(a.data - b.data, requires_grad=_needs(a, b))
-    _guard("sub", out.data)
+    out = a.data - b.data
+    _guard("sub", out)
 
     def bwd(g):
         return (g if a.requires_grad else None, -g if b.requires_grad else None)
 
-    _record("sub", (a, b), out, bwd)
-    return out
+    return _op("sub", (a, b), out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
     ad, bd = a.data, b.data
-    out = Tensor(ad * bd, requires_grad=_needs(a, b))
-    _guard("mul", out.data)
+    out = ad * bd
+    _guard("mul", out)
 
     def bwd(g):
         return (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None)
 
-    _record("mul", (a, b), out, bwd)
-    return out
+    return _op("mul", (a, b), out, bwd)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(x.data * s, requires_grad=_needs(x))
-    _guard("scale", out.data)
+    out = x.data * s
+    _guard("scale", out)
 
     def bwd(g):
         return (g * s,)
 
-    _record("scale", (x,), out, bwd)
-    return out
+    return _op("scale", (x,), out, bwd)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes inside the interval (inclusive)."""
     xd = x.data
-    out = Tensor(np.clip(xd, lo, hi), requires_grad=_needs(x))
 
     def bwd(g):
         mask = (xd >= lo) & (xd <= hi)
         return (g * mask,)
 
-    _record("clamp", (x,), out, bwd)
-    return out
+    return _op("clamp", (x,), np.clip(xd, lo, hi), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -253,27 +248,24 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data, requires_grad=_needs(x))
 
     def bwd(g):
         return (g * out_data * (1.0 - out_data),)
 
-    _record("sigmoid", (x,), out, bwd)
-    return out
+    return _op("sigmoid", (x,), out_data, bwd)
 
 
 def log(x: Tensor) -> Tensor:
     xd = x.data
     if np.any(xd <= 0):
         raise NumericError("log: non-positive input")
-    out = Tensor(np.log(xd), requires_grad=_needs(x))
-    _guard("log", out.data)
+    out = np.log(xd)
+    _guard("log", out)
 
     def bwd(g):
         return (g / xd,)
 
-    _record("log", (x,), out, bwd)
-    return out
+    return _op("log", (x,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +274,11 @@ def log(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     orig = x.data.shape
-    out = Tensor(x.data.reshape(shape), requires_grad=_needs(x))
 
     def bwd(g):
         return (g.reshape(orig),)
 
-    _record("reshape", (x,), out, bwd)
-    return out
+    return _op("reshape", (x,), x.data.reshape(shape), bwd)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -296,27 +286,24 @@ def transpose(x: Tensor, axes) -> Tensor:
     if len(axes) != x.data.ndim:
         raise DimensionError(f"transpose: axes {axes} do not match ndim {x.data.ndim}")
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=_needs(x))
 
     def bwd(g):
         return (g.transpose(inv),)
 
-    _record("transpose", (x,), out, bwd)
-    return out
+    return _op("transpose", (x,), np.ascontiguousarray(x.data.transpose(axes)), bwd)
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     """Sum over everything (axis=None -> scalar), or over one axis, which
     stays with size 1."""
     xd = x.data
-    out = Tensor(xd.sum(axis=axis, keepdims=axis is not None), requires_grad=_needs(x))
-    _guard("reduce_sum", out.data)
+    out = xd.sum(axis=axis, keepdims=axis is not None)
+    _guard("reduce_sum", out)
 
     def bwd(g):
         return (np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=True),)
 
-    _record("reduce_sum", (x,), out, bwd)
-    return out
+    return _op("reduce_sum", (x,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +319,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: inner dims differ {ad.shape} vs {bd.shape}")
     if ad.shape[:-2] != bd.shape[:-2]:
         raise DimensionError(f"matmul: batch dims differ {ad.shape} vs {bd.shape}")
-    out = Tensor(ad @ bd, requires_grad=_needs(a, b))
-    _guard("matmul", out.data)
+    out = ad @ bd
+    _guard("matmul", out)
 
     def bwd(g):
         ga = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
         gb = ad.swapaxes(-1, -2) @ g if b.requires_grad else None
         return (ga, gb)
 
-    _record("matmul", (a, b), out, bwd)
-    return out
+    return _op("matmul", (a, b), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +411,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
             raise DimensionError(f"conv2d: bias shape {b.data.shape} != ({Co},)")
         out_data += b.data[None, :, None, None]
     _guard("conv2d", out_data)
-    out = Tensor(out_data, requires_grad=_needs(x, w, b))
 
     def bwd(g):
         gw = gb = gx = None
@@ -442,8 +427,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
             gx, _ = _corr2d(g, np.ascontiguousarray(wf), k - 1 - pad)
         return (gx, gw, gb)
 
-    _record("conv2d", (x, w, b), out, bwd)
-    return out
+    return _op("conv2d", (x, w, b), out_data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +483,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
     out_data = np.multiply(gamma.data[None, :, None, None], xhat, out=xhat if reuse else None)
     out_data += beta.data[None, :, None, None]
     _guard("batchnorm", out_data)
-    out = Tensor(out_data, requires_grad=needs)
 
     def bwd(g):
         gxhat = g * xhat
@@ -518,8 +501,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
                 gx = gs * g
         return (gx, ggamma, gbeta)
 
-    _record("batchnorm", (x, gamma, beta), out, bwd)
-    return out
+    return _op("batchnorm", (x, gamma, beta), out_data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +523,6 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     out_data = views[0].copy()
     for v in views[1:]:
         np.maximum(out_data, v, out=out_data)
-    out = Tensor(out_data, requires_grad=_needs(x))
 
     def bwd(g):
         gx = np.zeros_like(xd)
@@ -554,8 +535,7 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
                 gx[..., i::k, j::k] = np.where(hit, g, 0)
         return (gx,)
 
-    _record("maxpool2d", (x,), out, bwd)
-    return out
+    return _op("maxpool2d", (x,), out_data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +581,8 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     Mw = _bilinear_matrix(W, factor, xd.dtype)
     out_data = Mh @ xd @ Mw.T
     _guard("upsample_bilinear", out_data)
-    out = Tensor(out_data, requires_grad=_needs(x))
 
     def bwd(g):
         return (Mh.T @ g @ Mw,)
 
-    _record("upsample_bilinear", (x,), out, bwd)
-    return out
+    return _op("upsample_bilinear", (x,), out_data, bwd)

@@ -48,10 +48,10 @@ class FusionHead(Module):
     def __init__(self, cfg, rng, dtype=np.float32):
         d = cfg.d
         self.rate_mode = cfg.rate_mode
-        self.conv2 = ConvBN("l2.conv", d, d, 3, 1, rng, dtype)
-        self.conv3 = ConvBN("l3.conv", d, d, 3, 1, rng, dtype)
-        self.conv4 = ConvBN("l4.conv", d, d, 3, 1, rng, dtype)
-        self.proj = Conv("proj", d, 1, 1, 0, rng, dtype, bias=False)
+        self.conv2 = ConvBN("l2.conv", d, d, 3, rng, dtype)
+        self.conv3 = ConvBN("l3.conv", d, d, 3, rng, dtype)
+        self.conv4 = ConvBN("l4.conv", d, d, 3, rng, dtype)
+        self.proj = Conv("proj", d, 1, 1, rng, dtype, bias=False)
 
     def forward(self, features, training):
         if len(features) != 4:
@@ -76,7 +76,7 @@ class LinearFcnHead(Module):
 
     def __init__(self, cfg, rng, dtype=np.float32):
         self.rate_mode = cfg.rate_mode
-        self.proj = ConvBN("fcn.conv", cfg.d, 1, 1, 0, rng, dtype)
+        self.proj = ConvBN("fcn.conv", cfg.d, 1, 1, rng, dtype)
 
     def forward(self, features, training):
         if not features:

@@ -69,7 +69,8 @@ def _modules(value):
 
 
 class Conv(Module):
-    """Plain 2-D convolution (used for final projections).
+    """Plain 2-D convolution (used for final projections), "same" padded
+    with `k // 2` for the odd kernels every caller uses.
 
     `bias=False` suits projections that sit right before a loss or squashing
     nonlinearity on top of an affine stack: the bias would be a redundant
@@ -77,9 +78,9 @@ class Conv(Module):
     unconstrained one that optimizers random-walk.
     """
 
-    def __init__(self, name, cin, cout, k, pad, rng, dtype=np.float32, bias=True):
+    def __init__(self, name, cin, cout, k, rng, dtype=np.float32, bias=True):
         self.name = name
-        self.k, self.pad = k, pad
+        self.pad = k // 2
         self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype))
         self.b = ad.parameter(np.zeros(cout, dtype=dtype)) if bias else None
 
@@ -89,16 +90,17 @@ class Conv(Module):
 
 
 class ConvBN(Module):
-    """Convolution (bias-free) followed by per-channel batch normalisation.
+    """Convolution (bias-free, "same" padded with `k // 2` for the odd
+    kernels every caller uses) followed by per-channel batch normalisation.
 
     Training mode normalises with the statistics of the current call and
     updates running buffers (momentum 0.1); eval mode applies the running
     statistics.
     """
 
-    def __init__(self, name, cin, cout, k, pad, rng, dtype=np.float32):
+    def __init__(self, name, cin, cout, k, rng, dtype=np.float32):
         self.name = name
-        self.k, self.pad = k, pad
+        self.pad = k // 2
         self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype))
         self.gamma = ad.parameter(np.ones(cout, dtype=dtype))
         self.beta = ad.parameter(np.zeros(cout, dtype=dtype))

@@ -51,7 +51,7 @@ class FeatureProjections(Module):
     def __init__(self, cfg: DistillConfig, student_dim: int, rng, dtype=np.float32):
         self.cfg = cfg
         self.convs = {
-            i: Conv(f"proj{i}", student_dim, cfg.teacher_dim, 1, 0, rng, dtype)
+            i: Conv(f"proj{i}", student_dim, cfg.teacher_dim, 1, rng, dtype)
             for i in cfg.matched_blocks
         }
 
@@ -107,24 +107,22 @@ def total_loss(
     projections: FeatureProjections | None,
     cfg: DistillConfig,
     rate_mode: str = "mean",
-    use_kd: bool = True,
 ):
     """lambda_p * sum of matched perceptual terms + lambda_2 * SI-L2.
 
-    `teacher` is one sample's feature map [d,h,w], compared with every
-    projected rate map [1,d,h,w].  Returns (total tensor, perceptual value,
-    si value).  With use_kd=False no teacher ops are recorded at all and the
-    perceptual component is 0.
+    KD is on exactly when `projections` is given.  `teacher` is then one
+    sample's feature map [d,h,w], compared with every projected rate map
+    [1,d,h,w].  Returns (total tensor, perceptual value, si value).  With
+    KD off no teacher ops are recorded at all and the perceptual component
+    is 0.
     """
     with ad.scope("loss.si"):
         l2 = si_l2_loss(pred, gt, log_domain=cfg.si_log_domain)
     total = ad.scale(l2, cfg.lambda_2)
     lp_value = 0.0
-    if use_kd and cfg.lambda_p > 0:
+    if projections is not None and cfg.lambda_p > 0:
         if teacher is None:
             raise DataError("total_loss: teacher features required when KD is on")
-        if projections is None:
-            raise ConfigError("total_loss: KD requires feature projections")
         teacher_t = ad.tensor(np.asarray(teacher, dtype=pred.data.dtype)[None])
         with ad.scope("loss.perceptual"):
             lp_sum = None

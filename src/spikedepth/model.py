@@ -106,7 +106,7 @@ class PatchEmbed(Module):
         cins = (cfg.c,) + chans[:2]
         self.stages = []
         for i, (ci, co) in enumerate(zip(cins, chans), start=1):
-            conv = ConvBN(f"s{i}.conv", ci, co, 3, 1, rng, dtype)
+            conv = ConvBN(f"s{i}.conv", ci, co, 3, rng, dtype)
             lif = Mlif(f"s{i}.lif", cfg.lif)
             self.stages.append((conv, lif))
 
@@ -130,14 +130,14 @@ class SpikingSelfAttention(Module):
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         d = cfg.d
         self.s = cfg.s
-        self.q_conv = ConvBN("q.conv", d, d, 1, 0, rng, dtype)
-        self.k_conv = ConvBN("k.conv", d, d, 1, 0, rng, dtype)
-        self.v_conv = ConvBN("v.conv", d, d, 1, 0, rng, dtype)
+        self.q_conv = ConvBN("q.conv", d, d, 1, rng, dtype)
+        self.k_conv = ConvBN("k.conv", d, d, 1, rng, dtype)
+        self.v_conv = ConvBN("v.conv", d, d, 1, rng, dtype)
         self.q_lif = Mlif("q.lif", cfg.lif)
         self.k_lif = Mlif("k.lif", cfg.lif)
         self.v_lif = Mlif("v.lif", cfg.lif)
         self.attn_lif = Mlif("lif", cfg.lif)
-        self.out_conv = ConvBN("out.conv", d, d, 1, 0, rng, dtype)
+        self.out_conv = ConvBN("out.conv", d, d, 1, rng, dtype)
         self.post_lif = Mlif("post.lif", cfg.lif)
 
     def forward(self, x, training):
@@ -164,9 +164,9 @@ class SpikingMlp(Module):
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         d, hidden = cfg.d, cfg.d * cfg.mlp_ratio
-        self.fc1 = ConvBN("fc1.conv", d, hidden, 1, 0, rng, dtype)
+        self.fc1 = ConvBN("fc1.conv", d, hidden, 1, rng, dtype)
         self.lif1 = Mlif("lif1", cfg.lif)
-        self.fc2 = ConvBN("fc2.conv", hidden, d, 1, 0, rng, dtype)
+        self.fc2 = ConvBN("fc2.conv", hidden, d, 1, rng, dtype)
         self.lif2 = Mlif("lif2", cfg.lif)
 
     def forward(self, x, training):

@@ -120,10 +120,8 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
         spikes[t] = lif_step(state, xd[t], params)
         if needs:
             v_pre[t] = state.v_pre
-    out = ad.Tensor(spikes, requires_grad=needs)
 
     def bwd(g):
         return (lif_backward(v_pre, g, params),)
 
-    ad._record("mlif", (x,), out, bwd)
-    return out
+    return ad._op("mlif", (x,), spikes, bwd)

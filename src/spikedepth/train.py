@@ -98,6 +98,18 @@ def _write_csv(path, rows):
     write_lines(path, lines)
 
 
+def _check_spike_shapes(dataset, cfg: ModelConfig, who: str) -> None:
+    """Refuse a dataset with any sample whose spikes are not (t, c, h, w)
+    of `cfg`, naming the first such sample."""
+    want = (cfg.t, cfg.c, cfg.h, cfg.w)
+    for s in dataset:
+        if s.spikes.shape != want:
+            raise ConfigError(
+                f"{who}: model/data mismatch: model expects spikes (t,c,h,w)={want}, "
+                f"sample {s.name!r} has {s.spikes.shape}"
+            )
+
+
 def train(
     dataset: list[SampleTuple],
     model_cfg: ModelConfig,
@@ -116,6 +128,7 @@ def train(
         missing = [s.name for s in dataset if s.teacher_features is None]
         if missing:
             raise DataError(f"train: KD is on but samples lack teacher features: {missing}")
+    _check_spike_shapes(dataset, model_cfg, "train")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,7 +164,6 @@ def train(
                 total, lp, l2 = total_loss(
                     feats, pred, sample.depth, sample.teacher_features,
                     projections, distill_cfg, rate_mode=model_cfg.rate_mode,
-                    use_kd=train_cfg.kd,
                 )
                 tp.backward(total)
             tot_acc += float(total.data)
@@ -220,15 +232,8 @@ def evaluate_checkpoint(ckpt_path, data_dir, eps: float = DEFAULT_EPS) -> EvalRe
     dataset = load_dataset(data_dir)
     if not dataset:
         raise EmptyMaskError("evaluate_checkpoint: no samples to evaluate")
-    cfg = model.cfg
-    got = dataset[0].spikes
-    want = (cfg.t, cfg.c, cfg.h, cfg.w)
-    if (got.t, got.c, got.h, got.w) != want:
-        raise ConfigError(
-            "checkpoint/data mismatch: model expects spikes "
-            f"(t,c,h,w)={want}, dataset has {(got.t, got.c, got.h, got.w)}"
-        )
-    pred0, entries = trace_forward(model, got.to_dense())
+    _check_spike_shapes(dataset, model.cfg, "evaluate_checkpoint")
+    pred0, entries = trace_forward(model, dataset[0].spikes.to_dense())
     report = price(entries, model)
     del entries  # holds every activation of the traced pass: free it before the next forward
     preds = itertools.chain([pred0], (model.predict(s.spikes.to_dense()) for s in dataset[1:]))

@@ -214,10 +214,13 @@ def test_backward_sum_of_squares():
 
 def test_backward_accumulates_over_reuse():
     x = ad.parameter(np.array([3.0]))
+    c = ad.tensor(np.array([1.0]))
     with ad.tape() as t:
-        loss = ad.reduce_sum(ad.add(x, x))
+        s = ad.add(x, x)
+        loss = ad.reduce_sum(ad.mul(s, c))
     t.backward(loss)
     np.testing.assert_array_equal(x.grad, np.array([2.0]))
+    assert s.grad is None and c.grad is None  # only parameters get .grad
 
 
 def test_backward_twice_raises_stale_tape():
@@ -255,10 +258,28 @@ def test_backward_needs_scalar_loss():
         t.backward(y)
 
 
-def test_finite_guard_toggles():
-    bad = np.array([1.0, np.inf])
-    with pytest.raises(NumericError):
-        ad.add(ad.tensor(bad), ad.tensor(bad))
+_ONES = ad.tensor(np.ones((1, 1, 2, 2)))
+_GUARDED = {
+    "add": lambda x: ad.add(x, x),
+    "sub": lambda x: ad.sub(x, _ONES),
+    "mul": lambda x: ad.mul(x, x),
+    "scale": lambda x: ad.scale(x, 2.0),
+    "log": ad.log,
+    "reduce_sum": ad.reduce_sum,
+    "matmul": lambda x: ad.matmul(x, _ONES),
+    "conv2d": lambda x: ad.conv2d(x, ad.tensor(np.ones((1, 1, 1, 1)))),
+    "batchnorm": lambda x: ad.batchnorm(x, ad.tensor(np.ones(1)), ad.tensor(np.zeros(1))),
+    "upsample_bilinear": lambda x: ad.upsample_bilinear(x, 2),
+}
+
+
+@pytest.mark.parametrize("op", list(_GUARDED))
+def test_guarded_op_refuses_non_finite_result(op):
+    x = ad.parameter(np.array([[[[1.0, np.inf], [2.0, 3.0]]]]))
+    with ad.tape() as t, np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=f"^{op}: non-finite"):
+            _GUARDED[op](x)
+    assert t.entries == []
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +477,18 @@ def test_untaped_forward_keeps_no_backward_state(monkeypatch):
     model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
     projections = FeatureProjections(DistillConfig(matched_blocks=(2, 4)), 64, rng)
     outputs, kept = [], []
-    record, corr2d = ad._record, ad._corr2d
+    op_, corr2d = ad._op, ad._corr2d
 
-    def spy_record(op, inputs, output, bwd):
-        outputs.append((op, output.requires_grad))
-        record(op, inputs, output, bwd)
+    def spy_op(op, inputs, data, bwd):
+        out = op_(op, inputs, data, bwd)
+        outputs.append((op, out.requires_grad))
+        return out
 
     def spy_corr2d(x, w, pad, keep_cols=False):
         kept.append(keep_cols)
         return corr2d(x, w, pad, keep_cols)
 
-    monkeypatch.setattr(ad, "_record", spy_record)
+    monkeypatch.setattr(ad, "_op", spy_op)
     monkeypatch.setattr(ad, "_corr2d", spy_corr2d)
     spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(np.float32)
     for training in (True, False):

@@ -61,7 +61,7 @@ def test_trace_forward_keeps_no_backward_state(rng):
 
 
 def test_param_count_conv_oracle(rng):
-    conv = Conv("x", 2, 4, 3, 1, rng)
+    conv = Conv("x", 2, 4, 3, rng)
     assert param_count(conv) == 4 * 2 * 3 * 3 + 4  # weights + bias
 
 

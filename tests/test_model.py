@@ -263,9 +263,9 @@ def test_module_walker_naming():
         name = "tree"
 
         def __init__(self):
-            self.first = Conv("first", 1, 1, 1, 0, rng, bias=False)
-            self.pairs = [(ConvBN("p1.a", 1, 1, 1, 0, rng), Leafless()), ()]
-            self.by_key = {"z": Conv("z", 1, 1, 1, 0, rng), "a": Conv("a", 1, 1, 1, 0, rng)}
+            self.first = Conv("first", 1, 1, 1, rng, bias=False)
+            self.pairs = [(ConvBN("p1.a", 1, 1, 1, rng), Leafless()), ()]
+            self.by_key = {"z": Conv("z", 1, 1, 1, rng), "a": Conv("a", 1, 1, 1, rng)}
             self.table = np.zeros(2)
             self.activation = ad.tensor(np.ones(2))  # not a parameter: skipped
             self.scale = 3.0

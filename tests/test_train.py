@@ -259,11 +259,28 @@ def test_evaluate_checkpoint_runs_one_forward_per_sample(tmp_path, monkeypatch):
         assert rep == evaluate(DepthMap(pred, np.ones_like(pred, dtype=bool)), s.depth)
 
 
-def test_evaluate_checkpoint_shape_mismatch(tmp_path):
-    data = tiny_dataset(n=1)
-    res = train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST),
+@pytest.mark.parametrize("wrong", ["every", "last"])
+@pytest.mark.parametrize("entry", ["train", "eval"])
+def test_evaluate_checkpoint_shape_mismatch(tmp_path, monkeypatch, entry, wrong):
+    """A sample whose spikes do not fit the model is refused by name before
+    any forward; `train` refuses it before it makes its out dir."""
+    good, bad = tiny_dataset(n=2), tiny_dataset(n=2, h=24, w=24)
+    data = bad if wrong == "every" else [good[0], bad[1]]
+    first_bad = data[0] if wrong == "every" else data[1]
+    refused = pytest.raises(ConfigError, match=f"mismatch.*'{first_bad.name}'")
+    if entry == "train":
+        with refused:
+            train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST),
+                  tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        return
+    res = train(good, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST),
                 tmp_path / "run")
-    other = tiny_dataset(n=1, h=24, w=24)
-    write_dataset(tmp_path / "data", other)
-    with pytest.raises(ConfigError, match="mismatch"):
+    write_dataset(tmp_path / "data", data)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran before the shape check")
+
+    monkeypatch.setattr(DepthModel, "forward", no_forward)
+    with refused:
         evaluate_checkpoint(res.checkpoint_path, tmp_path / "data")
