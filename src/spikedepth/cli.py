@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen, train, eval, infer, energy.  Standard output is
-machine-parsable ``key=value`` lines only; failures, usage errors included,
-print a single ``error=CATEGORY/message`` line and exit 1.  The
-``SDT_THREADS`` environment variable (default 1) caps BLAS/OpenMP thread
-pools for reproducible timings.
+machine-parsable ``key=value`` lines only; failures, usage errors and
+running out of memory included, print a single ``error=CATEGORY/message``
+line and exit 1.  The ``SDT_THREADS`` environment variable (default 1) caps
+BLAS/OpenMP thread pools for reproducible timings.
 """
 from __future__ import annotations
 
@@ -69,8 +69,7 @@ def _cmd_train(args) -> int:
     model_cfg = cfgmod.build_model_config(raw)
     distill_cfg = cfgmod.build_distill_config(raw, n_blocks=model_cfg.l)
     train_cfg = cfgmod.build_train_config(raw)
-    dataset = dataio.load_dataset(data_dir, need_teacher=train_cfg.kd)
-    result = train(dataset, model_cfg, distill_cfg, train_cfg, out_dir)
+    result = train(dataio.load_dataset(data_dir), model_cfg, distill_cfg, train_cfg, out_dir)
     _emit(
         steps=result.steps,
         final_total=repr(result.final_total),
@@ -185,13 +184,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SpikeDepthError as exc:
-        msg = str(exc).replace("\n", "; ")
-        print(f"error={exc.category}/{msg}")
-        return 1
-    except OSError as exc:
-        msg = str(exc).replace("\n", "; ")
-        print(f"error=IO/{msg}")
+    except (SpikeDepthError, OSError, MemoryError) as exc:
+        # a package error names its category; the OS and the allocator are IO
+        msg = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+        print(f"error={getattr(exc, 'category', 'IO')}/{msg}".replace("\n", "; "))
         return 1
 
 

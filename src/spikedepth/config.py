@@ -10,6 +10,7 @@ its nested `LifParams` fields flattened in place), `DistillConfig` and
 `TrainConfig` — plus the run paths ``data`` and ``out``.  A key's type is
 that of its field's default: ``on``/``off`` for a bool, an int, a finite
 float, comma-separated ints for a tuple, text otherwise.
+Each config checks its own fields when it is built and is frozen after.
 """
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ from .losses import DistillConfig
 from .model import ModelConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and run-length settings: checked when built, frozen after."""
+
     seed: int = 0
     epochs: int = 1
     steps: int = 0  # >0 caps total optimizer steps, cycling epochs as needed
@@ -35,7 +38,7 @@ class TrainConfig:
     kd: bool = True
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 0 or self.steps < 0 or (self.epochs == 0 and self.steps == 0):
             raise ConfigError("need epochs > 0 or steps > 0")
         if self.batch_size < 1:
@@ -50,7 +53,6 @@ class TrainConfig:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        return self
 
 
 def _items(cfg):
@@ -77,6 +79,16 @@ KEY_TYPES.update(data=str, out=str)  # run-level paths, consumed by the CLI
 KNOWN_KEYS = frozenset(KEY_TYPES)
 
 
+def _item(text: str, where: str):
+    """Stripped (key, value) of one ``key=value`` item; `where` prefixes errors."""
+    key, eq, value = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    if key not in KNOWN_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines into a raw string dict."""
     out: dict = {}
@@ -84,12 +96,7 @@ def parse_config_text(text: str) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"config line {ln}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"config line {ln}: unknown key {key!r}")
+        key, value = _item(line, f"config line {ln}")
         if key in out:
             raise ConfigError(f"config line {ln}: duplicate key {key!r}")
         out[key] = value
@@ -135,16 +142,7 @@ def _format(key: str, value) -> str:
 
 def apply_overrides(raw: dict, overrides) -> dict:
     """Merge ``key=value`` override strings (e.g. from a CLI) over a raw dict."""
-    merged = dict(raw)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"override: unknown key {key!r}")
-        merged[key] = value
-    return merged
+    return {**raw, **dict(_item(item, "override") for item in overrides or ())}
 
 
 def _build(cls, raw: dict):
@@ -162,15 +160,15 @@ def _build(cls, raw: dict):
 
 
 def build_model_config(raw: dict) -> ModelConfig:
-    return _build(ModelConfig, raw).validate()
+    return _build(ModelConfig, raw)
 
 
-def build_distill_config(raw: dict, n_blocks: int | None = None) -> DistillConfig:
-    return _build(DistillConfig, raw).validate(n_blocks)
+def build_distill_config(raw: dict, n_blocks: int) -> DistillConfig:
+    return _build(DistillConfig, raw).check_blocks(n_blocks)
 
 
 def build_train_config(raw: dict) -> TrainConfig:
-    return _build(TrainConfig, raw).validate()
+    return _build(TrainConfig, raw)
 
 
 def encode_model_config(cfg: ModelConfig, distill: DistillConfig | None = None) -> str:
@@ -185,7 +183,5 @@ def decode_model_config(text: str):
     """Inverse of :func:`encode_model_config` → (ModelConfig, DistillConfig|None)."""
     raw = parse_config_text(text)
     model_cfg = build_model_config(raw)
-    distill = None
-    if any(f.name in raw for f in fields(DistillConfig)):
-        distill = build_distill_config(raw, n_blocks=model_cfg.l)
-    return model_cfg, distill
+    kd = any(f.name in raw for f in fields(DistillConfig))
+    return model_cfg, build_distill_config(raw, n_blocks=model_cfg.l) if kd else None

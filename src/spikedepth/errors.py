@@ -2,6 +2,7 @@
 
 Every error raised by this package derives from SpikeDepthError and carries a
 `category` used by the CLI as the error prefix (CONFIG, DATA, NUMERIC, IO).
+The CLI reports `OSError` and `MemoryError` (out of memory) as IO too.
 """
 
 

@@ -8,7 +8,7 @@ offset of either map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +21,31 @@ from .layers import Conv, Module
 EPS_LOG = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillConfig:
+    """Loss weights and teacher matching: checked when built, frozen after."""
+
     lambda_p: float = 1.0
     lambda_2: float = 1.0
     matched_blocks: tuple = (4,)
     teacher_dim: int = 16
     si_log_domain: bool = False
 
-    def validate(self, l=None):
+    def __post_init__(self):
         if not (self.lambda_p >= 0 and self.lambda_2 >= 0):
             raise ConfigError("loss weights must be non-negative")
         if self.teacher_dim < 1:
             raise ConfigError(f"teacher_dim must be >= 1, got {self.teacher_dim}")
         if not self.matched_blocks:
             raise ConfigError("matched_blocks must name at least one block")
-        if l is not None:
-            bad = [i for i in self.matched_blocks if i < 1 or i > l]
-            if bad:
-                raise ConfigError(f"matched_blocks {bad} outside 1..{l}")
+        if len(set(self.matched_blocks)) != len(self.matched_blocks):
+            raise ConfigError(f"matched_blocks must be distinct, got {self.matched_blocks}")
+
+    def check_blocks(self, l: int) -> DistillConfig:
+        """This config, once every matched block is known to lie in 1..`l`."""
+        bad = [i for i in self.matched_blocks if i < 1 or i > l]
+        if bad:
+            raise ConfigError(f"matched_blocks {bad} outside 1..{l}")
         return self
 
 

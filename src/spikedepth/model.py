@@ -26,8 +26,10 @@ RATE_MODES = ("mean", "sum")
 HEAD_KINDS = ("fusion", "linear_fcn")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Backbone and head sizes: checked when built, frozen after."""
+
     t: int = 4
     c: int = 2
     h: int = 64
@@ -41,7 +43,7 @@ class ModelConfig:
     rate_mode: str = "mean"
     head: str = "fusion"
 
-    def validate(self):
+    def __post_init__(self):
         if self.h < 8 or self.w < 8 or self.h % 8 or self.w % 8:
             raise DimensionError(f"h and w must be positive multiples of 8, got ({self.h},{self.w})")
         if self.d < 4 or self.d % 4:
@@ -60,7 +62,6 @@ class ModelConfig:
             raise ConfigError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.head == "fusion" and self.l != 4:
             raise ConfigError(f"fusion head requires l=4 feature levels, got l={self.l}")
-        return self
 
     @property
     def embed_channels(self):
@@ -204,15 +205,11 @@ class DepthModel(Module):
     object checkpoints serialise, and the unnamed root of the module tree."""
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         self.embed = PatchEmbed(cfg, rng, dtype)
         self.blocks = [TransformerBlock(f"block{i}", cfg, rng, dtype) for i in range(1, cfg.l + 1)]
-        if cfg.head == "fusion":
-            self.head = FusionHead(cfg, rng, dtype)
-        else:
-            self.head = LinearFcnHead(cfg, rng, dtype)
+        self.head = (FusionHead if cfg.head == "fusion" else LinearFcnHead)(cfg, rng, dtype)
 
     def forward(self, spikes_dense: np.ndarray, training: bool, validate: bool = False):
         """Run backbone + head on one dense event stream [T,C,H,W].

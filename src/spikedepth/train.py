@@ -98,16 +98,28 @@ def _write_csv(path, rows):
     write_lines(path, lines)
 
 
-def _check_spike_shapes(dataset, cfg: ModelConfig, who: str) -> None:
-    """Refuse a dataset with any sample whose spikes are not (t, c, h, w)
-    of `cfg`, naming the first such sample."""
-    want = (cfg.t, cfg.c, cfg.h, cfg.w)
+def _check_dataset(dataset, cfg: ModelConfig, distill: DistillConfig | None, who: str) -> None:
+    """The one check of a dataset against the configs, before anything is
+    built: refuses an empty dataset (EmptyMaskError), and names the first
+    sample whose spikes are not (t, c, h, w) (ConfigError) or, with
+    `distill` given (KD on), that has no teacher features (DataError) or
+    features not (teacher_dim, h/8, w/8) (ConfigError)."""
+    if not dataset:
+        raise EmptyMaskError(f"{who}: empty dataset")
+    spikes = (cfg.t, cfg.c, cfg.h, cfg.w)
+    teacher = None if distill is None else (distill.teacher_dim, cfg.h // 8, cfg.w // 8)
     for s in dataset:
-        if s.spikes.shape != want:
+        if s.spikes.shape != spikes:
             raise ConfigError(
-                f"{who}: model/data mismatch: model expects spikes (t,c,h,w)={want}, "
+                f"{who}: model/data mismatch: model expects spikes (t,c,h,w)={spikes}, "
                 f"sample {s.name!r} has {s.spikes.shape}"
             )
+        if teacher is not None and s.teacher_features is None:
+            raise DataError(f"{who}: KD needs teacher features, sample {s.name!r} has none")
+        if teacher is not None and s.teacher_features.shape != teacher:
+            raise ConfigError(f"{who}: model/data mismatch: KD expects teacher features "
+                              f"(teacher_dim,h/8,w/8)={teacher}, sample {s.name!r} "
+                              f"has {s.teacher_features.shape}")
 
 
 def train(
@@ -118,20 +130,12 @@ def train(
     out_dir,
 ) -> TrainResult:
     """Optimize a fresh model on `dataset`; writes the per-step loss CSV and
-    checkpoint(s) under `out_dir` and returns the trained model."""
-    model_cfg.validate()
-    distill_cfg.validate(model_cfg.l)
-    train_cfg.validate()
-    if not dataset:
-        raise DataError("train: empty dataset")
-    if train_cfg.kd:
-        missing = [s.name for s in dataset if s.teacher_features is None]
-        if missing:
-            raise DataError(f"train: KD is on but samples lack teacher features: {missing}")
-    _check_spike_shapes(dataset, model_cfg, "train")
+    checkpoint(s) under `out_dir`, made once the model and optimizer exist,
+    and returns the trained model."""
+    distill_cfg.check_blocks(model_cfg.l)
+    kd_cfg = distill_cfg if train_cfg.kd else None
+    _check_dataset(dataset, model_cfg, kd_cfg, "train")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(train_cfg.seed)
     model = DepthModel(model_cfg, rng)
     projections = FeatureProjections(distill_cfg, model_cfg.d, rng) if train_cfg.kd else None
@@ -141,13 +145,14 @@ def train(
         named += projections.named_params()
     opt = Adam([p for _, p in named], train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
                train_cfg.adam_eps, train_cfg.grad_clip)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     n, bs = len(dataset), train_cfg.batch_size
     per_epoch = math.ceil(n / bs)
     max_steps = train_cfg.steps or train_cfg.epochs * per_epoch
 
     dense = [s.spikes.to_dense() for s in dataset]  # by dataset position: names may repeat
-    save_distill = distill_cfg if train_cfg.kd else None
 
     rows = []
     for step in range(1, max_steps + 1):
@@ -175,12 +180,12 @@ def train(
         opt.step(grad_scale=1.0 / k)
         rows.append((step, tot_acc / k, lp_acc / k, l2_acc / k))
         if train_cfg.checkpoint_every > 0 and step % train_cfg.checkpoint_every == 0:
-            save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, save_distill)
+            save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, kd_cfg)
 
     # save_checkpoint refuses non-finite tensors before it writes anything, so
     # a refused run leaves neither the checkpoint nor the loss CSV
     ckpt_path = out / CHECKPOINT_NAME
-    save_checkpoint(ckpt_path, model, projections, save_distill)
+    save_checkpoint(ckpt_path, model, projections, kd_cfg)
     csv_path = out / LOSS_CSV_NAME
     _write_csv(csv_path, rows)
     return TrainResult(model=model, projections=projections, rows=rows,
@@ -200,8 +205,7 @@ def _score(dataset, preds, eps):
 
 def evaluate_model(model: DepthModel, dataset, eps: float = DEFAULT_EPS):
     """→ (aggregate MetricsReport, per-sample [(name, MetricsReport), ...])."""
-    if not dataset:
-        raise EmptyMaskError("evaluate_model: no samples to evaluate")
+    _check_dataset(dataset, model.cfg, None, "evaluate_model")
     return _score(dataset, (model.predict(s.spikes.to_dense()) for s in dataset), eps)
 
 
@@ -230,9 +234,7 @@ def evaluate_checkpoint(ckpt_path, data_dir, eps: float = DEFAULT_EPS) -> EvalRe
 
     model, _, _ = load_model(ckpt_path)
     dataset = load_dataset(data_dir)
-    if not dataset:
-        raise EmptyMaskError("evaluate_checkpoint: no samples to evaluate")
-    _check_spike_shapes(dataset, model.cfg, "evaluate_checkpoint")
+    _check_dataset(dataset, model.cfg, None, "evaluate_checkpoint")
     pred0, entries = trace_forward(model, dataset[0].spikes.to_dense())
     report = price(entries, model)
     del entries  # holds every activation of the traced pass: free it before the next forward

@@ -185,7 +185,7 @@ def tiny_model_cfg(**overrides) -> ModelConfig:
     """Small-but-complete config: full fusion head, 4 blocks, ~4.7k params."""
     kw = dict(t=2, c=2, h=16, w=16, d=8, l=4, mlp_ratio=2)
     kw.update(overrides)
-    return ModelConfig(**kw).validate()
+    return ModelConfig(**kw)
 
 
 def tiny_model(seed=0, dtype=np.float32, **overrides) -> DepthModel:

@@ -176,16 +176,61 @@ def test_full_pipeline(tmp_path, capsys):
         assert KEY_VALUE.match(line), line
 
 
-# model sizes that are not positive, and train settings below their range
+# model sizes that are not positive, train settings below their range and a
+# matched block named twice
 @pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8",
-                                      "grad_clip=-1", "checkpoint_every=-2"])
+                                      "grad_clip=-1", "checkpoint_every=-2",
+                                      "matched_blocks=4,4"])
 def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):
     data = _tiny_data(tmp_path, capsys)
     run = tmp_path / "run"
-    rc, out = _run(capsys, ["train", "--data", str(data), "--out", str(run),
-                            "--set", "h=16", "--set", "w=16", "--set", override])
+    fits = ["t=2", "h=16", "w=16", "d=8", "teacher_dim=4", "steps=1"]  # all but `override`
+    rc, out = _run(capsys, ["train", "--data", str(data), "--out", str(run)]
+                   + [arg for kv in fits + [override] for arg in ("--set", kv)])
     assert rc == 1
     assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("override, category, message", [
+    ("teacher_dim=3", "CONFIG", "model/data mismatch: KD expects teacher features"),
+    ("kd=on", "DATA", "KD needs teacher features"),
+])
+def test_train_teacher_features_checked_before_the_run(tmp_path, capsys, override,
+                                                         category, message):
+    """Teacher features that do not fit `teacher_dim`, or are missing under KD,
+    end in one error line naming the sample, and the run makes no out dir."""
+    data = _tiny_data(tmp_path, capsys)  # teacher features of 4 channels
+    if category == "DATA":
+        (data / "sample_000.feat").unlink()  # the loader gives sample 0 no features
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG)
+    run = tmp_path / "run"
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data),
+                            "--out", str(run), "--set", override])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith(f"error={category}/train: "), out
+    assert message in out[0] and "'sample_000'" in out[0], out[0]
+    assert not run.exists()
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """An allocation that fails while the model is built ends in one IO line,
+    and the refused run makes no out dir."""
+    from spikedepth import train as train_mod
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 191. GiB for an array")
+
+    monkeypatch.setattr(train_mod, "DepthModel", no_memory)
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG)
+    run = tmp_path / "run"
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data),
+                            "--out", str(run)])
+    assert rc == 1
+    assert out == ["error=IO/out of memory: Unable to allocate 191. GiB for an array"]
     assert not run.exists()
 
 

@@ -1,4 +1,6 @@
 """Flat key=value config parsing, overrides, and encode/decode round-trips."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from spikedepth.config import (
     KEY_TYPES,
     KNOWN_KEYS,
+    TrainConfig,
     apply_overrides,
     build_distill_config,
     build_model_config,
@@ -54,7 +57,7 @@ def test_key_schema_is_pinned():
 ])
 def test_bad_values_keep_their_messages(build, raw, message):
     with pytest.raises(ConfigError) as info:
-        build(raw)
+        build(raw, 4) if build is build_distill_config else build(raw)
     assert str(info.value) == message
 
 
@@ -84,8 +87,30 @@ def test_apply_overrides():
     assert apply_overrides({"t": "2"}, None) == {"t": "2"}
     with pytest.raises(ConfigError, match="unknown key"):
         apply_overrides({}, ["nope=1"])
-    with pytest.raises(ConfigError, match="key=value"):
+    with pytest.raises(ConfigError) as info:
         apply_overrides({}, ["t"])
+    assert str(info.value) == "override: expected key=value, got 't'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t=2\njust a line\n", "config line 2: expected key=value, got 'just a line'"),
+    ("\n bogus = 1\n", "config line 2: unknown key 'bogus'"),
+])
+def test_config_lines_and_overrides_share_one_item_parser(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text)
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        apply_overrides({}, [text.splitlines()[-1]])
+    assert str(info.value) == message.replace("config line 2", "override")
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (ModelConfig(), "d"), (DistillConfig(), "matched_blocks"), (TrainConfig(), "lr"),
+])
+def test_configs_are_frozen(cfg, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, getattr(cfg, field))
 
 
 def test_build_model_config_types_and_routing():
@@ -121,11 +146,13 @@ def test_build_distill_config():
     assert cfg.matched_blocks == (2, 4)
     assert cfg.si_log_domain is True
     with pytest.raises(ConfigError, match="on/off"):
-        build_distill_config({"si_log_domain": "yes"})
+        build_distill_config({"si_log_domain": "yes"}, n_blocks=4)
     with pytest.raises(ConfigError, match="bad value"):
-        build_distill_config({"matched_blocks": "a,b"})
+        build_distill_config({"matched_blocks": "a,b"}, n_blocks=4)
     with pytest.raises(ConfigError, match="outside"):
         build_distill_config({"matched_blocks": "5"}, n_blocks=4)
+    with pytest.raises(ConfigError, match="distinct"):
+        build_distill_config({"matched_blocks": "4,4"}, n_blocks=4)
 
 
 def test_encode_decode_round_trip():
@@ -196,7 +223,7 @@ def _configs(draw):
         DistillConfig,
         lambda_p=st.floats(min_value=0, allow_infinity=False),
         lambda_2=st.floats(min_value=0, allow_infinity=False),
-        matched_blocks=st.lists(st.integers(1, l), min_size=1, max_size=4).map(tuple),
+        matched_blocks=st.lists(st.integers(1, l), min_size=1, max_size=4, unique=True).map(tuple),
         teacher_dim=st.integers(1, 1024),
         si_log_domain=st.booleans(),
     ))

@@ -21,16 +21,18 @@ from spikedepth.losses import DistillConfig, perceptual_loss, si_l2_loss, total_
 
 def test_distill_config_validation():
     with pytest.raises(ConfigError):
-        DistillConfig(lambda_p=-0.1).validate()
+        DistillConfig(lambda_p=-0.1)
     with pytest.raises(ConfigError):
-        DistillConfig(lambda_2=float("nan")).validate()
+        DistillConfig(lambda_2=float("nan"))
     with pytest.raises(ConfigError):
-        DistillConfig(matched_blocks=()).validate()
+        DistillConfig(matched_blocks=())
+    with pytest.raises(ConfigError, match="distinct"):
+        DistillConfig(matched_blocks=(4, 4))
     with pytest.raises(ConfigError):
-        DistillConfig(matched_blocks=(5,)).validate(l=4)
+        DistillConfig(matched_blocks=(5,)).check_blocks(4)
     with pytest.raises(ConfigError):
-        DistillConfig(teacher_dim=0).validate()
-    DistillConfig(matched_blocks=(2, 4)).validate(l=4)
+        DistillConfig(teacher_dim=0)
+    DistillConfig(matched_blocks=(2, 4)).check_blocks(4)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def test_total_both_components_zero(rng):
 
 def test_total_multi_block_matching(rng):
     model = tiny_model()
-    cfg = tiny_distill_cfg(matched_blocks=(2, 4)).validate(l=4)
+    cfg = tiny_distill_cfg(matched_blocks=(2, 4)).check_blocks(4)
     projections = tiny_projections(cfg)
     gt = depth_map(rng.random((16, 16)))
     teacher = rng.standard_normal((4, 2, 2)).astype(np.float32)

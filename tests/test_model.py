@@ -114,7 +114,7 @@ def test_config_validation():
 
 def test_linear_fcn_head_allows_other_depths():
     cfg = ModelConfig(t=2, c=2, h=16, w=16, d=8, l=2, mlp_ratio=2, head="linear_fcn")
-    model = DepthModel(cfg.validate(), np.random.default_rng(0))
+    model = DepthModel(cfg, np.random.default_rng(0))
     pred = model.predict(random_spikes(np.random.default_rng(1)))
     assert pred.shape == (16, 16)
 

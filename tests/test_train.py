@@ -102,8 +102,8 @@ def test_train_config_validation():
         dict(checkpoint_every=-2),
     ):
         with pytest.raises(ConfigError):
-            TrainConfig(**bad).validate()
-    TrainConfig().validate()
+            TrainConfig(**bad)
+    TrainConfig()
 
 
 def test_build_train_config_types():
@@ -187,6 +187,24 @@ def test_kd_on_requires_teacher_features(tmp_path):
           TrainConfig(**_FAST, kd=False), tmp_path)
 
 
+@pytest.mark.parametrize("wrong", ["channels", "missing"])
+def test_train_refuses_teacher_features_that_do_not_fit(tmp_path, wrong):
+    """Under KD, the last sample's teacher features with a wrong channel count
+    (or none) are refused by name before `train` makes its out dir; with KD
+    off the same data trains."""
+    data = tiny_dataset(n=3)
+    last = data[-1]
+    feats = last.teacher_features[:3] if wrong == "channels" else None
+    data[-1] = dataclasses.replace(last, teacher_features=feats)
+    error = ConfigError if wrong == "channels" else DataError
+    with pytest.raises(error, match=f"teacher features.*'{last.name}'"):
+        train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST),
+              tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST, kd=False),
+          tmp_path / "run")
+
+
 def test_empty_dataset_rejected(tmp_path):
     with pytest.raises(DataError, match="empty"):
         train([], tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST), tmp_path)
@@ -217,6 +235,20 @@ def test_evaluate_model_empty_raises():
 
     with pytest.raises(EmptyMaskError):
         evaluate_model(tiny_model(), [])
+
+
+def test_evaluate_model_shape_mismatch(monkeypatch):
+    from helpers import tiny_model
+
+    model = tiny_model()
+    data = [tiny_dataset(n=1)[0], tiny_dataset(n=2, h=24, w=24)[1]]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran before the shape check")
+
+    monkeypatch.setattr(DepthModel, "forward", no_forward)
+    with pytest.raises(ConfigError, match=f"mismatch.*'{data[1].name}'"):
+        evaluate_model(model, data)
 
 
 def test_evaluate_checkpoint_round_trip(tmp_path):
