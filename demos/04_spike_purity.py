@@ -9,7 +9,7 @@ import numpy as np
 
 from spikedepth import autodiff as ad
 from spikedepth.model import DepthModel, ModelConfig, spike_attention_product
-from spikedepth.trace import assert_spike_purity, trace_scopes
+from spikedepth.trace import assert_spike_purity
 
 # --- attention algebra on a hand-sized example ------------------------------
 q = ad.tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
@@ -40,7 +40,7 @@ print("softmax ops recorded :", sum(e.op == "softmax" for e in tape.entries))
 print("prediction range     : [%.3f, %.3f]  (untrained net: sparse activity "
       "fades, the head falls back to its 0.5 prior)" % (pred.data.min(), pred.data.max()))
 
-scopes = trace_scopes(tape.entries)
+scopes = [e.scope for e in tape.entries]
 print(f"\n{len(tape.entries)} ops across {len(set(scopes))} scopes; a sample path:")
 for s in list(dict.fromkeys(scopes))[:8]:
     print("  ", s)

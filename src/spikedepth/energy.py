@@ -8,8 +8,8 @@ Accounting convention (45 nm CMOS estimates):
     and the firing rate is measured on the actual spike operands, so the
     product equals the exact number of synaptic accumulates;
   * float layers (the first patch-embedding convolution, which sees analog
-    event currents, the depth head, distillation projections, and membrane
-    updates) cost full multiply-accumulates: energy = e_mac * executed MACs;
+    event currents, the depth head, and membrane updates) cost full
+    multiply-accumulates: energy = e_mac * executed MACs;
   * batch norm folds into the preceding convolution at inference and is not
     charged; pooling, upsampling interpolation and residual adds are
     comparison/add-only and left out of the tally.
@@ -31,7 +31,7 @@ E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
 
 # scope prefixes whose weighted ops are charged at full MAC cost
-FLOAT_SCOPES = ("embed.s1.conv", "head", "kd")
+FLOAT_SCOPES = ("embed.s1.conv", "head")
 
 
 def spike_energy_pj(equiv_macs: float, firing_rate: float, timesteps: int, e_ac_pj: float = E_AC_PJ) -> float:
@@ -138,55 +138,55 @@ def _window_active_sum(x, k, pad):
     return float(cover(x.shape[2]) @ x.sum(axis=(0, 1), dtype=np.float64) @ cover(x.shape[3]))
 
 
-def _conv_row(entry, e_mac_pj, e_ac_pj):
-    x, w = entry.inputs[0], entry.inputs[1]
-    xd = x.data
-    B = xd.shape[0]
-    cout, cin, k, _ = w.data.shape
-    od = entry.output.data
-    ho, wo = od.shape[-2], od.shape[-1]
-    equiv = cout * cin * k * k * ho * wo
-    is_float = any(entry.scope.startswith(p) for p in FLOAT_SCOPES)
-    if is_float or not is_binary(xd):
-        macs = equiv * B
-        return EnergyRow(entry.scope, "float", equiv, B, 1.0, macs, float_energy_pj(macs, e_mac_pj))
+def _conv_work(entry):
+    xd = entry.inputs[0].data
+    cout, cin, k, _ = entry.inputs[1].data.shape
+    ho, wo = entry.output.data.shape[-2:]
+    equiv, B = cout * cin * k * k * ho * wo, xd.shape[0]
+    if entry.scope.startswith(FLOAT_SCOPES) or not is_binary(xd):
+        return equiv, B, None
     # conv2d is stride 1, so its pad follows from the shapes
     pad = ((ho - 1) + k - xd.shape[2]) // 2
-    synops = cout * _window_active_sum(xd, k, pad)
-    rate = synops / (equiv * B) if equiv else 0.0
-    return EnergyRow(entry.scope, "spike", equiv, B,
-                     rate, synops, spike_energy_pj(equiv, rate, B, e_ac_pj))
+    return equiv, B, cout * _window_active_sum(xd, k, pad)
 
 
-def _matmul_row(entry, e_mac_pj, e_ac_pj):
-    a, b = entry.inputs
-    ashape, bshape = a.data.shape, b.data.shape
-    T = int(np.prod(ashape[:-2])) if len(ashape) > 2 else 1
-    m, kk = ashape[-2], ashape[-1]
-    n = bshape[-1]
-    equiv = m * kk * n
-    a_bin, b_bin = is_binary(a.data), is_binary(b.data)
-    if not (a_bin or b_bin) or any(entry.scope.startswith(p) for p in FLOAT_SCOPES):
-        macs = equiv * T
-        return EnergyRow(entry.scope, "float", equiv, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
+def _matmul_work(entry):
+    a, b = (t.data for t in entry.inputs)
+    *batch, m, kk = a.shape
+    n = b.shape[-1]
+    equiv, T = m * kk * n, int(np.prod(batch))
+    if entry.scope.startswith(FLOAT_SCOPES):
+        return equiv, T, None
+    a_bin, b_bin = is_binary(a), is_binary(b)
     # float64 sums count exactly up to 2**53; float32 ones drift past 2**24
     if a_bin and b_bin:
-        synops = float(entry.output.data.sum(dtype=np.float64))  # co-activation count
-    elif b_bin:
-        synops = m * float(b.data.sum(dtype=np.float64))
-    else:
-        synops = n * float(a.data.sum(dtype=np.float64))
+        return equiv, T, float(entry.output.data.sum(dtype=np.float64))  # co-activation count
+    if b_bin:
+        return equiv, T, m * float(b.sum(dtype=np.float64))
+    if a_bin:
+        return equiv, T, n * float(a.sum(dtype=np.float64))
+    return equiv, T, None
+
+
+def _mlif_work(entry):
+    xd = entry.inputs[0].data
+    # leak decay + scaled input add per neuron-step
+    return 2 * int(np.prod(xd.shape[1:])), xd.shape[0], None
+
+
+# op -> its work: (dense single-pass MACs, timesteps, synops, or None for a
+# float layer, which executes every MAC)
+_WORK = {"conv2d": _conv_work, "matmul": _matmul_work, "mlif": _mlif_work}
+
+
+def _row(entry, e_mac_pj, e_ac_pj):
+    equiv, T, synops = _WORK[entry.op](entry)
+    if synops is None:
+        macs = equiv * T
+        return EnergyRow(entry.scope, "float", equiv, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
     rate = synops / (equiv * T) if equiv else 0.0
     return EnergyRow(entry.scope, "spike", equiv, T,
                      rate, synops, spike_energy_pj(equiv, rate, T, e_ac_pj))
-
-
-def _mlif_row(entry, e_mac_pj):
-    xd = entry.inputs[0].data
-    T = xd.shape[0]
-    neurons = int(np.prod(xd.shape[1:]))
-    macs = 2 * neurons * T  # leak decay + scaled input add per neuron-step
-    return EnergyRow(entry.scope, "float", 2 * neurons, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
 
 
 def trace_forward(model, spikes_dense):
@@ -203,21 +203,17 @@ def trace_forward(model, spikes_dense):
 
 def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
     """Price every weighted layer among the tape entries of one forward pass
-    of `model` (loss scopes are skipped)."""
+    of `model`; costs that are negative, non-finite, or overflow the total
+    raise ConfigError."""
     for name, pj in (("e_mac_pj", e_mac_pj), ("e_ac_pj", e_ac_pj)):
         if not 0 <= pj < math.inf:  # NaN fails both comparisons
             raise ConfigError(f"energy: {name} must be finite and non-negative, got {pj}")
-    rows = []
-    for e in entries:
-        if e.scope.startswith("loss"):
-            continue
-        if e.op == "conv2d":
-            rows.append(_conv_row(e, e_mac_pj, e_ac_pj))
-        elif e.op == "matmul":
-            rows.append(_matmul_row(e, e_mac_pj, e_ac_pj))
-        elif e.op == "mlif":
-            rows.append(_mlif_row(e, e_mac_pj))
-    return EnergyReport(rows=rows, e_mac_pj=e_mac_pj, e_ac_pj=e_ac_pj, param_count=param_count(model))
+    rows = [_row(e, e_mac_pj, e_ac_pj) for e in entries if e.op in _WORK]
+    report = EnergyReport(rows=rows, e_mac_pj=e_mac_pj, e_ac_pj=e_ac_pj, param_count=param_count(model))
+    if not math.isfinite(report.total_pj):  # inf, or a silent layer's inf * 0
+        raise ConfigError(f"energy: costs e_mac_pj={e_mac_pj} and e_ac_pj={e_ac_pj} "
+                          f"overflow the energy total ({report.total_pj})")
+    return report
 
 
 def audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:

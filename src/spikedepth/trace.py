@@ -1,4 +1,4 @@
-"""Op-trace inspection: spike purity of the backbone and ablation parity.
+"""Op-trace inspection: spike purity of the backbone.
 
 A recorded tape doubles as an execution trace.  `assert_spike_purity` walks
 every backbone entry and enforces the spike-driven contract:
@@ -23,8 +23,9 @@ def is_binary(arr) -> bool:
     return bool(((arr == 0) | (arr == 1)).all())
 
 
-def _backbone_scope(scope: str) -> bool:
-    return scope.startswith("embed") or scope.startswith("block")
+# a product of two activations needs a binary operand; how each op reports it
+_PRODUCT_ERRORS = {"matmul": "matmul at {!r} multiplies two non-binary activations",
+                   "mul": "elementwise product at {!r} has no binary operand"}
 
 
 def assert_spike_purity(entries, boundary_tensors=()) -> dict:
@@ -33,29 +34,16 @@ def assert_spike_purity(entries, boundary_tensors=()) -> dict:
     for e in entries:
         if e.op == "softmax":
             raise ContractError(f"softmax found in trace at scope {e.scope!r}")
-        if not _backbone_scope(e.scope):
+        if not e.scope.startswith(("embed", "block")):  # backbone only
             continue
         if e.op == "conv2d":
-            x = e.inputs[0]
-            if not is_binary(x.data):
+            if not is_binary(e.inputs[0].data):
                 raise ContractError(f"conv at {e.scope!r} consumes a non-binary activation")
             checked["convs"] += 1
-        elif e.op == "matmul":
-            a, b = e.inputs
-            if not (a.is_param or b.is_param):
-                if not (is_binary(a.data) or is_binary(b.data)):
-                    raise ContractError(
-                        f"matmul at {e.scope!r} multiplies two non-binary activations"
-                    )
-                checked["matmuls"] += 1
-        elif e.op == "mul":
-            a, b = e.inputs
-            if not (a.is_param or b.is_param):
-                if not (is_binary(a.data) or is_binary(b.data)):
-                    raise ContractError(
-                        f"elementwise product at {e.scope!r} has no binary operand"
-                    )
-                checked["muls"] += 1
+        elif e.op in _PRODUCT_ERRORS and not any(t.is_param for t in e.inputs):
+            if not any(is_binary(t.data) for t in e.inputs):
+                raise ContractError(_PRODUCT_ERRORS[e.op].format(e.scope))
+            checked[e.op + "s"] += 1
         elif e.op == "mlif":
             if not is_binary(e.output.data):
                 raise ContractError(f"neuron output at {e.scope!r} is not binary")
@@ -74,11 +62,3 @@ def assert_spike_purity(entries, boundary_tensors=()) -> dict:
             raise ContractError("inter-layer backbone tensor is not binary")
         checked["boundaries"] += 1
     return checked
-
-
-def trace_scopes(entries) -> list[str]:
-    return [e.scope for e in entries]
-
-
-def has_scope_prefix(entries, prefix: str) -> bool:
-    return any(e.scope.startswith(prefix) for e in entries)

@@ -404,6 +404,8 @@ def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
     ("eval", "--eps", "nan"), ("eval", "--eps", "0"), ("eval", "--eps", "inf"),
     ("eval", "--eps", "1e300"),
     ("energy", "--e-mac", "nan"), ("energy", "--e-mac", "inf"), ("energy", "--e-ac", "-5"),
+    # finite costs whose energies overflow to inf, or to NaN on a silent layer
+    ("energy", "--e-mac", "1e308"), ("energy", "--e-ac", "1e308"),
 ])
 def test_eval_energy_hostile_argument_is_one_error_line(tmp_path, capsys, command, flag, value):
     data = _tiny_data(tmp_path, capsys)

@@ -8,16 +8,18 @@ from spikedepth import autodiff as ad
 from spikedepth.energy import (
     E_AC_PJ,
     E_MAC_PJ,
-    _matmul_row,
+    _row,
     _window_active_sum,
     audit,
     float_energy_pj,
     param_count,
+    price,
     spike_energy_pj,
     trace_forward,
 )
 from spikedepth.errors import ConfigError, DimensionError
-from spikedepth.layers import Conv
+from spikedepth.layers import Conv, Module
+from spikedepth.neuron import LifParams, mlif
 
 
 def test_pricing_formulas_exact():
@@ -47,8 +49,63 @@ def test_coactivation_count_is_exact():
     want = int(np.einsum("tnd,tdm->", q.astype(np.int64), kt.astype(np.int64)))
     with ad.tape() as tp, ad.scope("block1.attn.qk"):
         ad.matmul(ad.tensor(q), ad.tensor(kt))
-    row = _matmul_row(tp.entries[0], E_MAC_PJ, E_AC_PJ)
+    row = _row(tp.entries[0], E_MAC_PJ, E_AC_PJ)
     assert row.kind == "spike" and row.synops == want == 37803165
+
+
+def test_pricing_rules_on_a_hand_built_tape():
+    """Each pricing rule on ops recorded by hand, with small integer-valued
+    operands and dyadic costs, so every count and energy is exact."""
+
+    def t(a):
+        return ad.tensor(np.array(a, np.float32))
+
+    x4 = np.zeros((1, 1, 4, 4), np.float32)
+    x4[0, 0, 1, 1] = 1.0  # one spike under all four 3x3 windows at pad 0
+    x3 = np.zeros((2, 1, 3, 3), np.float32)
+    x3[0, 0, 0, 0] = x3[0, 0, 1, 1] = 1.0  # under 4 and 9 windows at pad 1
+    x3[1] = 1.0  # 7 * 7 windows
+    w2 = ad.parameter(np.ones((2, 1, 3, 3), np.float32))
+    w1 = ad.parameter(np.ones((1, 1, 3, 3), np.float32))
+    q = t([[[1, 0, 1], [0, 1, 1]], [[0, 0, 0], [1, 1, 1]]])  # [T=2, m=2, k=3]
+    kt = t([[[1, 0], [1, 1], [0, 1]], [[1, 0], [0, 0], [1, 1]]])  # [2, 3, 2]
+    scores = t([[[2, 1], [0, 3]], [[1, 0], [0, 2]]])  # counts, [2, 2, 2]
+    v = t([[[1, 0, 1], [0, 0, 1]], [[1, 1, 1], [0, 0, 0]]])  # 6 spikes, [2, 2, 3]
+    with ad.tape(grad=False) as tp:
+        with ad.scope("embed.s1.conv"):  # float scope, binary input
+            ad.conv2d(ad.tensor(x3), w1, pad=1)
+        with ad.scope("block1.mlp.fc1.conv"):
+            ad.conv2d(ad.tensor(x4), w2, pad=0)
+        with ad.scope("block1.mlp.fc2.conv"):
+            ad.conv2d(ad.tensor(x3), w1, pad=1)
+        with ad.scope("block1.attn.q.conv"):  # non-binary input
+            ad.conv2d(ad.tensor(x3 * 0.5), w1, pad=1)
+        with ad.scope("block1.attn.qk"):
+            ad.matmul(q, kt)
+        with ad.scope("block1.attn.av"):  # binary right operand
+            ad.matmul(scores, v)
+        with ad.scope("block2.attn.av"):  # binary left operand
+            ad.matmul(t(np.transpose(v.data, (0, 2, 1))), scores)
+        with ad.scope("block3.attn.av"):  # no binary operand
+            ad.matmul(scores, scores)
+        with ad.scope("block1.merge1"):  # not priced
+            ad.add(q, q)
+        with ad.scope("block1.attn.q.lif"):
+            mlif(t(np.zeros((2, 3, 4))), LifParams())
+    rep = price(tp.entries, Module(), e_mac_pj=4.0, e_ac_pj=0.5)
+    got = [(r.name, r.kind, r.equiv_macs, r.timesteps, r.synops, r.energy_pj) for r in rep.rows]
+    assert got == [
+        ("embed.s1.conv", "float", 81, 2, 162, 648.0),
+        ("block1.mlp.fc1.conv", "spike", 72, 1, 8.0, 4.0),  # 2 channels x 4 windows
+        ("block1.mlp.fc2.conv", "spike", 81, 2, 62.0, 31.0),  # 4 + 9 + 49
+        ("block1.attn.q.conv", "float", 81, 2, 162, 648.0),
+        ("block1.attn.qk", "spike", 12, 2, 8.0, 4.0),  # co-activations 5 + 3
+        ("block1.attn.av", "spike", 12, 2, 12.0, 6.0),  # m=2 rows x 6 spikes
+        ("block2.attn.av", "spike", 12, 2, 12.0, 6.0),  # n=2 columns x 6 spikes
+        ("block3.attn.av", "float", 8, 2, 16, 64.0),
+        ("block1.attn.q.lif", "float", 24, 2, 48, 192.0),  # 2 ops x 12 neurons
+    ]
+    assert rep.total_pj == 1603.0 and rep.param_count == 0
 
 
 def test_trace_forward_keeps_no_backward_state(rng):
@@ -162,4 +219,9 @@ def test_audit_input_validation(rng):
         audit(model, np.zeros((2, 16, 16), np.float32))
     for e_mac, e_ac in [(np.nan, E_AC_PJ), (np.inf, E_AC_PJ), (E_MAC_PJ, -5.0), (E_MAC_PJ, np.nan)]:
         with pytest.raises(ConfigError):
+            audit(model, random_spikes(rng), e_mac_pj=e_mac, e_ac_pj=e_ac)
+    # finite costs whose energies overflow: an infinite total, or a silent
+    # layer's inf * 0 = NaN
+    for e_mac, e_ac in [(1e308, E_AC_PJ), (E_MAC_PJ, 1e308)]:
+        with pytest.raises(ConfigError, match="e_mac_pj.*e_ac_pj"):
             audit(model, random_spikes(rng), e_mac_pj=e_mac, e_ac_pj=e_ac)

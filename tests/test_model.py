@@ -12,7 +12,8 @@ from spikedepth.model import (
     merge_spikes,
     spike_attention_product,
 )
-from spikedepth.trace import assert_spike_purity, has_scope_prefix, is_binary, trace_scopes
+from spikedepth.neuron import LifParams, mlif
+from spikedepth.trace import assert_spike_purity, is_binary
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +182,9 @@ def test_trace_scope_naming(rng):
     model = tiny_model()
     with ad.tape() as t:
         model.forward(random_spikes(rng), training=False)
-    scopes = trace_scopes(t.entries)
-    assert has_scope_prefix(t.entries, "embed")
-    assert has_scope_prefix(t.entries, "block1.attn")
-    assert has_scope_prefix(t.entries, "block4.merge2")
-    assert has_scope_prefix(t.entries, "head")
+    scopes = [e.scope for e in t.entries]
+    for prefix in ("embed", "block1.attn", "block4.merge2", "head"):
+        assert any(s.startswith(prefix) for s in scopes), prefix
     assert any(".qk" in s for s in scopes) and any(".av" in s for s in scopes)
 
 
@@ -197,6 +196,48 @@ def test_purity_catches_planted_violation(rng):
     bad = ad.tensor(np.full((2, 2), 0.5))
     with pytest.raises(ContractError):
         assert_spike_purity(t.entries, boundary_tensors=[bad])
+
+
+def _half(shape):
+    return ad.tensor(np.full(shape, 0.5, np.float32))
+
+
+def _plant_neuron():
+    out = mlif(_half((2, 3)), LifParams())
+    out.data[...] = 0.5
+
+
+# one planted violation per purity rule: (scope, op recorded there)
+PLANTED = {
+    "conv": ("block1.mlp.fc1.conv",
+             lambda: ad.conv2d(_half((1, 1, 3, 3)), ad.parameter(np.ones((1, 1, 1, 1))))),
+    "matmul": ("block1.attn.av", lambda: ad.matmul(_half((2, 2)), _half((2, 2)))),
+    "mul": ("block1.attn.gate", lambda: ad.mul(_half((2, 2)), _half((2, 2)))),
+    "neuron": ("block1.attn.q.lif", _plant_neuron),
+    "clamp_merge": ("block1.merge1", lambda: ad.clamp(ad.tensor(np.full((2, 2), 2.0)), 0.0, 2.0)),
+    "add_merge": ("block1.merge2", lambda: ad.add(_half((2, 2)), ad.tensor(np.ones((2, 2))))),
+}
+
+
+@pytest.mark.parametrize("rule", [*PLANTED, "boundary"])
+def test_purity_catches_one_planted_violation_per_rule(rule):
+    if rule == "boundary":
+        with pytest.raises(ContractError):
+            assert_spike_purity([], boundary_tensors=[_half((2, 2))])
+        return
+    scope, record = PLANTED[rule]
+    with ad.tape(grad=False) as t, ad.scope(scope):
+        record()
+    with pytest.raises(ContractError, match=scope):
+        assert_spike_purity(t.entries)
+
+
+def test_purity_passes_a_product_with_a_parameter_operand():
+    with ad.tape(grad=False) as t, ad.scope("block1.attn.gate"):
+        ad.mul(ad.parameter(np.full((2, 2), 0.5)), _half((2, 2)))
+        ad.matmul(_half((2, 2)), ad.parameter(np.full((2, 2), 0.5)))
+    counters = assert_spike_purity(t.entries)
+    assert counters["muls"] == counters["matmuls"] == 0
 
 
 def test_purity_catches_non_binary_attention_operand(rng):
