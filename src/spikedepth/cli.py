@@ -183,7 +183,10 @@ def main(argv=None) -> int:
         return 1
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # a non-finite value ends in a NumericError from the op that made it
+        # (`autodiff._guard`, `neuron.lif_step`), not in numpy warnings on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (SpikeDepthError, OSError, MemoryError) as exc:
         # a package error names its category; the OS and the allocator are IO
         msg = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)

@@ -144,10 +144,10 @@ def _conv_work(entry):
     ho, wo = entry.output.data.shape[-2:]
     equiv, B = cout * cin * k * k * ho * wo, xd.shape[0]
     if entry.scope.startswith(FLOAT_SCOPES) or not is_binary(xd):
-        return equiv, B, None
+        return [(entry.scope, equiv, B, None)]
     # conv2d is stride 1, so its pad follows from the shapes
     pad = ((ho - 1) + k - xd.shape[2]) // 2
-    return equiv, B, cout * _window_active_sum(xd, k, pad)
+    return [(entry.scope, equiv, B, cout * _window_active_sum(xd, k, pad))]
 
 
 def _matmul_work(entry):
@@ -156,36 +156,65 @@ def _matmul_work(entry):
     n = b.shape[-1]
     equiv, T = m * kk * n, int(np.prod(batch))
     if entry.scope.startswith(FLOAT_SCOPES):
-        return equiv, T, None
+        return [(entry.scope, equiv, T, None)]
     a_bin, b_bin = is_binary(a), is_binary(b)
     # float64 sums count exactly up to 2**53; float32 ones drift past 2**24
     if a_bin and b_bin:
-        return equiv, T, float(entry.output.data.sum(dtype=np.float64))  # co-activation count
-    if b_bin:
-        return equiv, T, m * float(b.sum(dtype=np.float64))
-    if a_bin:
-        return equiv, T, n * float(a.sum(dtype=np.float64))
-    return equiv, T, None
+        synops = float(entry.output.data.sum(dtype=np.float64))  # co-activation count
+    elif b_bin:
+        synops = m * float(b.sum(dtype=np.float64))
+    elif a_bin:
+        synops = n * float(a.sum(dtype=np.float64))
+    else:
+        synops = None
+    return [(entry.scope, equiv, T, synops)]
+
+
+def _attention_work(entry):
+    """The `qk` and `av` rows `_matmul_work` gives the products Q K^T and
+    (Q K^T) V that a fused Q (K^T V) stands for, without forming Q K^T.
+
+    The entry exists only for binary q [T,N,D], k [T,M,D], v [T,M,Dv].  The
+    co-activation count of Q K^T is sum_t sum_d (sum_n q)(sum_m k).  Q K^T is
+    itself binary unless some row pair shares two channels: an off-diagonal
+    (d1, d2) set in both Q^T Q and K^T K.  If binary, the count of (Q K^T) V
+    is sum_m (K . sum_n q)_m (sum_d v)_m, else `_matmul_work` charges N per
+    spike of v.  Every sum is a float64 integer, exact like the ones it
+    replaces.
+    """
+    q, k, v = (t.data for t in entry.inputs)
+    T, N, D = q.shape
+    M, Dv = v.shape[1:]
+    q_count = q.sum(axis=1, dtype=np.float64)  # [T, D] spikes per channel
+    qk = float((q_count * k.sum(axis=1, dtype=np.float64)).sum())
+    shared = (q.transpose(0, 2, 1) @ q > 0) & (k.transpose(0, 2, 1) @ k > 0)
+    if shared[:, ~np.eye(D, dtype=bool)].any():
+        av = N * float(v.sum(dtype=np.float64))
+    else:
+        key_count = np.einsum("tmd,td->tm", k, q_count)  # [T, M] column sums of Q K^T
+        av = float((key_count * v.sum(axis=2, dtype=np.float64)).sum())
+    scope = entry.scope + "." if entry.scope else ""
+    return [(scope + "qk", N * D * M, T, qk), (scope + "av", N * M * Dv, T, av)]
 
 
 def _mlif_work(entry):
     xd = entry.inputs[0].data
     # leak decay + scaled input add per neuron-step
-    return 2 * int(np.prod(xd.shape[1:])), xd.shape[0], None
+    return [(entry.scope, 2 * int(np.prod(xd.shape[1:])), xd.shape[0], None)]
 
 
-# op -> its work: (dense single-pass MACs, timesteps, synops, or None for a
-# float layer, which executes every MAC)
-_WORK = {"conv2d": _conv_work, "matmul": _matmul_work, "mlif": _mlif_work}
+# op -> its rows: [(name, dense single-pass MACs, timesteps, synops, or None
+# for a float layer, which executes every MAC)]
+_WORK = {"conv2d": _conv_work, "matmul": _matmul_work,
+         "spike_attention": _attention_work, "mlif": _mlif_work}
 
 
-def _row(entry, e_mac_pj, e_ac_pj):
-    equiv, T, synops = _WORK[entry.op](entry)
+def _row(name, equiv, T, synops, e_mac_pj, e_ac_pj):
     if synops is None:
         macs = equiv * T
-        return EnergyRow(entry.scope, "float", equiv, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
+        return EnergyRow(name, "float", equiv, T, 1.0, macs, float_energy_pj(macs, e_mac_pj))
     rate = synops / (equiv * T) if equiv else 0.0
-    return EnergyRow(entry.scope, "spike", equiv, T,
+    return EnergyRow(name, "spike", equiv, T,
                      rate, synops, spike_energy_pj(equiv, rate, T, e_ac_pj))
 
 
@@ -194,7 +223,8 @@ def trace_forward(model, spikes_dense):
 
     Returns (depth prediction [H, W], the tape entries); the prediction is
     the array `model.predict` returns for the same input.  The entries hold
-    every op's inputs and output but no backward state.
+    every op's inputs and output but no backward state, and each attention
+    product is one fused `spike_attention` entry, not an N x N matrix.
     """
     with ad.tape(grad=False) as tp:
         _, pred = model.forward(spikes_dense, training=False)
@@ -208,7 +238,7 @@ def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) 
     for name, pj in (("e_mac_pj", e_mac_pj), ("e_ac_pj", e_ac_pj)):
         if not 0 <= pj < math.inf:  # NaN fails both comparisons
             raise ConfigError(f"energy: {name} must be finite and non-negative, got {pj}")
-    rows = [_row(e, e_mac_pj, e_ac_pj) for e in entries if e.op in _WORK]
+    rows = [_row(*work, e_mac_pj, e_ac_pj) for e in entries if e.op in _WORK for work in _WORK[e.op](e)]
     report = EnergyReport(rows=rows, e_mac_pj=e_mac_pj, e_ac_pj=e_ac_pj, param_count=param_count(model))
     if not math.isfinite(report.total_pj):  # inf, or a silent layer's inf * 0
         raise ConfigError(f"energy: costs e_mac_pj={e_mac_pj} and e_ac_pj={e_ac_pj} "

@@ -6,7 +6,8 @@ every backbone entry and enforces the spike-driven contract:
   * no softmax anywhere in the trace;
   * every convolution inside the backbone consumes a binary activation;
   * every activation-by-activation product has at least one binary operand
-    (so no float-by-float multiplications between spike tensors);
+    (so no float-by-float multiplications between spike tensors), and a
+    fused attention product Q (K^T V) has three binary operands;
   * residual merges and neuron outputs are exactly binary, as are the
     declared layer-boundary tensors.
 """
@@ -44,6 +45,10 @@ def assert_spike_purity(entries, boundary_tensors=()) -> dict:
             if not any(is_binary(t.data) for t in e.inputs):
                 raise ContractError(_PRODUCT_ERRORS[e.op].format(e.scope))
             checked[e.op + "s"] += 1
+        elif e.op == "spike_attention":
+            if not all(is_binary(t.data) for t in e.inputs):
+                raise ContractError(f"fused attention at {e.scope!r} has a non-binary operand")
+            checked["matmuls"] += 2  # it stands for Q K^T and (Q K^T) V
         elif e.op == "mlif":
             if not is_binary(e.output.data):
                 raise ContractError(f"neuron output at {e.scope!r} is not binary")

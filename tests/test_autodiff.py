@@ -496,7 +496,7 @@ def test_untaped_forward_keeps_no_backward_state(monkeypatch):
         for i in projections.cfg.matched_blocks:
             projections.forward(i, rate_encode(feats[i - 1]))
     ops = {op for op, _ in outputs}
-    assert {"conv2d", "batchnorm", "maxpool2d", "mlif", "matmul", "upsample_bilinear"} <= ops
+    assert {"conv2d", "batchnorm", "maxpool2d", "mlif", "spike_attention", "upsample_bilinear"} <= ops
     assert not any(needs for _, needs in outputs)
     assert kept and not any(kept)
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,22 @@ def test_non_finite_config_value_fails_before_training(tmp_path, capsys, overrid
     assert rc == 1
     assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
     assert not (run / "model.sdtw").exists()
+
+
+@pytest.mark.parametrize("override", ["s=1e308", "lr=1e30"])
+def test_overflow_is_one_numeric_error_line_and_no_warning(tmp_path, capsys, override):
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise out of main
+        rc = main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "run"), "--set", override])
+    captured = capsys.readouterr()
+    assert rc == 1
+    out = captured.out.splitlines()
+    assert len(out) == 1 and out[0].startswith("error=NUMERIC/"), out
+    assert captured.err == ""
 
 
 def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):

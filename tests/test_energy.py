@@ -8,7 +8,6 @@ from spikedepth import autodiff as ad
 from spikedepth.energy import (
     E_AC_PJ,
     E_MAC_PJ,
-    _row,
     _window_active_sum,
     audit,
     float_energy_pj,
@@ -49,7 +48,7 @@ def test_coactivation_count_is_exact():
     want = int(np.einsum("tnd,tdm->", q.astype(np.int64), kt.astype(np.int64)))
     with ad.tape() as tp, ad.scope("block1.attn.qk"):
         ad.matmul(ad.tensor(q), ad.tensor(kt))
-    row = _row(tp.entries[0], E_MAC_PJ, E_AC_PJ)
+    [row] = price(tp.entries, Module()).rows
     assert row.kind == "spike" and row.synops == want == 37803165
 
 
@@ -112,8 +111,11 @@ def test_trace_forward_keeps_no_backward_state(rng):
     model = tiny_model(seed=0)
     spikes = random_spikes(rng, p=0.4)
     pred, entries = trace_forward(model, spikes)
-    assert {"conv2d", "batchnorm", "matmul", "mlif"} <= {e.op for e in entries}
+    assert {"conv2d", "batchnorm", "spike_attention", "mlif"} <= {e.op for e in entries}
     assert all(e.bwd is None for e in entries)
+    cfg = model.cfg  # the fused attention forms no [T, N, N] matrix
+    assert all(t.data.shape != (cfg.t, cfg.tokens, cfg.tokens)
+               for e in entries for t in (*e.inputs, e.output) if t is not None)
     assert np.array_equal(pred, model.predict(spikes))
 
 

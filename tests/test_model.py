@@ -1,9 +1,15 @@
 """Backbone structure: spiking attention algebra, residual merges, purity."""
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_spikes, tiny_model, tiny_model_cfg
 from spikedepth import autodiff as ad
+from spikedepth import model as model_mod
+from spikedepth.energy import price
 from spikedepth.errors import ConfigError, ContractError, DimensionError
 from spikedepth.layers import Conv, ConvBN, Module
 from spikedepth.model import (
@@ -67,6 +73,72 @@ def test_attention_scale_keeps_nonnegativity(rng):
     q, k, v = (ad.tensor((rng.random((1, 6, 6)) < 0.5).astype(float)) for _ in range(3))
     for s in (0.1, 0.25, 2.0):
         assert spike_attention_product(q, k, v, s).data.min() >= 0.0
+
+
+def _attention_operands(t, n, m, d, dv, density, seed, dtype):
+    rng = np.random.default_rng(seed)
+    return [(rng.random(shape) < density).astype(dtype) for shape in ((t, n, d), (t, m, d), (t, m, dv))]
+
+
+def _ops(entries):
+    return [e.op for e in entries]
+
+
+def _in_scope(scope):
+    return ad.scope(scope) if scope else nullcontext()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(t=st.integers(1, 3), n=st.integers(1, 16), m=st.integers(1, 16), d=st.integers(1, 16),
+       dv=st.integers(1, 16), density=st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.6, 1.0]),
+       seed=st.integers(0, 2 ** 16), dtype=st.sampled_from([np.float32, np.float64]),
+       s=st.sampled_from([0.25, 1 / 3, 2.0]), scope=st.sampled_from(["", "block1.attn"]))
+@example(t=2, n=16, m=16, d=16, dv=16, density=0.05, seed=0, dtype=np.float32, s=0.25,
+         scope="block1.attn")  # every count of Q K^T is 0 or 1: the binary `av` rule
+@example(t=1, n=4, m=4, d=4, dv=4, density=1.0, seed=0, dtype=np.float32, s=0.25,
+         scope="block1.attn")  # counts of 4: the N-per-spike `av` rule
+def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, seed, dtype, s, scope):
+    """Q (K^T V) for spikes gives the bits of (Q K^T) V and the energy rows
+    of its two products; it stands aside for a gradient, a non-binary
+    operand, or an M*D past the exact-integer limit."""
+    q, k, v = _attention_operands(t, n, m, d, dv, density, seed, dtype)
+    with ad.tape() as grad_tape, _in_scope(scope):
+        want = spike_attention_product(*(ad.parameter(a) for a in (q, k, v)), s)
+    assert _ops(grad_tape.entries) == ["transpose", "matmul", "matmul", "scale"]
+
+    got = spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)  # no tape
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+    with ad.tape(grad=False) as tp, _in_scope(scope):
+        spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)
+    assert _ops(tp.entries) == ["spike_attention", "scale"]
+    assert price(tp.entries, Module()).rows == price(grad_tape.entries, Module()).rows
+
+    half = [q, k, v]
+    half[seed % 3] = half[seed % 3] * 0.5 + 0.25  # not binary anywhere
+    with ad.tape(grad=False) as tp:
+        spike_attention_product(*map(ad.tensor, half), s)
+    assert "spike_attention" not in _ops(tp.entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "EXACT_SUM_LIMIT", m * d)
+        with ad.tape(grad=False) as tp:
+            small = spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)
+        assert "spike_attention" not in _ops(tp.entries) and small.data.tobytes() == want.data.tobytes()
+        mp.setattr(model_mod, "EXACT_SUM_LIMIT", m * d + 1)
+        with ad.tape(grad=False) as tp:
+            spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)
+        assert "spike_attention" in _ops(tp.entries)
+
+
+def test_purity_counts_fused_attention_as_two_products(rng):
+    model = tiny_model(seed=1)
+    x = random_spikes(rng, p=0.4)
+    counters = {}
+    for grad in (True, False):
+        with ad.tape(grad=grad) as t:
+            feats, _ = model.forward(x, training=False)
+        assert ("spike_attention" in _ops(t.entries)) is not grad
+        counters[grad] = assert_spike_purity(t.entries, boundary_tensors=feats)
+    assert counters[True] == counters[False]
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +279,19 @@ def _plant_neuron():
     out.data[...] = 0.5
 
 
+def _plant_attention():
+    q, k, v = (ad.tensor(np.ones((1, 2, 2), np.float32)) for _ in range(3))
+    spike_attention_product(q, k, v, 1.0)  # fused on an inspection tape
+    v.data[...] = 0.5  # only the last operand
+
+
 # one planted violation per purity rule: (scope, op recorded there)
 PLANTED = {
     "conv": ("block1.mlp.fc1.conv",
              lambda: ad.conv2d(_half((1, 1, 3, 3)), ad.parameter(np.ones((1, 1, 1, 1))))),
     "matmul": ("block1.attn.av", lambda: ad.matmul(_half((2, 2)), _half((2, 2)))),
     "mul": ("block1.attn.gate", lambda: ad.mul(_half((2, 2)), _half((2, 2)))),
+    "spike_attention": ("block1.attn", _plant_attention),
     "neuron": ("block1.attn.q.lif", _plant_neuron),
     "clamp_merge": ("block1.merge1", lambda: ad.clamp(ad.tensor(np.full((2, 2), 2.0)), 0.0, 2.0)),
     "add_merge": ("block1.merge2", lambda: ad.add(_half((2, 2)), ad.tensor(np.ones((2, 2))))),
