@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -40,15 +41,17 @@ def _named_tensors(model, projections=None):
 
 
 def save_checkpoint(path, model, projections=None, distill=None) -> None:
-    """Write the model (and projections) to `path` atomically: a failed write
-    leaves any old file at `path` untouched.  Raises NumericError, before
-    any file is opened, if a tensor holds NaN or inf."""
+    """Write the model (and projections) to `path` atomically, making its
+    directory if needed: a failed write leaves any old file at `path`
+    untouched.  Raises NumericError, before any directory or file is made,
+    if a tensor holds NaN or inf."""
     text = cfgmod.encode_model_config(model.cfg, distill)
     items = list(_named_tensors(model, projections))
     if not np.isfinite(np.concatenate([np.ravel(arr) for _, arr in items])).all():
         # one vectorised pass above; the offending names are found only on failure
         bad = [name for name, arr in items if not np.isfinite(arr).all()]
         raise NumericError(f"refusing to save non-finite tensors: {', '.join(bad)}")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     blob = text.encode("utf-8")
     chunks = [blob, struct.pack("<I", len(items))]
     for name, arr in items:

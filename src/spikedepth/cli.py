@@ -37,6 +37,7 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import dataio, energy
 from .errors import ConfigError, SpikeDepthError
+from .metrics import MetricsReport
 from .train import evaluate_checkpoint, train
 
 
@@ -80,20 +81,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _report(lines, csv_path, csv_lines) -> int:
+    """Write `csv_lines` to `csv_path`, if given, before the first report
+    line is printed, so that a CSV that cannot be written ends in one
+    error= line alone."""
+    if csv_path:
+        dataio.write_lines(csv_path, csv_lines)
+    for line in lines:
+        print(line)
+    if csv_path:
+        _emit(csv=csv_path)
+    return 0
+
+
 def _cmd_eval(args) -> int:
     res = evaluate_checkpoint(args.ckpt, args.data, eps=args.eps)
-    _emit(count=len(res.per_sample))
-    for line in res.metrics.to_lines():
-        print(line)
-    for line in res.energy.to_lines():
-        print(f"energy.{line}")
-    if args.csv:
-        from .metrics import MetricsReport
-
-        dataio.write_lines(args.csv, [MetricsReport.csv_header()]
-                           + [rep.to_csv_row(name) for name, rep in res.per_sample])
-        _emit(csv=args.csv)
-    return 0
+    lines = [f"count={len(res.per_sample)}", *res.metrics.to_lines(),
+             *(f"energy.{line}" for line in res.energy.to_lines())]
+    rows = [MetricsReport.csv_header()] + [rep.to_csv_row(name) for name, rep in res.per_sample]
+    return _report(lines, args.csv, rows)
 
 
 def _cmd_infer(args) -> int:
@@ -112,12 +118,7 @@ def _cmd_energy(args) -> int:
     model, _, _ = ckpt.load_model(args.ckpt)
     spikes = dataio.read_spikes(args.spk)
     report = energy.audit(model, spikes.to_dense(), e_mac_pj=args.e_mac, e_ac_pj=args.e_ac)
-    for line in report.to_lines():
-        print(line)
-    if args.csv:
-        dataio.write_lines(args.csv, report.csv_rows())
-        _emit(csv=args.csv)
-    return 0
+    return _report(report.to_lines(), args.csv, report.csv_rows())
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,18 +15,13 @@ from .errors import DimensionError
 from .layers import Conv, ConvBN, Module
 
 
-def rate_encode(x: ad.Tensor, mode: str = "mean") -> ad.Tensor:
+def rate_encode(x: ad.Tensor) -> ad.Tensor:
     """Collapse the leading time axis of a spike stack [T,D,h,w] to firing
-    rates (mode="mean") or spike counts (mode="sum"), as one map [1,D,h,w]."""
+    rates, the mean over T, as one map [1,D,h,w]."""
     if x.data.ndim < 1 or x.data.shape[0] < 1:
         raise DimensionError(f"rate_encode: need a non-empty time axis, got {x.data.shape}")
     with ad.scope("rate"):
-        s = ad.reduce_sum(x, axis=0)
-        if mode == "mean":
-            return ad.scale(s, 1.0 / x.data.shape[0])
-        if mode == "sum":
-            return s
-    raise DimensionError(f"rate_encode: unknown mode {mode!r}")
+        return ad.scale(ad.reduce_sum(x, axis=0), 1.0 / x.data.shape[0])
 
 
 class FusionHead(Module):
@@ -47,7 +42,6 @@ class FusionHead(Module):
 
     def __init__(self, cfg, rng, dtype=np.float32):
         d = cfg.d
-        self.rate_mode = cfg.rate_mode
         self.conv2 = ConvBN("l2.conv", d, d, 3, rng, dtype)
         self.conv3 = ConvBN("l3.conv", d, d, 3, rng, dtype)
         self.conv4 = ConvBN("l4.conv", d, d, 3, rng, dtype)
@@ -57,7 +51,7 @@ class FusionHead(Module):
         if len(features) != 4:
             raise DimensionError(f"fusion head needs exactly 4 feature stacks, got {len(features)}")
         with ad.scope(self.name):
-            r1, r2, r3, r4 = (rate_encode(f, self.rate_mode) for f in features)
+            r1, r2, r3, r4 = (rate_encode(f) for f in features)
             y2 = ad.add(self.conv2.forward(ad.upsample_bilinear(r1, 2), training),
                         ad.upsample_bilinear(r2, 2))
             y3 = ad.add(self.conv3.forward(ad.upsample_bilinear(y2, 2), training),
@@ -75,14 +69,13 @@ class LinearFcnHead(Module):
     name = "head"
 
     def __init__(self, cfg, rng, dtype=np.float32):
-        self.rate_mode = cfg.rate_mode
         self.proj = ConvBN("fcn.conv", cfg.d, 1, 1, rng, dtype)
 
     def forward(self, features, training):
         if not features:
             raise DimensionError("linear_fcn head needs at least one feature stack")
         with ad.scope(self.name):
-            r = rate_encode(features[-1], self.rate_mode)
+            r = rate_encode(features[-1])
             y = self.proj.forward(r, training)
             out = ad.sigmoid(ad.upsample_bilinear(y, 8))
             return ad.reshape(out, out.data.shape[-2:])

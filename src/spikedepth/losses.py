@@ -112,7 +112,6 @@ def total_loss(
     teacher: np.ndarray | None,
     projections: FeatureProjections | None,
     cfg: DistillConfig,
-    rate_mode: str = "mean",
 ):
     """lambda_p * sum of matched perceptual terms + lambda_2 * SI-L2.
 
@@ -134,7 +133,7 @@ def total_loss(
             lp_sum = None
             for i in cfg.matched_blocks:
                 feat = features[i - 1]
-                projected = projections.forward(i, rate_encode(feat, rate_mode))
+                projected = projections.forward(i, rate_encode(feat))
                 term = perceptual_loss(projected, teacher_t)
                 lp_sum = term if lp_sum is None else ad.add(lp_sum, term)
         lp_value = float(lp_sum.data)

@@ -21,8 +21,6 @@ from .layers import ConvBN, Mlif, Module
 from .neuron import LifParams
 from .trace import is_binary
 
-MERGE_MODES = ("clamp", "add")
-RATE_MODES = ("mean", "sum")
 HEAD_KINDS = ("fusion", "linear_fcn")
 
 
@@ -39,6 +37,8 @@ class ModelConfig:
     s: float = 0.25
     mlp_ratio: int = 4
     lif: LifParams = field(default_factory=LifParams)
+    # checkpoint-format fields with one valid value each, which no model
+    # code reads: residual merges are always binary OR, rates always the mean
     merge: str = "clamp"
     rate_mode: str = "mean"
     head: str = "fusion"
@@ -54,10 +54,10 @@ class ModelConfig:
             raise ConfigError(f"attention scale s must be positive, got {self.s}")
         if self.mlp_ratio < 1:
             raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
-        if self.merge not in MERGE_MODES:
-            raise ConfigError(f"merge must be one of {MERGE_MODES}, got {self.merge!r}")
-        if self.rate_mode not in RATE_MODES:
-            raise ConfigError(f"rate_mode must be one of {RATE_MODES}, got {self.rate_mode!r}")
+        if self.merge != "clamp":
+            raise ConfigError(f"merge must be 'clamp' (binary OR), got {self.merge!r}")
+        if self.rate_mode != "mean":
+            raise ConfigError(f"rate_mode must be 'mean', got {self.rate_mode!r}")
         if self.head not in HEAD_KINDS:
             raise ConfigError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.head == "fusion" and self.l != 4:
@@ -116,13 +116,9 @@ def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float) 
     return ad.scale(out, s)
 
 
-def merge_spikes(a: ad.Tensor, b: ad.Tensor, mode: str) -> ad.Tensor:
-    """Residual merge: integer add clamped back to {0,1} (binary OR) by
-    default, or a plain add when mode == "add"."""
-    y = ad.add(a, b)
-    if mode == "clamp":
-        y = ad.clamp(y, 0.0, 1.0)
-    return y
+def merge_spikes(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Residual merge: integer add clamped back to {0,1} (binary OR)."""
+    return ad.clamp(ad.add(a, b), 0.0, 1.0)
 
 
 class PatchEmbed(Module):
@@ -209,12 +205,11 @@ class TransformerBlock(Module):
 
     Y = X (+) SSA(X); Z = Y (+) MLP(Y).  Both paths end in an MLIF so the
     merge sees two binary operands; (+) is the clamped integer add (binary
-    OR) unless the config selects plain addition.
+    OR), so the block output is again a spike tensor.
     """
 
     def __init__(self, name, cfg: ModelConfig, rng, dtype=np.float32):
         self.name = name
-        self.merge_mode = cfg.merge
         self.attn = SpikingSelfAttention(cfg, rng, dtype)
         self.mlp = SpikingMlp(cfg, rng, dtype)
 
@@ -222,10 +217,10 @@ class TransformerBlock(Module):
         with ad.scope(self.name):
             a = self.attn.forward(x, training)
             with ad.scope("merge1"):
-                y = merge_spikes(x, a, self.merge_mode)
+                y = merge_spikes(x, a)
             m = self.mlp.forward(y, training)
             with ad.scope("merge2"):
-                return merge_spikes(y, m, self.merge_mode)
+                return merge_spikes(y, m)
 
 
 class DepthModel(Module):

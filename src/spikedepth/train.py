@@ -6,6 +6,7 @@ with identical inputs produce byte-identical loss curves and checkpoints.
 """
 from __future__ import annotations
 
+import errno
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,11 +131,15 @@ def train(
     out_dir,
 ) -> TrainResult:
     """Optimize a fresh model on `dataset`; writes the per-step loss CSV and
-    checkpoint(s) under `out_dir`, made once the model and optimizer exist,
-    and returns the trained model."""
+    checkpoint(s) under `out_dir`, which the first checkpoint write makes, and
+    returns the trained model.  A run that fails before that write leaves
+    no `out_dir` behind."""
     distill_cfg.check_blocks(model_cfg.l)
     kd_cfg = distill_cfg if train_cfg.kd else None
     _check_dataset(dataset, model_cfg, kd_cfg, "train")
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():  # refused now, not after the last step
+        raise FileExistsError(errno.EEXIST, "exists and is not a directory", str(out))
 
     rng = np.random.default_rng(train_cfg.seed)
     model = DepthModel(model_cfg, rng)
@@ -145,8 +150,6 @@ def train(
         named += projections.named_params()
     opt = Adam([p for _, p in named], train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
                train_cfg.adam_eps, train_cfg.grad_clip)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     n, bs = len(dataset), train_cfg.batch_size
     per_epoch = math.ceil(n / bs)
@@ -166,10 +169,8 @@ def train(
             sample = dataset[i]
             with ad.tape() as tp:
                 feats, pred = model.forward(dense[i], training=True)
-                total, lp, l2 = total_loss(
-                    feats, pred, sample.depth, sample.teacher_features,
-                    projections, distill_cfg, rate_mode=model_cfg.rate_mode,
-                )
+                total, lp, l2 = total_loss(feats, pred, sample.depth, sample.teacher_features,
+                                           projections, distill_cfg)
                 tp.backward(total)
             tot_acc += float(total.data)
             lp_acc += lp
@@ -182,8 +183,8 @@ def train(
         if train_cfg.checkpoint_every > 0 and step % train_cfg.checkpoint_every == 0:
             save_checkpoint(out / f"model_{step:06d}.sdtw", model, projections, kd_cfg)
 
-    # save_checkpoint refuses non-finite tensors before it writes anything, so
-    # a refused run leaves neither the checkpoint nor the loss CSV
+    # save_checkpoint refuses non-finite tensors before it makes `out` or
+    # writes anything, so a refused run leaves neither checkpoint nor loss CSV
     ckpt_path = out / CHECKPOINT_NAME
     save_checkpoint(ckpt_path, model, projections, kd_cfg)
     csv_path = out / LOSS_CSV_NAME

@@ -177,11 +177,12 @@ def test_full_pipeline(tmp_path, capsys):
         assert KEY_VALUE.match(line), line
 
 
-# model sizes that are not positive, train settings below their range and a
-# matched block named twice
+# model sizes that are not positive, train settings below their range, a
+# matched block named twice and a residual merge or rate encoding that is not
+# the spike-driven network's
 @pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8",
                                       "grad_clip=-1", "checkpoint_every=-2",
-                                      "matched_blocks=4,4"])
+                                      "matched_blocks=4,4", "merge=add", "rate_mode=sum"])
 def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):
     data = _tiny_data(tmp_path, capsys)
     run = tmp_path / "run"
@@ -297,6 +298,43 @@ def test_failed_output_write_leaves_old_file(tmp_path, capsys, monkeypatch, comm
     assert [p.name for p in out.parent.iterdir()] == [out_name]  # no temp file left
 
 
+@pytest.mark.parametrize("command", ["eval", "energy"])
+def test_unwritable_csv_prints_no_report(tmp_path, capsys, command):
+    """The CSV is written before any report line, so a --csv that names a
+    directory ends in one error line and no report."""
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    target = tmp_path / "csv_dir"
+    target.mkdir()
+    argv = {
+        "eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
+        "energy": ["energy", "--ckpt", ckpt, "--spk", str(data / "sample_000.spkt")],
+    }[command]
+    rc, lines = _run(capsys, argv + ["--csv", str(target)])
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error=IO/"), lines
+    assert list(target.iterdir()) == []
+
+
+def test_train_out_that_is_a_file_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    from spikedepth import train as train_mod
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(train_mod, "DepthModel", no_model)
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG)
+    run = tmp_path / "run"
+    run.write_bytes(b"not a directory\n")
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data), "--out", str(run)])
+    assert rc == 1
+    assert len(out) == 1 and out[0].startswith("error=IO/"), out
+    assert "not a directory" in out[0] and str(run) in out[0], out[0]
+    assert run.read_bytes() == b"not a directory\n"
+
+
 def test_io_error_names_the_target_not_the_temp_file(tmp_path, capsys):
     data = _tiny_data(tmp_path, capsys)
     _, ckpt, _ = _pipeline_untrained(tmp_path)
@@ -391,6 +429,7 @@ def test_overflow_is_one_numeric_error_line_and_no_warning(tmp_path, capsys, ove
     out = captured.out.splitlines()
     assert len(out) == 1 and out[0].startswith("error=NUMERIC/"), out
     assert captured.err == ""
+    assert not (tmp_path / "run").exists()  # the run failed before its first write
 
 
 def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
@@ -413,8 +452,7 @@ def test_non_finite_parameters_are_never_saved(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert len(out) == 1 and out[0].startswith("error=NUMERIC/"), out
     assert "embed.s1.conv.w" in out[0]
-    assert not (run / "model.sdtw").exists()
-    assert not (run / "loss_curve.csv").exists()
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -476,6 +514,8 @@ def _non_utf8_config(tmp_path, capsys):
                  id="checkpoint_payload_nan"),
     pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, b"\nd=8\n", b"\nd=0\n"), "CONFIG",
                  id="checkpoint_config_d_0"),
+    pytest.param(lambda tp, cs: _corrupt_checkpoint(tp, b"merge=clamp\n", b"merge=add  \n"),
+                 "CONFIG", id="checkpoint_config_merge_add"),
     pytest.param(_non_utf8_config, "CONFIG", id="config_file_not_utf8"),
 ])
 def test_malformed_input_is_one_error_line(tmp_path, capsys, make_argv, category):

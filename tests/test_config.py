@@ -20,7 +20,7 @@ from spikedepth.config import (
 )
 from spikedepth.errors import ConfigError, SpikeDepthError
 from spikedepth.losses import DistillConfig
-from spikedepth.model import HEAD_KINDS, MERGE_MODES, RATE_MODES, ModelConfig
+from spikedepth.model import HEAD_KINDS, ModelConfig
 from spikedepth.neuron import LifParams
 
 
@@ -116,10 +116,10 @@ def test_configs_are_frozen(cfg, field):
 def test_build_model_config_types_and_routing():
     cfg = build_model_config(
         {"t": "2", "h": "16", "w": "16", "d": "8", "l": "4",
-         "s": "0.5", "tau": "3.0", "v_threshold": "0.7", "merge": "add"}
+         "s": "0.5", "tau": "3.0", "v_threshold": "0.7", "head": "linear_fcn"}
     )
     assert (cfg.t, cfg.h, cfg.w, cfg.d, cfg.l) == (2, 16, 16, 8, 4)
-    assert cfg.s == 0.5 and cfg.merge == "add"
+    assert cfg.s == 0.5 and cfg.head == "linear_fcn"
     assert cfg.lif == LifParams(tau=3.0, v_threshold=0.7)
 
 
@@ -158,7 +158,7 @@ def test_build_distill_config():
 def test_encode_decode_round_trip():
     model_cfg = ModelConfig(t=3, c=2, h=16, w=24, d=12, l=4, s=0.125,
                             mlp_ratio=2, lif=LifParams(tau=2.5, v_threshold=0.9),
-                            merge="add", head="fusion")
+                            head="linear_fcn")
     distill = DistillConfig(lambda_p=0.25, lambda_2=2.0, matched_blocks=(1, 3),
                             teacher_dim=6, si_log_domain=True)
     text = encode_model_config(model_cfg, distill)
@@ -215,8 +215,6 @@ def _configs(draw):
             v_reset=v_reset,
             surrogate_alpha=draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
         ),
-        merge=draw(st.sampled_from(MERGE_MODES)),
-        rate_mode=draw(st.sampled_from(RATE_MODES)),
         head=head,
     )
     distill = draw(st.none() | st.builds(

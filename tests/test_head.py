@@ -39,16 +39,9 @@ def test_rate_zero_spikes_zero_rate():
     assert not rate_encode(_zero_stack()).data.any()
 
 
-def test_rate_sum_mode_counts_spikes(rng):
-    x = (rng.random((3, 2, 4, 4)) < 0.5).astype(np.float64)
-    np.testing.assert_array_equal(rate_encode(ad.tensor(x), "sum").data, x.sum(axis=0, keepdims=True))
-
-
-def test_rate_rejects_empty_time_axis_and_bad_mode():
+def test_rate_rejects_empty_time_axis():
     with pytest.raises(DimensionError):
         rate_encode(ad.tensor(np.zeros((0, 2, 2))))
-    with pytest.raises(DimensionError):
-        rate_encode(_zero_stack(), "median")
 
 
 # ---------------------------------------------------------------------------

@@ -148,15 +148,13 @@ def test_purity_counts_fused_attention_as_two_products(rng):
 def test_merge_clamp_is_binary_or():
     a = ad.tensor(np.array([0.0, 0.0, 1.0, 1.0]))
     b = ad.tensor(np.array([0.0, 1.0, 0.0, 1.0]))
-    np.testing.assert_array_equal(merge_spikes(a, b, "clamp").data, [0.0, 1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(merge_spikes(a, b, "add").data, [0.0, 1.0, 1.0, 2.0])
+    np.testing.assert_array_equal(merge_spikes(a, b).data, [0.0, 1.0, 1.0, 1.0])
 
 
 def test_merge_with_zero_path_is_identity(rng):
     x = ad.tensor((rng.random(32) < 0.5).astype(np.float64))
     zero = ad.tensor(np.zeros(32))
-    for mode in ("clamp", "add"):
-        np.testing.assert_array_equal(merge_spikes(x, zero, mode).data, x.data)
+    np.testing.assert_array_equal(merge_spikes(x, zero).data, x.data)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +176,11 @@ def test_config_validation():
         tiny_model_cfg(s=float("nan"))
     with pytest.raises(ConfigError):
         tiny_model_cfg(merge="xor")
+    # the network is spike-driven only: a plain-add merge or summed rates are refused
+    with pytest.raises(ConfigError, match="merge must be 'clamp'"):
+        ModelConfig(merge="add")
+    with pytest.raises(ConfigError, match="rate_mode must be 'mean'"):
+        ModelConfig(rate_mode="sum")
     with pytest.raises(ConfigError):
         tiny_model_cfg(head="fusion", l=3)
     cfg = tiny_model_cfg()
@@ -340,13 +343,6 @@ def test_is_binary_over_dtypes():
     got = [is_binary(a) for a in arrays]
     assert got == [bool(np.isin(a, (0, 1)).all()) for a in arrays]
     assert got == [True, True] + [False] * 6 + [True, True, False, True]
-
-
-def test_merge_add_mode_allows_integer_streams(rng):
-    model = tiny_model(merge="add")
-    x = random_spikes(rng, p=0.5)
-    pred = model.predict(x)  # merged stream may exceed 1, forward still runs
-    assert pred.shape == (16, 16) and np.isfinite(pred).all()
 
 
 def test_param_names_unique_and_prefixed(rng):
