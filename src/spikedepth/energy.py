@@ -9,7 +9,10 @@ Accounting convention (45 nm CMOS estimates):
     product equals the exact number of synaptic accumulates;
   * float layers (the first patch-embedding convolution, which sees analog
     event currents, the depth head, and membrane updates) cost full
-    multiply-accumulates: energy = e_mac * executed MACs;
+    multiply-accumulates: energy = e_mac * the layer's dense MACs.  The
+    fusion head is priced as the paper's reference layers, not as the
+    folded form its eval forward runs (`head.FusionHead`), so a report
+    does not depend on how the head was executed;
   * batch norm folds into the preceding convolution at inference and is not
     charged; pooling, upsampling interpolation and residual adds are
     comparison/add-only and left out of the tally.
@@ -25,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
+from .head import FOLDED_LAYERS
 from .trace import is_binary
 
 E_MAC_PJ = 4.6
@@ -197,6 +201,19 @@ def _attention_work(entry):
     return [(scope + "qk", N * D * M, T, qk), (scope + "av", N * M * Dv, T, av)]
 
 
+def _fusion_tail_work(entry):
+    """The float rows `_conv_work` gives the reference layers that a folded
+    fusion-head tail stands for: `FOLDED_LAYERS`, whose weights are the
+    entry's 4-D parameter inputs in that order.  The first of them, the
+    l3 conv, runs at half the output's resolution; the others at full."""
+    B, _, H, W = entry.output.data.shape
+    weights = [t.data.shape for t in entry.inputs if t.is_param and t.data.ndim == 4]
+    sizes = ((H // 2) * (W // 2), H * W, H * W)
+    scope = entry.scope + "." if entry.scope else ""
+    return [(scope + name, math.prod(w) * n, B, None)
+            for name, w, n in zip(FOLDED_LAYERS, weights, sizes)]
+
+
 def _mlif_work(entry):
     xd = entry.inputs[0].data
     # leak decay + scaled input add per neuron-step
@@ -205,8 +222,8 @@ def _mlif_work(entry):
 
 # op -> its rows: [(name, dense single-pass MACs, timesteps, synops, or None
 # for a float layer, which executes every MAC)]
-_WORK = {"conv2d": _conv_work, "matmul": _matmul_work,
-         "spike_attention": _attention_work, "mlif": _mlif_work}
+_WORK = {"conv2d": _conv_work, "matmul": _matmul_work, "spike_attention": _attention_work,
+         "fusion_tail": _fusion_tail_work, "mlif": _mlif_work}
 
 
 def _row(name, equiv, T, synops, e_mac_pj, e_ac_pj):
@@ -223,8 +240,9 @@ def trace_forward(model, spikes_dense):
 
     Returns (depth prediction [H, W], the tape entries); the prediction is
     the array `model.predict` returns for the same input.  The entries hold
-    every op's inputs and output but no backward state, and each attention
-    product is one fused `spike_attention` entry, not an N x N matrix.
+    every op's inputs and output but no backward state, each attention
+    product is one fused `spike_attention` entry, not an N x N matrix, and
+    the fusion head's folded tail is one `fusion_tail` entry.
     """
     with ad.tape(grad=False) as tp:
         _, pred = model.forward(spikes_dense, training=False)

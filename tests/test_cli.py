@@ -472,6 +472,33 @@ def test_eval_energy_hostile_argument_is_one_error_line(tmp_path, capsys, comman
     assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
 
 
+@pytest.mark.parametrize("layer", ["head.l3.conv", "head.l4.conv"])
+@pytest.mark.parametrize("command", ["infer", "eval", "energy"])
+def test_negative_head_running_var_is_one_numeric_error_line(tmp_path, capsys, command, layer):
+    """A negative running variance is finite, so the loader accepts it; the
+    eval forward that folds it into the fusion head's tail still ends in one
+    NUMERIC line, with no warning, and writes no output."""
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    Path(ckpt).write_bytes(poison_payload(Path(ckpt).read_bytes(), f"{layer}.running_var", -1.0))
+    spk = str(data / "sample_000.spkt")
+    out = tmp_path / "out"
+    argv = {
+        "infer": ["infer", "--ckpt", ckpt, "--spk", spk, "--out", str(out)],
+        "eval": ["eval", "--ckpt", ckpt, "--data", str(data), "--csv", str(out)],
+        "energy": ["energy", "--ckpt", ckpt, "--spk", spk, "--csv", str(out)],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise out of main
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error=NUMERIC/"), lines
+    assert captured.err == ""
+    assert not out.exists()
+
+
 def _corrupt_manifest(tmp_path, capsys, old, new):
     data = _tiny_data(tmp_path, capsys)
     manifest = data / "manifest.txt"
