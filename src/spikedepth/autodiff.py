@@ -1,7 +1,8 @@
 """Reverse-mode autodiff over dense numpy tensors.
 
 The op set is exactly what the spiking depth network needs: stride-1 conv and
-batchnorm over [B,C,H,W], k x k max pooling and bilinear upsampling for the
+batchnorm over [B,C,H,W] (fused into one `conv_bn` op for an eval forward
+that needs no gradient), k x k max pooling and bilinear upsampling for the
 layers, batched matmul for attention, and elementwise arithmetic plus
 reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
 tape is active, append an entry holding the backward closure (None when the
@@ -384,6 +385,22 @@ def _corr2d(x, w, pad, keep_cols=False):
     return out, None
 
 
+def _check_conv(op, xd, wd, pad):
+    """Raise DimensionError unless x [B,Cin,H,W] and a square kernel
+    [Cout,Cin,k,k] make a stride-1 conv with 0 <= pad < k."""
+    if xd.ndim != 4:
+        raise DimensionError(f"{op}: input must be [B,Cin,H,W], got {xd.shape}")
+    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
+        raise DimensionError(f"{op}: kernel must be [Cout,Cin,k,k] square, got {wd.shape}")
+    if wd.shape[1] != xd.shape[1]:
+        raise DimensionError(f"{op}: channel mismatch input {xd.shape[1]} vs kernel {wd.shape[1]}")
+    k = wd.shape[2]
+    if not 0 <= pad < k:
+        raise DimensionError(f"{op}: pad {pad} outside [0, {k})")
+    if xd.shape[2] + 2 * pad < k or xd.shape[3] + 2 * pad < k:
+        raise DimensionError(f"{op}: kernel larger than padded input")
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
     """Stride-1 2-D correlation with optional bias.
 
@@ -391,19 +408,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     0 <= pad < k.  pad=(k-1)//2 preserves the spatial size for odd k.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 4:
-        raise DimensionError(f"conv2d: input must be [B,Cin,H,W], got {xd.shape}")
-    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
-        raise DimensionError(f"conv2d: kernel must be [Cout,Cin,k,k] square, got {wd.shape}")
-    if wd.shape[1] != xd.shape[1]:
-        raise DimensionError(f"conv2d: channel mismatch input {xd.shape[1]} vs kernel {wd.shape[1]}")
-    B, Ci, H, W = xd.shape
+    _check_conv("conv2d", xd, wd, pad)
+    Ci = xd.shape[1]
     Co, _, k, _ = wd.shape
-    if not 0 <= pad < k:
-        raise DimensionError(f"conv2d: pad {pad} outside [0, {k})")
-    if H + 2 * pad < k or W + 2 * pad < k:
-        raise DimensionError("conv2d: kernel larger than padded input")
-
     # the weight gradient is one GEMM over every column, so it needs all of cols
     out_data, cols = _corr2d(xd, wd, pad, keep_cols=_needs(w))
     if b is not None:
@@ -437,6 +444,35 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
+_C = (None, slice(None), None, None)  # a per-channel vector against [B,C,H,W]
+
+
+def _check_affine(op, c, gamma, beta):
+    if c == 0:
+        raise DimensionError(f"{op}: zero-size channel axis")
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise DimensionError(f"{op}: affine params must have shape ({c},)")
+
+
+def _normalise(x, mean, var, gamma, beta, in_place=False, keep_xhat=False):
+    """Batch norm's float op sequence over x [B,C,H,W] with per-channel
+    mean, var, gamma and beta arrays: inv_std = 1 / sqrt(var + BN_EPS) in
+    var's dtype, xhat = (x - mean) * inv_std, then gamma * xhat + beta.
+
+    xhat is written into x itself with `in_place` (when x - mean keeps x's
+    dtype, so the bits are those of a fresh array), else into a new array;
+    the output is written into xhat's buffer unless `keep_xhat` or a gamma
+    of another dtype needs a new one.  Returns (output, xhat, inv_std).
+    """
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    in_place = in_place and np.result_type(x, mean) == x.dtype
+    xhat = np.subtract(x, mean[_C], out=x if in_place else None)
+    xhat *= inv_std[_C]
+    reuse = not keep_xhat and gamma.dtype == xhat.dtype
+    out = np.multiply(gamma[_C], xhat, out=xhat if reuse else None)
+    out += beta[_C]
+    return out, xhat, inv_std
+
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running_var=None,
               training: bool = True) -> Tensor:
@@ -450,11 +486,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"batchnorm: input must be [B,C,H,W], got {xd.shape}")
-    C = xd.shape[1]
-    if C == 0:
-        raise DimensionError("batchnorm: zero-size channel axis")
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise DimensionError(f"batchnorm: affine params must have shape ({C},)")
+    _check_affine("batchnorm", xd.shape[1], gamma, beta)
 
     axes = (0, 2, 3)
     n = xd.shape[0] * xd.shape[2] * xd.shape[3]
@@ -473,15 +505,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
         mu = running_mean
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    # (x - mu) * inv_std * gamma + beta with in-place ops; when no backward
-    # will read xhat, its buffer becomes the output
-    xhat = xd - mu[None, :, None, None]
-    xhat *= inv_std[None, :, None, None]
-    needs = _needs(x, gamma, beta)
-    reuse = not needs and gamma.data.dtype == xhat.dtype
-    out_data = np.multiply(gamma.data[None, :, None, None], xhat, out=xhat if reuse else None)
-    out_data += beta.data[None, :, None, None]
+    # xhat gets a buffer of its own only when a backward will read it
+    out_data, xhat, inv_std = _normalise(xd, mu, var, gamma.data, beta.data,
+                                         keep_xhat=_needs(x, gamma, beta))
     _guard("batchnorm", out_data)
 
     def bwd(g):
@@ -490,11 +516,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
         gbeta = g.sum(axis=axes) if beta.requires_grad else None
         gx = None
         if x.requires_grad:
-            gs = gamma.data[None, :, None, None] * inv_std[None, :, None, None]
+            gs = gamma.data[_C] * inv_std[_C]
             if training:
                 # gs * (g - mean(g) - xhat * mean(g * xhat)), built in place
-                gxh = gxhat.mean(axis=axes)[None, :, None, None]
-                gx = g - g.mean(axis=axes)[None, :, None, None]
+                gxh = gxhat.mean(axis=axes)[_C]
+                gx = g - g.mean(axis=axes)[_C]
                 gx -= np.multiply(xhat, gxh, out=gxhat)
                 gx *= gs
             else:
@@ -502,6 +528,26 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
         return (gx, ggamma, gbeta)
 
     return _op("batchnorm", (x, gamma, beta), out_data, bwd)
+
+
+def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
+            pad: int = 0) -> Tensor:
+    """Eval-mode `batchnorm(conv2d(x, w, pad=pad), gamma, beta, running_mean,
+    running_var, training=False)` as one op with the same bits, for a
+    forward that needs no gradient: the batch norm runs in place on the
+    conv's fresh output, through batchnorm's own `_normalise`.
+
+    It keeps conv2d's shape checks, checks the result once for non-finite
+    values and records one `conv_bn` entry over (x, w, gamma, beta) with no
+    backward; `energy.price` prices it as its conv.
+    """
+    xd, wd = x.data, w.data
+    _check_conv("conv_bn", xd, wd, pad)
+    _check_affine("conv_bn", wd.shape[0], gamma, beta)
+    y, _ = _corr2d(xd, wd, pad)
+    out_data, _, _ = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
+    _guard("conv_bn", out_data)
+    return _op("conv_bn", (x, w, gamma, beta), out_data, None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Accounting convention (45 nm CMOS estimates):
     folded form its eval forward runs (`head.FusionHead`), so a report
     does not depend on how the head was executed;
   * batch norm folds into the preceding convolution at inference and is not
-    charged; pooling, upsampling interpolation and residual adds are
-    comparison/add-only and left out of the tally.
+    charged: an eval `conv_bn` entry (`layers.ConvBN`) is priced as its
+    conv alone, so a report does not depend on whether the batch norm ran
+    fused or as its own op; pooling, upsampling interpolation and residual
+    adds are comparison/add-only and left out of the tally.
 
 Per-layer rows always sum exactly to the reported total.
 """
@@ -222,8 +224,8 @@ def _mlif_work(entry):
 
 # op -> its rows: [(name, dense single-pass MACs, timesteps, synops, or None
 # for a float layer, which executes every MAC)]
-_WORK = {"conv2d": _conv_work, "matmul": _matmul_work, "spike_attention": _attention_work,
-         "fusion_tail": _fusion_tail_work, "mlif": _mlif_work}
+_WORK = {"conv2d": _conv_work, "conv_bn": _conv_work, "matmul": _matmul_work,
+         "spike_attention": _attention_work, "fusion_tail": _fusion_tail_work, "mlif": _mlif_work}
 
 
 def _row(name, equiv, T, synops, e_mac_pj, e_ac_pj):
@@ -240,9 +242,10 @@ def trace_forward(model, spikes_dense):
 
     Returns (depth prediction [H, W], the tape entries); the prediction is
     the array `model.predict` returns for the same input.  The entries hold
-    every op's inputs and output but no backward state, each attention
-    product is one fused `spike_attention` entry, not an N x N matrix, and
-    the fusion head's folded tail is one `fusion_tail` entry.
+    every op's inputs and output but no backward state, each `ConvBN` is
+    one `conv_bn` entry, each attention product is one fused
+    `spike_attention` entry, not an N x N matrix, and the fusion head's
+    folded tail is one `fusion_tail` entry.
     """
     with ad.tape(grad=False) as tp:
         _, pred = model.forward(spikes_dense, training=False)

@@ -95,7 +95,9 @@ class ConvBN(Module):
 
     Training mode normalises with the statistics of the current call and
     updates running buffers (momentum 0.1); eval mode applies the running
-    statistics.
+    statistics.  An eval forward that needs no gradient (no tape, or an
+    inspection tape) runs both as one `ad.conv_bn` op, with the bits of the
+    `conv2d` -> `batchnorm` graph that training and gradient tapes record.
     """
 
     def __init__(self, name, cin, cout, k, rng, dtype=np.float32):
@@ -109,6 +111,9 @@ class ConvBN(Module):
 
     def forward(self, x, training):
         with ad.scope(self.name):
+            if not training and not ad._needs(x, self.w, self.gamma, self.beta):
+                return ad.conv_bn(x, self.w, self.gamma, self.beta, self.running_mean,
+                                  self.running_var, pad=self.pad)
             y = ad.conv2d(x, self.w, pad=self.pad)
             return ad.batchnorm(
                 y,

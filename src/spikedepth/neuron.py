@@ -42,10 +42,13 @@ class LifParams:
 @dataclass
 class LifState:
     """Mutable membrane potential carried across timesteps of one sample;
-    `v_pre` is the membrane of the last step just before its reset."""
+    `v_pre` is the membrane of the last step just before its reset, and
+    `fired` that step's spike mask.  `lif_step` reuses both buffers (and
+    `v`) from step to step."""
 
     v: np.ndarray
     v_pre: np.ndarray | None = None
+    fired: np.ndarray | None = None
 
 
 def fresh_state(shape, dtype=np.float32) -> LifState:
@@ -62,22 +65,38 @@ def surrogate_grad(v_minus_threshold, alpha: float):
     return (alpha / 2.0) / (1.0 + z * z)
 
 
-def lif_step(state: LifState, input_current: np.ndarray, params: LifParams) -> np.ndarray:
-    """Advance the membrane one step; returns the binary spike plane.
+def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Advance the membrane one step; returns the binary spike plane, written
+    into `out` when given.
 
     Mutates `state.v` (hard reset where a spike fired) and sets
-    `state.v_pre` to the membrane before that reset.
+    `state.v_pre` to the membrane before that reset.  The update runs in
+    the state's buffers, with no temporary: (x - v) / tau + v is the same
+    IEEE sum as v + (x - v) / tau.
     """
     x = np.asarray(input_current)
     if x.shape != state.v.shape:
         raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
-    if not np.isfinite(x).all():
+    if state.fired is None:
+        state.fired = np.empty(x.shape, dtype=bool)
+    if not np.isfinite(x, out=state.fired).all():
         raise NumericError("lif_step: non-finite input current")
-    v = state.v + (x - state.v) / params.tau
-    spikes = (v >= params.v_threshold).astype(x.dtype if x.dtype.kind == "f" else np.float32)
-    state.v_pre = v
-    state.v = np.where(spikes > 0, np.asarray(params.v_reset, dtype=v.dtype), v)
-    return spikes
+    dtype = np.result_type(x, state.v)
+    if state.v_pre is None or state.v_pre.dtype != dtype:  # the first step, or a promoting input
+        state.v_pre = np.empty(x.shape, dtype=dtype)
+    v_pre = np.subtract(x, state.v, out=state.v_pre)
+    v_pre /= params.tau
+    v_pre += state.v
+    np.greater_equal(v_pre, params.v_threshold, out=state.fired)
+    if state.v.dtype != dtype:
+        state.v = np.empty_like(v_pre)
+    np.copyto(state.v, v_pre)
+    np.copyto(state.v, params.v_reset, where=state.fired)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    np.copyto(out, state.fired)
+    return out
 
 
 def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> np.ndarray:
@@ -102,7 +121,7 @@ def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> 
 
 def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
     """Multistep LIF over the leading time axis of x [T, ...]: T calls of
-    `lif_step` on one fresh state.
+    `lif_step` on one fresh state, each writing its spikes into the output.
 
     State starts at zero for every call (one call = one sample) and is
     carried across the T steps.  Output is binary with the input dtype; a
@@ -117,7 +136,7 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
-        spikes[t] = lif_step(state, xd[t], params)
+        lif_step(state, xd[t], params, out=spikes[t])
         if needs:
             v_pre[t] = state.v_pre
 

@@ -4,7 +4,8 @@ A recorded tape doubles as an execution trace.  `assert_spike_purity` walks
 every backbone entry and enforces the spike-driven contract:
 
   * no softmax anywhere in the trace;
-  * every convolution inside the backbone consumes a binary activation;
+  * every convolution inside the backbone consumes a binary activation,
+    also one fused with its eval batch norm (`conv_bn`);
   * every activation-by-activation product has at least one binary operand
     (so no float-by-float multiplications between spike tensors), and a
     fused attention product Q (K^T V) has three binary operands;
@@ -37,7 +38,7 @@ def assert_spike_purity(entries, boundary_tensors=()) -> dict:
             raise ContractError(f"softmax found in trace at scope {e.scope!r}")
         if not e.scope.startswith(("embed", "block")):  # backbone only
             continue
-        if e.op == "conv2d":
+        if e.op in ("conv2d", "conv_bn"):
             if not is_binary(e.inputs[0].data):
                 raise ContractError(f"conv at {e.scope!r} consumes a non-binary activation")
             checked["convs"] += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import builtins
 import errno
 import io
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -179,6 +179,11 @@ def scalar_lif_backward_reference(inputs, upstream, p: LifParams):
         g_in[t] = g_vpre / p.tau
         g_vpost = g_vpre * decay
     return g_in
+
+
+# no tape, an inspection tape and a gradient tape: a forward that needs no
+# gradient runs the first two on its fused paths, the third on the reference graph
+TAPE_MODES = {"none": nullcontext, "inspect": lambda: ad.tape(grad=False), "grad": ad.tape}
 
 
 def tiny_model_cfg(**overrides) -> ModelConfig:

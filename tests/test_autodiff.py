@@ -1,10 +1,9 @@
 """Dense ops and reverse-mode gradients against hand and FD oracles."""
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
 from helpers import (
+    TAPE_MODES,
     assert_fd_match,
     batchnorm_reference,
     fd_gradient,
@@ -12,8 +11,10 @@ from helpers import (
     rowmajor_conv2d,
 )
 from spikedepth import autodiff as ad
+from spikedepth.energy import price
 from spikedepth.errors import DimensionError, NumericError, StaleTapeError
-from spikedepth.head import rate_encode
+from spikedepth.head import FOLDED_LAYERS, rate_encode
+from spikedepth.layers import ConvBN
 from spikedepth.losses import DistillConfig, FeatureProjections
 from spikedepth.model import DepthModel, ModelConfig
 
@@ -403,16 +404,14 @@ _EXTRA_CONVS = [((3, 64, 37, 40), (64, 64, 3, 3), False, 1),
                 ((2, 32, 64, 80), (64, 32, 3, 3), True, 1),
                 ((1, 64, 128, 160), (9, 64, 3, 3), False, 1)]
 
-# no tape, an inspection tape and a gradient tape take different conv paths
-_TAPE_MODES = {"none": nullcontext, "inspect": lambda: ad.tape(grad=False), "grad": ad.tape}
-
 
 def _conv_calls(model_kw, monkeypatch):
     """Every distinct (x shape, w shape, has bias, pad) that a
     forward of the model and its KD projections passes to ad.conv2d; the
     forward runs in each tape mode, and with no tape and on the inspection
     tape it predicts the same bits.  The gradient tape runs the reference
-    fusion head, which an eval forward that needs no gradient runs folded."""
+    fusion head and each ConvBN's conv2d, which an eval forward that needs
+    no gradient runs folded and as one `conv_bn` op."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**model_kw), rng)
     projections = FeatureProjections(DistillConfig(teacher_dim=16), model_kw["d"], rng)
@@ -427,7 +426,7 @@ def _conv_calls(model_kw, monkeypatch):
     preds = {}
     with monkeypatch.context() as m:
         m.setattr(ad, "conv2d", spy)
-        for mode, context in _TAPE_MODES.items():
+        for mode, context in TAPE_MODES.items():
             with context():
                 feats, pred = model.forward(spikes.astype(np.float32), training=False)
             preds[mode] = pred.data
@@ -455,7 +454,7 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
         w = rng.standard_normal(w_shape, dtype=np.float32)
         b = rng.standard_normal(w_shape[0], dtype=np.float32) if has_bias else None
         outs = {}
-        for mode, context in _TAPE_MODES.items():
+        for mode, context in TAPE_MODES.items():
             with context() as t:
                 y = ad.conv2d(ad.parameter(x), ad.parameter(w),
                               ad.parameter(b) if has_bias else None, pad=pad)
@@ -531,6 +530,106 @@ def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
     assert np.array_equal(gx, ref[1])
     assert np.array_equal(ggamma, ref[2])
     assert np.array_equal(gbeta, ref[3])
+
+
+def _conv_bn_calls(model_kw, monkeypatch):
+    """{(x shape, w shape): scope} of every distinct ConvBN that an eval
+    forward of the model runs (the fusion head's l3 and l4 run folded)."""
+    model = DepthModel(ModelConfig(**model_kw), np.random.default_rng(0))
+    scopes = {id(p): name.rsplit(".", 1)[0] for name, p in model.named_params()}
+    calls = {}
+    forward = ConvBN.forward
+
+    def spy(self, x, training):
+        calls.setdefault((x.data.shape, self.w.data.shape), scopes[id(self.w)])
+        return forward(self, x, training)
+
+    rng = np.random.default_rng(0)
+    spikes = rng.random((model_kw["t"], model_kw["c"], model_kw["h"], model_kw["w"])) < 0.3
+    with monkeypatch.context() as m:
+        m.setattr(ConvBN, "forward", spy)
+        model.predict(spikes.astype(np.float32))
+    return calls
+
+
+def _randomise_bn(layer, rng):
+    """gamma of both signs, beta, running mean and a positive running variance."""
+    cout = layer.gamma.data.shape[0]
+    dtype = layer.gamma.data.dtype
+    layer.gamma.data[...] = rng.standard_normal(cout) * 2
+    layer.beta.data[...] = rng.standard_normal(cout)
+    layer.running_mean[...] = rng.standard_normal(cout) * 3
+    layer.running_var[...] = (rng.random(cout) * 4 + 0.01).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("model", sorted(_CONV_MODELS))
+def test_conv_bn_matches_conv2d_then_batchnorm_bit_for_bit(model, dtype, monkeypatch):
+    """At every ConvBN shape of the model (1x1, and 3x3 pad 1), an eval
+    forward with no tape or on an inspection tape (one `conv_bn` op) gives
+    the bytes of the gradient tape's conv2d -> batchnorm graph, with random
+    BN affines and statistics; the fused entry keeps no backward and prices
+    as the reference graph's rows."""
+    calls = _conv_bn_calls(_CONV_MODELS[model], monkeypatch)
+    assert len(calls) == 7  # 3 embed stages, the block 1x1s d->d, d->4d and 4d->d, head.l2
+    assert {w[-1] for _, w in calls} == {1, 3}
+    rng = np.random.default_rng(3)
+    for (x_shape, w_shape), scope in calls.items():
+        cout, cin, k, _ = w_shape
+        layer = ConvBN(scope, cin, cout, k, rng, dtype)
+        _randomise_bn(layer, rng)
+        # spikes in the backbone, rate maps in the head
+        x = rng.random(x_shape)
+        x = (x if scope.startswith("head") else x < 0.3).astype(dtype)
+        x_before = x.copy()
+        outs, entries = {}, {}
+        for mode, context in TAPE_MODES.items():
+            with context() as t:
+                outs[mode] = layer.forward(ad.tensor(x), training=False).data
+            entries[mode] = t.entries if t is not None else None
+        what = f"{scope} x{x_shape} w{w_shape} {np.dtype(dtype).name}"
+        assert x.tobytes() == x_before.tobytes(), what
+        assert outs["grad"].dtype == dtype and np.abs(outs["grad"]).max() > 0, what
+        for mode in ("none", "inspect"):
+            assert outs[mode].dtype == dtype, what
+            assert outs[mode].tobytes() == outs["grad"].tobytes(), f"{mode} tape: {what}"
+        fused, ref = entries["inspect"], entries["grad"]
+        assert [(e.op, e.scope, e.bwd) for e in fused] == [("conv_bn", scope, None)], what
+        assert [e.op for e in ref] == ["conv2d", "batchnorm"], what
+        assert price(fused, layer).rows == price(ref, layer).rows, what
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_model_runs_one_conv_bn_per_conv_bn_layer(dtype):
+    """An eval forward of the recipe model with random BN statistics gives
+    the gradient tape's block features bit for bit with no tape and on an
+    inspection tape, where it records one `conv_bn` entry per ConvBN it
+    runs and no batchnorm, and prices as the gradient tape's rows."""
+    rng = np.random.default_rng(4)
+    model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng, dtype)
+    layers = {}
+    for name, p in model.named_params():
+        if name.endswith(".gamma"):
+            layers[name.rsplit(".", 1)[0]] = p
+    bn_rng = np.random.default_rng(5)
+    for name, buf in model.named_buffers():
+        buf[...] = (bn_rng.random(buf.shape) + 0.1 if name.endswith("var")
+                    else bn_rng.standard_normal(buf.shape) * 0.2)
+    spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(dtype)
+    feats, preds, tapes = {}, {}, {}
+    for mode, context in TAPE_MODES.items():
+        with context() as t:
+            f, pred = model.forward(spikes, training=False)
+        feats[mode] = b"".join(z.data.tobytes() for z in f)
+        preds[mode], tapes[mode] = pred.data, t
+    assert feats["none"] == feats["inspect"] == feats["grad"]
+    assert preds["none"].tobytes() == preds["inspect"].tobytes()
+    fused = tapes["inspect"].entries
+    ops = [e.op for e in fused]
+    assert "batchnorm" not in ops and all(e.bwd is None for e in fused)
+    folded = {f"head.{name}" for name in FOLDED_LAYERS}
+    assert [e.scope for e in fused if e.op == "conv_bn"] == [s for s in layers if s not in folded]
+    assert price(fused, model).rows == price(tapes["grad"].entries, model).rows
 
 
 # ---------------------------------------------------------------------------

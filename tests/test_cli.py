@@ -472,12 +472,11 @@ def test_eval_energy_hostile_argument_is_one_error_line(tmp_path, capsys, comman
     assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
 
 
-@pytest.mark.parametrize("layer", ["head.l3.conv", "head.l4.conv"])
-@pytest.mark.parametrize("command", ["infer", "eval", "energy"])
-def test_negative_head_running_var_is_one_numeric_error_line(tmp_path, capsys, command, layer):
+def _assert_negative_running_var_fails(tmp_path, capsys, command, layer):
     """A negative running variance is finite, so the loader accepts it; the
-    eval forward that folds it into the fusion head's tail still ends in one
-    NUMERIC line, with no warning, and writes no output."""
+    eval forward that normalises with it (in a fused `conv_bn` op, or folded
+    into the fusion head's tail) still ends in one NUMERIC line, with no
+    warning, and writes no output."""
     data = _tiny_data(tmp_path, capsys)
     _, ckpt, _ = _pipeline_untrained(tmp_path)
     Path(ckpt).write_bytes(poison_payload(Path(ckpt).read_bytes(), f"{layer}.running_var", -1.0))
@@ -497,6 +496,18 @@ def test_negative_head_running_var_is_one_numeric_error_line(tmp_path, capsys, c
     assert len(lines) == 1 and lines[0].startswith("error=NUMERIC/"), lines
     assert captured.err == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layer", ["head.l2.conv", "head.l3.conv", "head.l4.conv"])
+@pytest.mark.parametrize("command", ["infer", "eval", "energy"])
+def test_negative_head_running_var_is_one_numeric_error_line(tmp_path, capsys, command, layer):
+    _assert_negative_running_var_fails(tmp_path, capsys, command, layer)
+
+
+@pytest.mark.parametrize("layer", ["embed.s1.conv", "block1.attn.q.conv"])
+@pytest.mark.parametrize("command", ["infer", "eval", "energy"])
+def test_negative_backbone_running_var_is_one_numeric_error_line(tmp_path, capsys, command, layer):
+    _assert_negative_running_var_fails(tmp_path, capsys, command, layer)
 
 
 def _corrupt_manifest(tmp_path, capsys, old, new):

@@ -111,7 +111,9 @@ def test_trace_forward_keeps_no_backward_state(rng):
     model = tiny_model(seed=0)
     spikes = random_spikes(rng, p=0.4)
     pred, entries = trace_forward(model, spikes)
-    assert {"conv2d", "batchnorm", "spike_attention", "mlif"} <= {e.op for e in entries}
+    ops = {e.op for e in entries}
+    assert {"conv_bn", "spike_attention", "mlif"} <= ops
+    assert "batchnorm" not in ops  # every eval batch norm runs fused with its conv
     assert all(e.bwd is None for e in entries)
     cfg = model.cfg  # the fused attention forms no [T, N, N] matrix
     assert all(t.data.shape != (cfg.t, cfg.tokens, cfg.tokens)

@@ -172,7 +172,7 @@ def test_folded_tail_equals_reference_in_float64(rng):
     assert [e.op for e in entries].count("fusion_tail") == 1
     ref_scopes = {e.scope for e in ref_entries if e.op == "conv2d"}
     assert {f"head.{name}" for name in FOLDED_LAYERS} <= ref_scopes
-    assert {e.scope for e in entries if e.op == "conv2d"} == {"head.l2.conv"}
+    assert {e.scope for e in entries if e.op == "conv_bn"} == {"head.l2.conv"}
     with ad.tape(grad=False):
         inspected = head.forward(feats, training=False).data
     assert np.array_equal(head.forward(feats, training=False).data, inspected)

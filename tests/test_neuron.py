@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
-from helpers import scalar_lif_backward_reference, scalar_lif_reference
+from helpers import TAPE_MODES, scalar_lif_backward_reference, scalar_lif_reference
 from spikedepth import autodiff as ad
 from spikedepth.errors import ConfigError, DimensionError, NumericError
-from spikedepth.neuron import LifParams, fresh_state, lif_step, mlif, surrogate_grad
+from spikedepth.neuron import LifParams, fresh_state, lif_backward, lif_step, mlif, surrogate_grad
 
 P = LifParams()  # tau=2, threshold=1, reset=0, alpha=2
+# tau = 3 is where (x - v) / tau and (x - v) * (1 / tau) round apart
+LIF_CASES = (P, LifParams(tau=3.0), LifParams(tau=3.0, v_threshold=0.7, v_reset=0.1),
+             LifParams(tau=1.5, v_threshold=0.4, v_reset=-0.2, surrogate_alpha=4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +102,7 @@ def test_mlif_binary_and_shape(rng):
 def test_mlif_t1_reduces_to_lif_step(rng):
     # mlif is T steps of lif_step: equal spikes bit for bit, also where
     # (x - v) / tau and (x - v) * (1 / tau) round apart (tau = 3)
-    params = (P, LifParams(tau=3.0), LifParams(tau=3.0, v_threshold=0.7, v_reset=0.1),
-              LifParams(tau=1.5, v_threshold=0.4, v_reset=-0.2, surrogate_alpha=4.0))
-    for p in params:
+    for p in LIF_CASES:
         for T in (1, 4):
             for dtype in (np.float32, np.float64):
                 x = rng.uniform(-1, 3, size=(T, 6, 5)).astype(dtype)
@@ -113,6 +114,43 @@ def test_mlif_t1_reduces_to_lif_step(rng):
     x0 = 2.0165894394179498  # x0 * (1 / 3) < x0 / 3
     p = LifParams(tau=3.0, v_threshold=x0 / 3.0)
     assert mlif(ad.tensor(np.array([[x0]])), p).data.item() == 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", LIF_CASES)
+def test_mlif_same_bits_in_every_tape_mode(rng, p, dtype):
+    """With no tape, on an inspection tape and on a gradient tape, mlif gives
+    the spikes of the update rule written with fresh arrays; only the
+    gradient tape keeps a backward, and it reads the pre-reset membrane of
+    every step although lif_step reuses one buffer for it."""
+    x = rng.uniform(-1, 3, size=(5, 6, 7)).astype(dtype)
+    v = np.zeros((6, 7), dtype)
+    want, v_pre = [], []
+    for t in range(5):
+        v = v + (x[t] - v) / p.tau
+        v_pre.append(v)
+        want.append((v >= p.v_threshold).astype(dtype))
+        v = np.where(want[-1] > 0, np.asarray(p.v_reset, dtype=dtype), v)
+    want = np.stack(want)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    for mode, context in TAPE_MODES.items():
+        with context() as tp:
+            got = mlif(ad.parameter(x), p).data
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), mode
+        if tp is not None:
+            (entry,) = tp.entries
+            assert (entry.bwd is None) == (mode == "inspect")
+    (gx,) = entry.bwd(g)  # the gradient tape's, the last mode
+    assert gx.tobytes() == lif_backward(np.stack(v_pre), g, p).tobytes()
+
+
+@pytest.mark.parametrize("mode", sorted(TAPE_MODES))
+def test_mlif_non_finite_current_after_the_first_step_raises(rng, mode):
+    for bad in (np.nan, np.inf):
+        x = rng.uniform(-1, 3, size=(4, 3, 5)).astype(np.float32)
+        x[2, 1, 3] = bad
+        with TAPE_MODES[mode](), pytest.raises(NumericError):
+            mlif(ad.parameter(x), P)
 
 
 def test_mlif_zero_input_zero_output():
