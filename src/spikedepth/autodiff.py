@@ -12,12 +12,18 @@ and accumulates gradients into every parameter: parameters are the only
 gradient leaves, and every other tensor that needs a gradient is an op
 output.
 
+A gradient tape keeps its entries' tensors and no copy derived from them:
+a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
+xhat) from its entry's input and per-channel vectors.  Only `neuron.mlif`
+keeps more, its pre-reset membrane v_pre, rather than rerun the recurrence.
+
 float32 is the production dtype; gradient-check tests build float64 graphs.
 Ops keep the dtype of their inputs and never broadcast beyond the documented
 cases -- shape mismatches raise DimensionError instead of promoting silently.
 """
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -158,8 +164,8 @@ def scope(name: str):
 
 
 def _needs(*tensors):
-    """Whether an op's output needs a gradient, so that the op keeps the
-    state its backward reads (cols, xhat, v_pre): only under a gradient tape."""
+    """Whether an op's output needs a gradient, so that the op keeps a
+    backward (and mlif its v_pre): only under a gradient tape."""
     tp = active_tape()
     if tp is None or not tp.grad:
         return False
@@ -344,35 +350,33 @@ PANEL_BYTES = 1024 * 1024
 _SMALL_GEMM_MACS = 100 ** 3
 
 
-def _corr2d(x, w, pad, keep_cols=False):
+def _windows(x, k, pad):
+    """The k x k window view [B,Ci,Ho,Wo,k,k] of x [B,Ci,H,W] zero-padded
+    by `pad` on each side of its last two axes."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    return sliding_window_view(x, (k, k), axis=(2, 3))
+
+
+def _corr2d(x, w, pad):
     """Raw stride-1 correlation core: x [B,Ci,H,W], w [Co,Ci,k,k] ->
-    ([B,Co,H+2*pad-k+1,W+2*pad-k+1], cols).
+    [B,Co,H+2*pad-k+1,W+2*pad-k+1].
 
     Channel-major im2col (Chellapilla et al., IWFHR 2006) in row panels (Cho
     & Brand, MEC, arXiv 1706.06873): for each image and block of output rows
     the panel's [Ci*k*k, rows*Wo] cols is one GEMM with w[Co, Ci*k*k],
-    written straight into those rows of the output.  With `keep_cols` the
-    whole cols matrix [Ci*k*k, B*Ho*Wo] is built once, for the weight
-    gradient, and each image's GEMM reads its column slice; otherwise `cols`
-    is None.  A 1x1 unpadded conv needs no window view: it is a batched
-    matmul over x itself, and `cols` is None.
+    written straight into those rows of the output.  A 1x1 unpadded conv
+    needs no window view: it is a batched matmul over x itself.
     """
     B, Ci, H, W = x.shape
     Co, _, k, _ = w.shape
     w2d = w.reshape(Co, -1)
     if k == 1 and not pad:
-        return np.matmul(w2d, x.reshape(B, Ci, H * W)).reshape(B, Co, H, W), None
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))
+        return np.matmul(w2d, x.reshape(B, Ci, H * W)).reshape(B, Co, H, W)
+    win = _windows(x, k, pad)
     Ho, Wo = win.shape[2], win.shape[3]
     K = Ci * k * k
     out = np.empty((B, Co, Ho, Wo), dtype=np.result_type(x, w))
-    if keep_cols:
-        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(K, B * Ho * Wo)
-        for b in range(B):
-            np.matmul(w2d, cols[:, b * Ho * Wo:(b + 1) * Ho * Wo], out=out[b].reshape(Co, -1))
-        return out, cols
     rows = max(PANEL_BYTES // (K * Wo * x.itemsize), _SMALL_GEMM_MACS // (Co * K * Wo) + 1)
     n_panels = max(1, Ho // rows)  # the remainder rows spread over the panels
     bounds = [Ho * i // n_panels for i in range(n_panels + 1)]
@@ -382,7 +386,7 @@ def _corr2d(x, w, pad, keep_cols=False):
             panel = buf[:K * (r1 - r0) * Wo].reshape(K, -1)
             np.copyto(panel.reshape(Ci, k, k, r1 - r0, Wo), win[b, :, r0:r1].transpose(0, 3, 4, 1, 2))
             np.matmul(w2d, panel, out=out[b].reshape(Co, -1)[:, r0 * Wo:r1 * Wo])
-    return out, None
+    return out
 
 
 def _check_conv(op, xd, wd, pad):
@@ -411,8 +415,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     _check_conv("conv2d", xd, wd, pad)
     Ci = xd.shape[1]
     Co, _, k, _ = wd.shape
-    # the weight gradient is one GEMM over every column, so it needs all of cols
-    out_data, cols = _corr2d(xd, wd, pad, keep_cols=_needs(w))
+    out_data = _corr2d(xd, wd, pad)
     if b is not None:
         if b.data.shape != (Co,):
             raise DimensionError(f"conv2d: bias shape {b.data.shape} != ({Co},)")
@@ -422,16 +425,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     def bwd(g):
         gw = gb = gx = None
         if w.requires_grad:
-            # one GEMM over K = B*Ho*Wo; a 1x1 conv's cols is x, channel-major
-            c = cols if cols is not None else xd.transpose(1, 0, 2, 3).reshape(Ci, -1)
-            gw = (g.transpose(1, 0, 2, 3).reshape(Co, -1) @ c.T).reshape(wd.shape)
+            # one GEMM over K = B*Ho*Wo with the whole cols, rebuilt from x
+            cols = _windows(xd, k, pad).transpose(1, 4, 5, 0, 2, 3).reshape(Ci * k * k, -1)
+            gw = (g.transpose(1, 0, 2, 3).reshape(Co, -1) @ cols.T).reshape(wd.shape)
         if b is not None and b.requires_grad:
             gb = g.transpose(0, 2, 3, 1).reshape(-1, Co).sum(0)
         if x.requires_grad:
             # full correlation with the flipped, channel-swapped kernel; at
             # stride 1 with pad k-1-pad it is exactly [B,Ci,H,W]
             wf = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, _ = _corr2d(g, np.ascontiguousarray(wf), k - 1 - pad)
+            gx = _corr2d(g, np.ascontiguousarray(wf), k - 1 - pad)
         return (gx, gw, gb)
 
     return _op("conv2d", (x, w, b), out_data, bwd)
@@ -454,24 +457,29 @@ def _check_affine(op, c, gamma, beta):
         raise DimensionError(f"{op}: affine params must have shape ({c},)")
 
 
-def _normalise(x, mean, var, gamma, beta, in_place=False, keep_xhat=False):
+def _standardise(x, mean, inv_std, out=None):
+    """xhat = (x - mean) * inv_std over [B,C,H,W], into `out` when given."""
+    xhat = np.subtract(x, mean[_C], out=out)
+    xhat *= inv_std[_C]
+    return xhat
+
+
+def _normalise(x, mean, var, gamma, beta, in_place=False):
     """Batch norm's float op sequence over x [B,C,H,W] with per-channel
     mean, var, gamma and beta arrays: inv_std = 1 / sqrt(var + BN_EPS) in
-    var's dtype, xhat = (x - mean) * inv_std, then gamma * xhat + beta.
+    var's dtype, `_standardise`, then gamma * xhat + beta.
 
     xhat is written into x itself with `in_place` (when x - mean keeps x's
     dtype, so the bits are those of a fresh array), else into a new array;
-    the output is written into xhat's buffer unless `keep_xhat` or a gamma
-    of another dtype needs a new one.  Returns (output, xhat, inv_std).
+    the output is written into xhat's buffer unless a gamma of another
+    dtype needs a new one.  Returns (output, inv_std).
     """
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     in_place = in_place and np.result_type(x, mean) == x.dtype
-    xhat = np.subtract(x, mean[_C], out=x if in_place else None)
-    xhat *= inv_std[_C]
-    reuse = not keep_xhat and gamma.dtype == xhat.dtype
-    out = np.multiply(gamma[_C], xhat, out=xhat if reuse else None)
+    xhat = _standardise(x, mean, inv_std, out=x if in_place else None)
+    out = np.multiply(gamma[_C], xhat, out=xhat if gamma.dtype == xhat.dtype else None)
     out += beta[_C]
-    return out, xhat, inv_std
+    return out, inv_std
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running_var=None,
@@ -505,12 +513,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
         mu = running_mean
         var = running_var
 
-    # xhat gets a buffer of its own only when a backward will read it
-    out_data, xhat, inv_std = _normalise(xd, mu, var, gamma.data, beta.data,
-                                         keep_xhat=_needs(x, gamma, beta))
+    out_data, inv_std = _normalise(xd, mu, var, gamma.data, beta.data)
     _guard("batchnorm", out_data)
 
     def bwd(g):
+        # the forward wrote its output over xhat: rebuild xhat from x
+        xhat = _standardise(xd, mu, inv_std)
         gxhat = g * xhat
         ggamma = gxhat.sum(axis=axes) if gamma.requires_grad else None
         gbeta = g.sum(axis=axes) if beta.requires_grad else None
@@ -544,8 +552,8 @@ def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, run
     xd, wd = x.data, w.data
     _check_conv("conv_bn", xd, wd, pad)
     _check_affine("conv_bn", wd.shape[0], gamma, beta)
-    y, _ = _corr2d(xd, wd, pad)
-    out_data, _, _ = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
+    y = _corr2d(xd, wd, pad)
+    out_data, _ = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
     _guard("conv_bn", out_data)
     return _op("conv_bn", (x, w, gamma, beta), out_data, None)
 
@@ -588,14 +596,8 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
 # bilinear upsampling
 
 
-_BILINEAR_CACHE: dict = {}
-
-
+@functools.cache
 def _bilinear_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
-    key = (n_in, factor, np.dtype(dtype).str)
-    m = _BILINEAR_CACHE.get(key)
-    if m is not None:
-        return m
     n_out = n_in * factor
     M = np.zeros((n_out, n_in), dtype=dtype)
     for o in range(n_out):
@@ -609,8 +611,13 @@ def _bilinear_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
         i1 = min(i0 + 1, n_in - 1)
         M[o, i0] += 1.0 - frac
         M[o, i1] += frac
-    _BILINEAR_CACHE[key] = M
     return M
+
+
+def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
+    """Bilinear upsampling of a plain array's last two axes: Mh @ x @ Mw.T."""
+    mh, mw = (_bilinear_matrix(n, factor, x.dtype) for n in x.shape[-2:])
+    return mh @ x @ mw.T
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
@@ -622,13 +629,11 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     xd = x.data
     if xd.ndim < 2:
         raise DimensionError("upsample_bilinear: input must be at least 2-D")
-    H, W = xd.shape[-2:]
-    Mh = _bilinear_matrix(H, factor, xd.dtype)
-    Mw = _bilinear_matrix(W, factor, xd.dtype)
-    out_data = Mh @ xd @ Mw.T
+    out_data = _upsample(xd, factor)
     _guard("upsample_bilinear", out_data)
 
     def bwd(g):
-        return (Mh.T @ g @ Mw,)
+        mh, mw = (_bilinear_matrix(n, factor, xd.dtype) for n in xd.shape[-2:])
+        return (mh.T @ g @ mw,)
 
     return _op("upsample_bilinear", (x,), out_data, bwd)

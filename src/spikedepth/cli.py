@@ -37,7 +37,7 @@ from . import checkpoint as ckpt
 from . import config as cfgmod
 from . import dataio, energy
 from .errors import ConfigError, SpikeDepthError
-from .metrics import MetricsReport
+from .metrics import DEFAULT_EPS, MetricsReport
 from .train import evaluate_checkpoint, train
 
 
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="metrics + energy audit of a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--csv", default=None, help="write per-sample metrics CSV here")
     p.set_defaults(func=_cmd_eval)
 

@@ -36,13 +36,6 @@ def _bn_affine(conv: ConvBN):
     return g, conv.beta.data - g * conv.running_mean
 
 
-def _up(x: np.ndarray, factor: int) -> np.ndarray:
-    """`ad.upsample_bilinear` of a plain array: the same matrices, no entry."""
-    mh = ad._bilinear_matrix(x.shape[-2], factor, x.dtype)
-    mw = ad._bilinear_matrix(x.shape[-1], factor, x.dtype)
-    return mh @ x @ mw.T
-
-
 def _tap_sum(z: np.ndarray) -> np.ndarray:
     """sum_tau shift_tau(pad1(z))[tau] for z [9, h, w], tau = 3 * ky + kx:
     a 3x3 correlation, pad 1, whose channel tau is already weighted by
@@ -133,12 +126,12 @@ class FusionHead(Module):
         p = self.proj.w.data.reshape(d).astype(np.float64)
         a = ((p * g4) @ self.conv4.w.data.reshape(d, 9 * d)).reshape(d, 9).T  # [9, D]
         w3 = ((a * g3) @ self.conv3.w.data.reshape(d, 9 * d)).reshape(9, d, 3, 3)
-        z = ad._corr2d(_up(y2, 2), w3.astype(dt), 1)[0][0]  # [9, H/2, W/2]
+        z = ad._corr2d(ad._upsample(y2, 2), w3.astype(dt), 1)[0]  # [9, H/2, W/2]
         z += (a @ c3).astype(dt)[:, None, None]
-        z += _up(np.tensordot(a.astype(dt), r3[0], 1), 4)
-        logit = _tap_sum(_up(z, 2))
+        z += ad._upsample(np.tensordot(a.astype(dt), r3[0], 1), 4)
+        logit = _tap_sum(ad._upsample(z, 2))
         logit += float(p @ c4)
-        logit += _up(np.tensordot(p.astype(dt), r4[0], 1), 8)
+        logit += ad._upsample(np.tensordot(p.astype(dt), r4[0], 1), 8)
         ad._guard("fusion_tail", logit)
         return logit[None, None]
 

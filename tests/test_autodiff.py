@@ -6,6 +6,7 @@ from helpers import (
     TAPE_MODES,
     assert_fd_match,
     batchnorm_reference,
+    depth_map,
     fd_gradient,
     grad_agreement,
     rowmajor_conv2d,
@@ -15,7 +16,7 @@ from spikedepth.energy import price
 from spikedepth.errors import DimensionError, NumericError, StaleTapeError
 from spikedepth.head import FOLDED_LAYERS, rate_encode
 from spikedepth.layers import ConvBN
-from spikedepth.losses import DistillConfig, FeatureProjections
+from spikedepth.losses import DistillConfig, FeatureProjections, total_loss
 from spikedepth.model import DepthModel, ModelConfig
 
 # ---------------------------------------------------------------------------
@@ -462,7 +463,7 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
         # t is now the gradient tape, the last mode
         g = rng.standard_normal(y.data.shape, dtype=np.float32)
         gx, gw, gb = t.entries[-1].bwd(g)
-        del t, y  # the tape holds cols: free it before the reference builds its own
+        del t, y  # the tape holds x and w: free it before the reference builds its cols
         ref = rowmajor_conv2d(x, w, b, g, pad)
         what = f"{model} x{x_shape} w{w_shape}"
         for mode, out in outs.items():
@@ -474,25 +475,20 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
 
 
 def test_untaped_forward_keeps_no_backward_state(monkeypatch):
-    """With no tape no op output needs a gradient and no conv keeps its
-    cols: the no-tape counterpart of `energy.trace_forward`'s inspection tape."""
+    """With no tape no op output needs a gradient, so no op keeps a backward:
+    the no-tape counterpart of `energy.trace_forward`'s inspection tape."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
     projections = FeatureProjections(DistillConfig(matched_blocks=(2, 4)), 64, rng)
-    outputs, kept = [], []
-    op_, corr2d = ad._op, ad._corr2d
+    outputs = []
+    op_ = ad._op
 
     def spy_op(op, inputs, data, bwd):
         out = op_(op, inputs, data, bwd)
         outputs.append((op, out.requires_grad))
         return out
 
-    def spy_corr2d(x, w, pad, keep_cols=False):
-        kept.append(keep_cols)
-        return corr2d(x, w, pad, keep_cols)
-
     monkeypatch.setattr(ad, "_op", spy_op)
-    monkeypatch.setattr(ad, "_corr2d", spy_corr2d)
     spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(np.float32)
     for training in (True, False):
         feats, _ = model.forward(spikes, training=training)
@@ -501,7 +497,46 @@ def test_untaped_forward_keeps_no_backward_state(monkeypatch):
     ops = {op for op, _ in outputs}
     assert {"conv2d", "batchnorm", "maxpool2d", "mlif", "spike_attention", "upsample_bilinear"} <= ops
     assert not any(needs for _, needs in outputs)
-    assert kept and not any(kept)
+
+
+def test_gradient_tape_keeps_no_derived_copies():
+    """Every array a backward closure holds on a gradient tape shares memory
+    with its entry's inputs or output or with a parameter, is a per-channel
+    vector, or is mlif's pre-reset membrane v_pre: conv2d's im2col cols and
+    batchnorm's xhat are rebuilt from the entry's input, not kept.  Checked
+    over a recipe training forward with KD projections and its loss, and an
+    eval forward."""
+    rng = np.random.default_rng(0)
+    model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
+    dcfg = DistillConfig(matched_blocks=(2, 4))
+    projections = FeatureProjections(dcfg, 64, rng)
+    params = [p.data for _, p in list(model.named_params()) + list(projections.named_params())]
+    spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(np.float32)
+    gt = depth_map(rng.random((64, 64)))
+    teacher = rng.standard_normal((16, 8, 8)).astype(np.float32)
+    entries = []
+    for training in (True, False):
+        with ad.tape() as t:
+            feats, pred = model.forward(spikes, training=training)
+            if training:
+                total_loss(feats, pred, gt, teacher, projections, dcfg)
+        entries += t.entries
+    checked, stray = set(), []
+    for e in entries:
+        own = [x.data for x in e.inputs if x is not None] + [e.output.data] + params
+        for name, cell in zip(e.bwd.__code__.co_freevars, e.bwd.__closure__ or ()):
+            v = cell.cell_contents
+            arr = v.data if isinstance(v, ad.Tensor) else v
+            if not isinstance(arr, np.ndarray):
+                continue
+            checked.add(e.op)
+            if (any(np.may_share_memory(arr, o) for o in own)
+                    or arr.shape == (e.inputs[0].data.shape[1],)
+                    or (e.op == "mlif" and name == "v_pre")):
+                continue
+            stray.append(f"{e.scope}: {e.op}.{name} {arr.shape}")
+    assert {"conv2d", "batchnorm", "mlif", "matmul", "upsample_bilinear", "sigmoid"} <= checked
+    assert not stray, stray
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
