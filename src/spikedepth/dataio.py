@@ -175,6 +175,10 @@ def read_spikes(path) -> SpikeTensor:
 
 
 def write_depth(path, depth: DepthMap) -> None:
+    """Write a DPTH map, invalid pixels as NaN; a non-finite value at a valid
+    pixel raises DataError, since `read_depth` would read it back as invalid."""
+    if not np.isfinite(depth.values[depth.mask]).all():
+        raise DataError("write_depth: depth values at valid pixels must be finite")
     vals = depth.values.astype("<f4", copy=True)
     vals[~depth.mask] = np.float32("nan")
     write_framed(path, DPTH_MAGIC, vals.shape, [vals.tobytes()])
@@ -211,7 +215,7 @@ def export_pgm(path, depth_values: np.ndarray) -> None:
     vals = np.asarray(depth_values, dtype=np.float64)
     if vals.ndim != 2:
         raise DimensionError(f"export_pgm: need a 2-D map, got {vals.shape}")
-    if vals.min() < 0.0 or vals.max() > 1.0:
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails both comparisons
         raise DataError("export_pgm: depth values must lie in [0, 1]")
     h, w = vals.shape
     pix = np.rint(vals * 65535.0).astype(">u2")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .head import FOLDED_LAYERS
 from .trace import is_binary
 
@@ -180,7 +180,9 @@ def _attention_work(entry):
     """The `qk` and `av` rows `_matmul_work` gives the products Q K^T and
     (Q K^T) V that a fused Q (K^T V) stands for, without forming Q K^T.
 
-    The entry exists only for binary q [T,N,D], k [T,M,D], v [T,M,Dv].  The
+    Its operands are q [T,N,D], k [T,M,D], v [T,M,Dv], which the product
+    checks; only spikes are priced, and a non-binary operand raises
+    ContractError, as `trace.assert_spike_purity` does.  The
     co-activation count of Q K^T is sum_t sum_d (sum_n q)(sum_m k).  Q K^T is
     itself binary unless some row pair shares two channels: an off-diagonal
     (d1, d2) set in both Q^T Q and K^T K.  If binary, the count of (Q K^T) V
@@ -189,6 +191,8 @@ def _attention_work(entry):
     replaces.
     """
     q, k, v = (t.data for t in entry.inputs)
+    if not all(map(is_binary, (q, k, v))):
+        raise ContractError(f"energy: fused attention at {entry.scope!r} has a non-binary operand")
     T, N, D = q.shape
     M, Dv = v.shape[1:]
     q_count = q.sum(axis=1, dtype=np.float64)  # [T, D] spikes per channel
@@ -255,7 +259,8 @@ def trace_forward(model, spikes_dense):
 def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
     """Price every weighted layer among the tape entries of one forward pass
     of `model`; costs that are negative, non-finite, or overflow the total
-    raise ConfigError."""
+    raise ConfigError, and a fused attention entry over non-spikes raises
+    ContractError."""
     for name, pj in (("e_mac_pj", e_mac_pj), ("e_ac_pj", e_ac_pj)):
         if not 0 <= pj < math.inf:  # NaN fails both comparisons
             raise ConfigError(f"energy: {name} must be finite and non-negative, got {pj}")

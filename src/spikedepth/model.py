@@ -72,42 +72,28 @@ class ModelConfig:
         return (self.h // 8) * (self.w // 8)
 
 
-# every partial sum of either association of a binary Q K^T V is an integer
-# of at most M*D (M keys, D channels); float32 holds each exactly below this
-EXACT_SUM_LIMIT = 2 ** 24
-
-
-def _fusable(q, k, v) -> bool:
-    """Whether Q (K^T V) may stand in for (Q K^T) V: no gradient is needed,
-    the operands are [T, N, D], [T, M, D] and [T, M, Dv] spikes, and M*D is
-    below EXACT_SUM_LIMIT."""
-    qd, kd, vd = q.data, k.data, v.data
-    if ad._needs(q, k, v) or not qd.ndim == kd.ndim == vd.ndim == 3:
-        return False
-    t, m, d = kd.shape
-    if qd.shape[::2] != (t, d) or vd.shape[:2] != (t, m) or m * d >= EXACT_SUM_LIMIT:
-        return False
-    return is_binary(qd) and is_binary(kd) and is_binary(vd)
-
-
 def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float) -> ad.Tensor:
-    """Scaled spiking attention current ((Q K^T) V) * s for [T, N, D] inputs.
+    """Scaled spiking attention current ((Q K^T) V) * s for q [T, N, D],
+    k [T, M, D] and v [T, M, Dv]; any other shape raises DimensionError.
 
-    Q K^T entries are co-activation counts (non-negative integers bounded by
-    D).  When the output needs no gradient (no tape, or an inspection tape),
-    the operands are binary and M*D < 2**24, the product runs as Q (K^T V)
-    and is recorded as one `spike_attention` entry over (q, k, v): it never
-    forms the N x N matrix Q K^T.  Every partial sum of either association
-    is then an integer of at most M*D, which float32 holds exactly, so both
-    give the same bits.  Otherwise (a gradient tape, a non-binary operand,
-    or a larger M*D) the `qk` and `av` matmuls run as (Q K^T) V, the
-    association the backward differentiates.  `energy.price` prices the
-    fused entry as those two products, and `trace.assert_spike_purity`
-    checks on the tape that the operands are spikes; one that is not
-    [T, N, D] raises DimensionError in the products.
+    Whether the output needs a gradient picks the product, and nothing else
+    does.  If it does not (no tape, or an inspection tape), the product runs
+    as Q (K^T V), one `spike_attention` entry over (q, k, v) that never forms
+    the N x N matrix Q K^T.  If it does, the `qk` and `av` matmuls run
+    (Q K^T) V, the association the backward differentiates.  For spikes,
+    every partial sum of either association is an integer of at most M*D,
+    which float32 holds exactly below 2**24, so both give the same bits.
+    The spikes are checked on the tape, not here: `trace.assert_spike_purity`
+    requires three binary operands of a fused entry, and `energy.price`,
+    which prices it as the two products, refuses one that is not.
     """
-    if _fusable(q, k, v):
-        out = q.data @ (k.data.transpose(0, 2, 1) @ v.data)
+    qd, kd, vd = q.data, k.data, v.data
+    if not (qd.ndim == kd.ndim == vd.ndim == 3 and qd.shape[::2] == kd.shape[::2]
+            and vd.shape[:2] == kd.shape[:2]):
+        raise DimensionError(f"attention: need q [T,N,D], k [T,M,D], v [T,M,Dv], "
+                             f"got {qd.shape}, {kd.shape}, {vd.shape}")
+    if not ad._needs(q, k, v):
+        out = qd @ (kd.transpose(0, 2, 1) @ vd)
         return ad.scale(ad._op("spike_attention", (q, k, v), out, None), s)
     with ad.scope("qk"):
         attn = ad.matmul(q, ad.transpose(k, (0, 2, 1)))

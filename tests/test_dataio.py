@@ -108,6 +108,18 @@ def test_depth_nan_round_trips_as_mask(tmp_path):
     assert np.isnan(stored[1, 1]) and not np.isnan(stored[0, 0])
 
 
+def test_depth_refuses_a_non_finite_valid_pixel(tmp_path):
+    # read_depth would read the pixel back as invalid, flipping the mask
+    for bad in (np.nan, np.inf, -np.inf):
+        d = DepthMap(np.array([[bad, 0.5]], dtype=np.float32), np.array([[True, True]]))
+        with pytest.raises(DataError):
+            write_depth(tmp_path / "d.dpth", d)
+        assert not (tmp_path / "d.dpth").exists()
+    masked = DepthMap(np.array([[np.nan, 0.5]], dtype=np.float32), np.array([[False, True]]))
+    write_depth(tmp_path / "d.dpth", masked)  # an invalid pixel may hold anything
+    np.testing.assert_array_equal(read_depth(tmp_path / "d.dpth").mask, masked.mask)
+
+
 def test_feat_payload_size_and_round_trip(tmp_path, rng):
     f = np.zeros((4, 3, 5), dtype=np.float32)
     write_features(tmp_path / "f.feat", f)
@@ -133,6 +145,14 @@ def test_export_pgm_layout(tmp_path):
     assert raw.startswith(header)
     pix = np.frombuffer(raw[len(header):], dtype=">u2").reshape(2, 2)
     np.testing.assert_array_equal(pix, np.rint(vals * 65535).astype(np.uint16))
+
+
+def test_export_pgm_refuses_nan(tmp_path):
+    # NaN fails both range comparisons, so it would pass a check of min < 0 or max > 1
+    for vals in ([[np.nan, 0.5]], [[0.5, np.nan]], [[np.nan, np.nan]]):
+        with pytest.raises(DataError):
+            dataio.export_pgm(tmp_path / "d.pgm", np.array(vals))
+    assert not (tmp_path / "d.pgm").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from helpers import random_spikes, tiny_model, tiny_model_cfg
 from spikedepth import autodiff as ad
-from spikedepth import model as model_mod
 from spikedepth.energy import price
 from spikedepth.errors import ConfigError, ContractError, DimensionError
 from spikedepth.layers import Conv, ConvBN, Module
@@ -69,6 +68,23 @@ def test_attention_rejects_non_tnd_operand():
                 spike_attention_product(*operands, 1.0)
 
 
+@pytest.mark.parametrize("grad", [False, True])
+def test_attention_rejects_mismatched_operands(grad):
+    # one shape check for both products: q [T,N,D], k [T,M,D], v [T,M,Dv]
+    q, k, v = (1, 3, 2), (1, 4, 2), (1, 4, 5)
+    bad = [((2, 3, 2), k, v), (q, (2, 4, 2), v), (q, k, (2, 4, 5)),  # T
+           ((1, 3, 3), k, v), (q, (1, 4, 3), v),  # D
+           (q, k, (1, 3, 5)),  # M
+           ((3, 2), k, v), (q, (1, 1, 4, 2), v), (q, k, (4, 5))]  # rank
+    leaf = ad.parameter if grad else ad.tensor
+    for shapes in bad:
+        with ad.tape(), pytest.raises(DimensionError):
+            spike_attention_product(*(leaf(np.ones(sh, np.float32)) for sh in shapes), 1.0)
+    with ad.tape() as tp:
+        spike_attention_product(*(leaf(np.ones(sh, np.float32)) for sh in (q, k, v)), 1.0)
+    assert ("spike_attention" in _ops(tp.entries)) is not grad
+
+
 def test_attention_scale_keeps_nonnegativity(rng):
     q, k, v = (ad.tensor((rng.random((1, 6, 6)) < 0.5).astype(float)) for _ in range(3))
     for s in (0.1, 0.25, 2.0):
@@ -99,8 +115,8 @@ def _in_scope(scope):
          scope="block1.attn")  # counts of 4: the N-per-spike `av` rule
 def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, seed, dtype, s, scope):
     """Q (K^T V) for spikes gives the bits of (Q K^T) V and the energy rows
-    of its two products; it stands aside for a gradient, a non-binary
-    operand, or an M*D past the exact-integer limit."""
+    of its two products; only a gradient makes it stand aside, and over
+    non-spikes it is still one entry, which purity and the audit refuse."""
     q, k, v = _attention_operands(t, n, m, d, dv, density, seed, dtype)
     with ad.tape() as grad_tape, _in_scope(scope):
         want = spike_attention_product(*(ad.parameter(a) for a in (q, k, v)), s)
@@ -115,18 +131,13 @@ def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, 
 
     half = [q, k, v]
     half[seed % 3] = half[seed % 3] * 0.5 + 0.25  # not binary anywhere
-    with ad.tape(grad=False) as tp:
+    with ad.tape(grad=False) as tp, ad.scope("block1.attn"):
         spike_attention_product(*map(ad.tensor, half), s)
-    assert "spike_attention" not in _ops(tp.entries)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model_mod, "EXACT_SUM_LIMIT", m * d)
-        with ad.tape(grad=False) as tp:
-            small = spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)
-        assert "spike_attention" not in _ops(tp.entries) and small.data.tobytes() == want.data.tobytes()
-        mp.setattr(model_mod, "EXACT_SUM_LIMIT", m * d + 1)
-        with ad.tape(grad=False) as tp:
-            spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)
-        assert "spike_attention" in _ops(tp.entries)
+    assert _ops(tp.entries) == ["spike_attention", "scale"]
+    with pytest.raises(ContractError, match="block1.attn"):
+        assert_spike_purity(tp.entries)
+    with pytest.raises(ContractError, match="block1.attn"):
+        price(tp.entries, Module())
 
 
 def test_purity_counts_fused_attention_as_two_products(rng):
