@@ -5,10 +5,13 @@ batchnorm over [B,C,H,W] (fused into one `conv_bn` op for an eval forward
 that needs no gradient), k x k max pooling and bilinear upsampling for the
 layers, batched matmul for attention, and elementwise arithmetic plus
 reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
-tape is active, append an entry holding the backward closure (None when the
-output needs no gradient, as on an inspection tape).  `Tape.backward`
-replays the entries in reverse (the recording order is already topological)
-and accumulates gradients into every parameter: parameters are the only
+tape is active, record an entry holding the backward closure (None when the
+output needs no gradient, as on an inspection tape).  A tape appends each
+entry to its list, unless it is an inspection tape given a consumer, which
+is handed each entry as it is recorded and keeps none, so a streamed
+forward holds no more than an untaped one.  `Tape.backward` replays the
+entries in reverse (the recording order is already topological) and
+accumulates gradients into every parameter: parameters are the only
 gradient leaves, and every other tensor that needs a gradient is an op
 output.
 
@@ -30,7 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, NumericError, StaleTapeError
+from .errors import ConfigError, DimensionError, NumericError, StaleTapeError
 
 
 def _guard(op, arr):
@@ -89,11 +92,20 @@ class Tape:
 
     With `grad=False` it is an inspection tape: entries keep their op, scope,
     inputs and output, but no op output needs a gradient, every `bwd` is
-    None and no op keeps state for a backward pass.
+    None and no op keeps state for a backward pass.  An inspection tape
+    given a `consumer` calls `consumer(entry)` for each entry in recording
+    order instead of appending it, so `entries` stays empty and an entry,
+    with every array only it references, is freed as the forward moves on.
+    A gradient tape refuses a consumer with ConfigError: backward replays
+    the list.
     """
 
-    def __init__(self, grad=True):
+    def __init__(self, grad=True, consumer=None):
+        if grad and consumer is not None:
+            raise ConfigError("a gradient tape keeps its entries for backward; "
+                              "only an inspection tape (grad=False) takes a consumer")
         self.grad = grad
+        self.consumer = consumer
         self.entries: list[TapeEntry] = []
         self._scopes: list[str] = []
 
@@ -140,8 +152,8 @@ def active_tape():
 
 
 @contextmanager
-def tape(grad=True):
-    t = Tape(grad)
+def tape(grad=True, consumer=None):
+    t = Tape(grad, consumer)
     _STACK.append(t)
     try:
         yield t
@@ -175,11 +187,16 @@ def _needs(*tensors):
 def _op(op, inputs, data, bwd) -> Tensor:
     """The output Tensor of `op` over `inputs` (None for an absent optional
     input), holding `data`; on an active tape, also its entry, which keeps
-    `bwd` only when the output needs a gradient."""
+    `bwd` only when the output needs a gradient and goes to the tape's
+    consumer, if it has one, else onto its list."""
     out = Tensor(data, requires_grad=_needs(*inputs))
     t = active_tape()
     if t is not None:
-        t.entries.append(TapeEntry(op, t.scope, inputs, out, bwd if out.requires_grad else None))
+        entry = TapeEntry(op, t.scope, inputs, out, bwd if out.requires_grad else None)
+        if t.consumer is None:
+            t.entries.append(entry)
+        else:
+            t.consumer(entry)
     return out
 
 

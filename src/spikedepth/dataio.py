@@ -213,8 +213,8 @@ def read_features(path) -> np.ndarray:
 def export_pgm(path, depth_values: np.ndarray) -> None:
     """Write normalized depth as a 16-bit binary PGM (maxval 65535, MSB first)."""
     vals = np.asarray(depth_values, dtype=np.float64)
-    if vals.ndim != 2:
-        raise DimensionError(f"export_pgm: need a 2-D map, got {vals.shape}")
+    if vals.ndim != 2 or vals.size == 0:
+        raise DimensionError(f"export_pgm: need a non-empty 2-D map, got {vals.shape}")
     if not (vals.min() >= 0.0 and vals.max() <= 1.0):  # NaN fails both comparisons
         raise DataError("export_pgm: depth values must lie in [0, 1]")
     h, w = vals.shape

@@ -19,7 +19,9 @@ Accounting convention (45 nm CMOS estimates):
     fused or as its own op; pooling, upsampling interpolation and residual
     adds are comparison/add-only and left out of the tally.
 
-Per-layer rows always sum exactly to the reported total.
+Per-layer rows always sum exactly to the reported total.  `price` applies
+the per-entry rule to a recorded list of tape entries; `audit` applies it
+to each entry of one forward as the entry is recorded, keeping none.
 """
 from __future__ import annotations
 
@@ -241,30 +243,19 @@ def _row(name, equiv, T, synops, e_mac_pj, e_ac_pj):
                      rate, synops, spike_energy_pj(equiv, rate, T, e_ac_pj))
 
 
-def trace_forward(model, spikes_dense):
-    """Run one eval-mode forward pass under an inspection tape.
-
-    Returns (depth prediction [H, W], the tape entries); the prediction is
-    the array `model.predict` returns for the same input.  The entries hold
-    every op's inputs and output but no backward state, each `ConvBN` is
-    one `conv_bn` entry, each attention product is one fused
-    `spike_attention` entry, not an N x N matrix, and the fusion head's
-    folded tail is one `fusion_tail` entry.
-    """
-    with ad.tape(grad=False) as tp:
-        _, pred = model.forward(spikes_dense, training=False)
-    return pred.data, tp.entries
-
-
-def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
-    """Price every weighted layer among the tape entries of one forward pass
-    of `model`; costs that are negative, non-finite, or overflow the total
-    raise ConfigError, and a fused attention entry over non-spikes raises
-    ContractError."""
+def _check_costs(e_mac_pj, e_ac_pj):
     for name, pj in (("e_mac_pj", e_mac_pj), ("e_ac_pj", e_ac_pj)):
         if not 0 <= pj < math.inf:  # NaN fails both comparisons
             raise ConfigError(f"energy: {name} must be finite and non-negative, got {pj}")
-    rows = [_row(*work, e_mac_pj, e_ac_pj) for e in entries if e.op in _WORK for work in _WORK[e.op](e)]
+
+
+def _priced(entry, e_mac_pj, e_ac_pj):
+    """The rows of one tape entry: none for an op that does no weighted work."""
+    work = _WORK.get(entry.op)
+    return [_row(*w, e_mac_pj, e_ac_pj) for w in work(entry)] if work else []
+
+
+def _report(rows, model, e_mac_pj, e_ac_pj):
     report = EnergyReport(rows=rows, e_mac_pj=e_mac_pj, e_ac_pj=e_ac_pj, param_count=param_count(model))
     if not math.isfinite(report.total_pj):  # inf, or a silent layer's inf * 0
         raise ConfigError(f"energy: costs e_mac_pj={e_mac_pj} and e_ac_pj={e_ac_pj} "
@@ -272,7 +263,35 @@ def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) 
     return report
 
 
+def price(entries, model, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
+    """Price every weighted layer among the tape entries of one forward pass
+    of `model`; costs that are negative, non-finite, or overflow the total
+    raise ConfigError, and a fused attention entry over non-spikes raises
+    ContractError."""
+    _check_costs(e_mac_pj, e_ac_pj)
+    rows = [row for e in entries for row in _priced(e, e_mac_pj, e_ac_pj)]
+    return _report(rows, model, e_mac_pj, e_ac_pj)
+
+
+def predict_and_audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ):
+    """One eval-mode forward pass → (depth prediction [H, W], EnergyReport).
+
+    The prediction is the array `model.predict` returns for the same input
+    and the report equals `price` over an inspection tape of that forward.
+    The costs are checked before the forward runs; then each entry is
+    priced as its op records it, under a tape that keeps none, so the pass
+    holds no more memory than `predict`.  Every `ConvBN` is one `conv_bn`
+    entry, every attention product one fused `spike_attention` entry and
+    the fusion head's folded tail one `fusion_tail` entry.
+    """
+    _check_costs(e_mac_pj, e_ac_pj)
+    rows = []
+    with ad.tape(grad=False, consumer=lambda e: rows.extend(_priced(e, e_mac_pj, e_ac_pj))):
+        _, pred = model.forward(spikes_dense, training=False)
+    return pred.data, _report(rows, model, e_mac_pj, e_ac_pj)
+
+
 def audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: float = E_AC_PJ) -> EnergyReport:
-    """Run one eval-mode forward pass and price every weighted layer."""
-    _, entries = trace_forward(model, spikes_dense)
-    return price(entries, model, e_mac_pj, e_ac_pj)
+    """Run one eval-mode forward pass and price every weighted layer as it
+    runs (see `predict_and_audit`)."""
+    return predict_and_audit(model, spikes_dense, e_mac_pj, e_ac_pj)[1]

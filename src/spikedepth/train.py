@@ -223,22 +223,20 @@ def evaluate_checkpoint(ckpt_path, data_dir, eps: float = DEFAULT_EPS) -> EvalRe
     """Metrics over every sample, one forward pass each; energy audited on
     the first sample only.
 
-    The first sample's forward runs under a tape: its prediction feeds the
-    metrics and its tape entries are priced by the energy audit, so the
-    audit costs no second pass. The tape is released before the other
-    samples run through `model.predict`. The report equals
-    `energy.audit(model, first sample)` and every per-sample report equals
-    one computed from `model.predict`.
+    The first sample's forward is `energy.predict_and_audit`: its
+    prediction feeds the metrics and its tape entries are priced as they
+    are recorded, so the audit costs no second pass and keeps no
+    activations. The other samples run through `model.predict`. The report
+    equals `energy.audit(model, first sample)` and every per-sample report
+    equals one computed from `model.predict`.
     """
     from .checkpoint import load_model
-    from .energy import price, trace_forward
+    from .energy import predict_and_audit
 
     model, _, _ = load_model(ckpt_path)
     dataset = load_dataset(data_dir)
     _check_dataset(dataset, model.cfg, None, "evaluate_checkpoint")
-    pred0, entries = trace_forward(model, dataset[0].spikes.to_dense())
-    report = price(entries, model)
-    del entries  # holds every activation of the traced pass: free it before the next forward
+    pred0, report = predict_and_audit(model, dataset[0].spikes.to_dense())
     preds = itertools.chain([pred0], (model.predict(s.spikes.to_dense()) for s in dataset[1:]))
     metrics, per_sample = _score(dataset, preds, eps)
     return EvalResult(metrics=metrics, per_sample=per_sample, energy=report)

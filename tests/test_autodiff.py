@@ -9,11 +9,13 @@ from helpers import (
     depth_map,
     fd_gradient,
     grad_agreement,
+    random_spikes,
     rowmajor_conv2d,
+    tiny_model,
 )
 from spikedepth import autodiff as ad
 from spikedepth.energy import price
-from spikedepth.errors import DimensionError, NumericError, StaleTapeError
+from spikedepth.errors import ConfigError, DimensionError, NumericError, StaleTapeError
 from spikedepth.head import FOLDED_LAYERS, rate_encode
 from spikedepth.layers import ConvBN
 from spikedepth.losses import DistillConfig, FeatureProjections, total_loss
@@ -252,6 +254,29 @@ def test_inspection_tape_records_without_gradients():
     assert x.grad is None
 
 
+def test_consuming_tape_streams_every_entry_in_order():
+    """An inspection tape with a consumer hands over every entry a list tape
+    records for the same forward, in recording order, and keeps none."""
+    model = tiny_model(seed=0)
+    spikes = random_spikes(np.random.default_rng(0), p=0.4)
+    with ad.tape(grad=False) as listed:
+        model.forward(spikes, training=False)
+    got = []
+    with ad.tape(grad=False, consumer=lambda e: got.append((e.op, e.scope))) as streamed:
+        model.forward(spikes, training=False)
+    assert streamed.entries == []
+    assert got == [(e.op, e.scope) for e in listed.entries]
+    assert {"conv_bn", "spike_attention", "fusion_tail", "mlif"} <= {op for op, _ in got}
+
+
+def test_gradient_tape_refuses_a_consumer():
+    # backward replays the entry list, which a consumer would leave empty
+    with pytest.raises(ConfigError, match="consumer"):
+        with ad.tape(consumer=lambda e: None):
+            pass
+    assert ad.active_tape() is None
+
+
 def test_backward_needs_scalar_loss():
     x = ad.parameter(np.ones(3))
     with ad.tape() as t:
@@ -476,7 +501,7 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
 
 def test_untaped_forward_keeps_no_backward_state(monkeypatch):
     """With no tape no op output needs a gradient, so no op keeps a backward:
-    the no-tape counterpart of `energy.trace_forward`'s inspection tape."""
+    the no-tape counterpart of an inspection tape."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
     projections = FeatureProjections(DistillConfig(matched_blocks=(2, 4)), 64, rng)

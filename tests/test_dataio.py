@@ -155,6 +155,14 @@ def test_export_pgm_refuses_nan(tmp_path):
     assert not (tmp_path / "d.pgm").exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_export_pgm_refuses_zero_size_map(tmp_path, shape):
+    # a range check over no values has no min or max to read
+    with pytest.raises(DimensionError, match="non-empty 2-D map"):
+        dataio.export_pgm(tmp_path / "d.pgm", np.zeros(shape))
+    assert not (tmp_path / "d.pgm").exists()
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

@@ -1,6 +1,10 @@
 """Energy audit: pricing formulas, row decomposition, crossover identity."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import random_spikes, tiny_model
@@ -12,12 +16,13 @@ from spikedepth.energy import (
     audit,
     float_energy_pj,
     param_count,
+    predict_and_audit,
     price,
     spike_energy_pj,
-    trace_forward,
 )
 from spikedepth.errors import ConfigError, DimensionError
 from spikedepth.layers import Conv, Module
+from spikedepth.model import HEAD_KINDS, DepthModel, ModelConfig
 from spikedepth.neuron import LifParams, mlif
 
 
@@ -107,10 +112,12 @@ def test_pricing_rules_on_a_hand_built_tape():
     assert rep.total_pj == 1603.0 and rep.param_count == 0
 
 
-def test_trace_forward_keeps_no_backward_state(rng):
+def test_inspection_forward_keeps_no_backward_state(rng):
     model = tiny_model(seed=0)
     spikes = random_spikes(rng, p=0.4)
-    pred, entries = trace_forward(model, spikes)
+    with ad.tape(grad=False) as tp:
+        _, pred = model.forward(spikes, training=False)
+    entries = tp.entries
     ops = {e.op for e in entries}
     assert {"conv_bn", "spike_attention", "mlif"} <= ops
     assert "batchnorm" not in ops  # every eval batch norm runs fused with its conv
@@ -118,7 +125,7 @@ def test_trace_forward_keeps_no_backward_state(rng):
     cfg = model.cfg  # the fused attention forms no [T, N, N] matrix
     assert all(t.data.shape != (cfg.t, cfg.tokens, cfg.tokens)
                for e in entries for t in (*e.inputs, e.output) if t is not None)
-    assert np.array_equal(pred, model.predict(spikes))
+    assert np.array_equal(pred.data, model.predict(spikes))
 
 
 def test_param_count_conv_oracle(rng):
@@ -229,3 +236,70 @@ def test_audit_input_validation(rng):
     for e_mac, e_ac in [(1e308, E_AC_PJ), (E_MAC_PJ, 1e308)]:
         with pytest.raises(ConfigError, match="e_mac_pj.*e_ac_pj"):
             audit(model, random_spikes(rng), e_mac_pj=e_mac, e_ac_pj=e_ac)
+
+
+def test_audit_refuses_costs_before_any_forward():
+    class NoForward(Module):
+        def forward(self, *args, **kwargs):
+            raise AssertionError("a forward ran before the costs were checked")
+
+    for e_mac, e_ac in [(np.nan, E_AC_PJ), (np.inf, E_AC_PJ), (E_MAC_PJ, -5.0), (E_MAC_PJ, np.nan)]:
+        with pytest.raises(ConfigError, match="must be finite and non-negative"):
+            audit(NoForward(), np.zeros((2, 2, 16, 16), np.float32), e_mac_pj=e_mac, e_ac_pj=e_ac)
+
+
+def _randomise_bn(model, rng):
+    for name, buf in model.named_buffers():
+        buf[...] = (rng.random(buf.shape) + 0.1 if name.endswith("var")
+                    else rng.standard_normal(buf.shape) * 0.2)
+
+
+@settings(derandomize=True, max_examples=220, deadline=None)
+@given(t=st.integers(1, 4), h=st.sampled_from([8, 16, 24, 32]), w=st.sampled_from([8, 16, 24, 32]),
+       d=st.sampled_from([4, 8, 16]), head=st.sampled_from(HEAD_KINDS),
+       tau=st.floats(1.0, 4.0), v_threshold=st.floats(0.25, 2.0), v_reset=st.floats(-1.0, 0.0),
+       density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_streamed_audit_prices_as_the_listed_tape(t, h, w, d, head, tau, v_threshold, v_reset,
+                                                  density, seed):
+    """Pricing each entry as it is recorded gives the report `price` gives
+    over the list of the same forward, and the streamed forward predicts
+    `predict`'s bits."""
+    rng = np.random.default_rng(seed)
+    lif = LifParams(tau=tau, v_threshold=v_threshold, v_reset=v_reset)
+    model = DepthModel(ModelConfig(t=t, h=h, w=w, d=d, head=head, lif=lif), rng)
+    _randomise_bn(model, rng)
+    x = (rng.random((t, 2, h, w)) < density).astype(np.float32)
+    pred, streamed = predict_and_audit(model, x)
+    with ad.tape(grad=False) as tp:
+        model.forward(x, training=False)
+    listed = price(tp.entries, model)
+    assert streamed.to_lines() == listed.to_lines()
+    assert list(streamed.csv_rows()) == list(listed.csv_rows())
+    assert pred.tobytes() == model.predict(x).tobytes()
+
+
+def _traced_peak(fn):
+    """Peak bytes `fn()` allocates above what is live when it starts, as
+    numpy reports its buffers to tracemalloc; one untraced call first fills
+    every cache."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_peak_memory_is_predicts():
+    """The audited forward keeps no activations: at recipe size its peak is
+    within 1.3x of `predict`'s (a kept tape made it 5.5x)."""
+    rng = np.random.default_rng(4)
+    model = DepthModel(ModelConfig(t=4, c=2, h=64, w=64, d=64, l=4), rng)
+    _randomise_bn(model, np.random.default_rng(5))
+    x = (rng.random((4, 2, 64, 64)) < 0.3).astype(np.float32)
+    predicted = _traced_peak(lambda: model.predict(x))
+    audited = _traced_peak(lambda: audit(model, x))
+    assert audited <= 1.3 * predicted, (audited, predicted)

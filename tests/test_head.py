@@ -8,7 +8,7 @@ from spikedepth import autodiff as ad
 from spikedepth.checkpoint import load_model, save_checkpoint
 from spikedepth.config import TrainConfig
 from spikedepth.dataio import gen_synthetic
-from spikedepth.energy import price, trace_forward
+from spikedepth.energy import price
 from spikedepth.errors import DimensionError
 from spikedepth.head import FOLDED_LAYERS, FusionHead, LinearFcnHead, rate_encode
 from spikedepth.losses import DistillConfig
@@ -234,9 +234,10 @@ def test_folded_predict_matches_reference_graph(trained_models, size):
     assert all(f.data.any() for f in feats)  # every block fires
     assert np.abs(pred.data - ref_pred.data).max() <= FOLDED_PRED_TOL
     assert np.array_equal(model.predict(spikes), pred.data)
-    traced_pred, entries = trace_forward(model, spikes)
-    assert np.array_equal(traced_pred, pred.data)
-    assert price(entries, model).to_lines() == ref_lines
+    with ad.tape(grad=False) as tp:
+        _, traced_pred = model.forward(spikes, training=False)
+    assert np.array_equal(traced_pred.data, pred.data)
+    assert price(tp.entries, model).to_lines() == ref_lines
 
 
 # ---------------------------------------------------------------------------
