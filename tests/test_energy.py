@@ -112,7 +112,7 @@ def test_pricing_rules_on_a_hand_built_tape():
     assert rep.total_pj == 1603.0 and rep.param_count == 0
 
 
-def test_inspection_forward_keeps_no_backward_state(rng):
+def test_trace_forward_keeps_no_backward_state(rng):
     model = tiny_model(seed=0)
     spikes = random_spikes(rng, p=0.4)
     with ad.tape(grad=False) as tp:
