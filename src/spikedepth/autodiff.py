@@ -38,7 +38,7 @@ from .errors import ConfigError, DimensionError, NumericError, StaleTapeError
 
 def _guard(op, arr):
     if not np.isfinite(arr).all():
-        raise NumericError(f"{op}: non-finite values in result")
+        raise NumericError(f"{op}: non-finite values in result{failure_site()}")
 
 
 class Tensor:
@@ -97,15 +97,17 @@ class Tape:
     order instead of appending it, so `entries` stays empty and an entry,
     with every array only it references, is freed as the forward moves on.
     A gradient tape refuses a consumer with ConfigError: backward replays
-    the list.
+    the list.  `label` (e.g. "train step 3") names the tape's run in a
+    failure message, before the scope (see `failure_site`).
     """
 
-    def __init__(self, grad=True, consumer=None):
+    def __init__(self, grad=True, consumer=None, label=""):
         if grad and consumer is not None:
             raise ConfigError("a gradient tape keeps its entries for backward; "
                               "only an inspection tape (grad=False) takes a consumer")
         self.grad = grad
         self.consumer = consumer
+        self.label = label
         self.entries: list[TapeEntry] = []
         self._scopes: list[str] = []
 
@@ -151,9 +153,18 @@ def active_tape():
     return _STACK[-1] if _STACK else None
 
 
+def failure_site() -> str:
+    """Where a failure happened, as a suffix for its message: " (label,
+    scope)" of the active tape, with whichever of the two is set, or ""
+    with no tape or neither set."""
+    t = active_tape()
+    parts = [p for p in (t.label, t.scope) if p] if t is not None else []
+    return f" ({', '.join(parts)})" if parts else ""
+
+
 @contextmanager
-def tape(grad=True, consumer=None):
-    t = Tape(grad, consumer)
+def tape(grad=True, consumer=None, label=""):
+    t = Tape(grad, consumer, label)
     _STACK.append(t)
     try:
         yield t
@@ -499,6 +510,14 @@ def _normalise(x, mean, var, gamma, beta, in_place=False):
     return out, inv_std
 
 
+def _mean_of_sum(total, n):
+    """`total / n` with the bits of the `np.mean` whose sum is `total`:
+    numpy divides that sum by an intp count, into an array of the sum's
+    dtype.  Under numpy 2 a float32 sum then divides in float64, which a
+    Python-int divisor matches only while n is exact in float32 (n <= 2**24)."""
+    return np.true_divide(total, np.intp(n), out=np.empty_like(total), casting="unsafe")
+
+
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running_var=None,
               training: bool = True) -> Tensor:
     """Per-channel normalisation of x [B,C,H,W] over the B, H and W axes.
@@ -537,20 +556,22 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
         # the forward wrote its output over xhat: rebuild xhat from x
         xhat = _standardise(xd, mu, inv_std)
         gxhat = g * xhat
-        ggamma = gxhat.sum(axis=axes) if gamma.requires_grad else None
-        gbeta = g.sum(axis=axes) if beta.requires_grad else None
+        # the training gx needs both sums even for a constant gamma or beta
+        ggamma = gxhat.sum(axis=axes)
+        gbeta = g.sum(axis=axes)
         gx = None
         if x.requires_grad:
             gs = gamma.data[_C] * inv_std[_C]
             if training:
-                # gs * (g - mean(g) - xhat * mean(g * xhat)), built in place
-                gxh = gxhat.mean(axis=axes)[_C]
-                gx = g - g.mean(axis=axes)[_C]
-                gx -= np.multiply(xhat, gxh, out=gxhat)
+                # gs * (g - mean(g) - xhat * mean(g * xhat)), built in place,
+                # with each mean its sum above divided as np.mean divides
+                gx = g - _mean_of_sum(gbeta, n)[_C]
+                gx -= np.multiply(xhat, _mean_of_sum(ggamma, n)[_C], out=gxhat)
                 gx *= gs
             else:
                 gx = gs * g
-        return (gx, ggamma, gbeta)
+        return (gx, ggamma if gamma.requires_grad else None,
+                gbeta if beta.requires_grad else None)
 
     return _op("batchnorm", (x, gamma, beta), out_data, bwd)
 

@@ -97,13 +97,18 @@ def read_checkpoint(path):
 
 
 def load_model(path):
-    """Rebuild a model (and projections, if saved) from a checkpoint."""
+    """Rebuild a model (and projections, if saved) from a checkpoint.
+
+    The model is built with `rng=None` (zero weights, no random draws; see
+    `layers.kaiming_uniform`), and every tensor is then overwritten from
+    the file: a checkpoint that lacks any tensor is refused, so no zero
+    weight survives a load.
+    """
     model_cfg, distill, tensors = read_checkpoint(path)
-    rng = np.random.default_rng(0)  # every tensor it draws is overwritten below
-    model = DepthModel(model_cfg, rng)
+    model = DepthModel(model_cfg, None)
     projections = None
     if distill is not None and any(k.startswith("kd.") for k in tensors):
-        projections = FeatureProjections(distill, model_cfg.d, rng)
+        projections = FeatureProjections(distill, model_cfg.d, None)
     slots = dict(_named_tensors(model, projections))
     missing = sorted(set(slots) - set(tensors))
     extra = sorted(set(tensors) - set(slots))

@@ -10,7 +10,15 @@ from .neuron import LifParams, mlif
 
 
 def kaiming_uniform(rng, shape, fan_in, dtype):
-    """Fan-in scaled uniform init, U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
+    """Fan-in scaled uniform init, U(-sqrt(6/fan_in), +sqrt(6/fan_in)),
+    drawn from the generator `rng`.
+
+    `rng=None` draws nothing and returns zeros, for a caller that overwrites
+    every tensor (`checkpoint.load_model`): building a model then needs no
+    random numbers, so it does not load `numpy.random`.
+    """
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 

@@ -81,7 +81,7 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
     if state.fired is None:
         state.fired = np.empty(x.shape, dtype=bool)
     if not np.isfinite(x, out=state.fired).all():
-        raise NumericError("lif_step: non-finite input current")
+        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
     dtype = np.result_type(x, state.v)
     if state.v_pre is None or state.v_pre.dtype != dtype:  # the first step, or a promoting input
         state.v_pre = np.empty(x.shape, dtype=dtype)

@@ -167,7 +167,7 @@ def train(
         tot_acc = lp_acc = l2_acc = 0.0
         for i in batch:
             sample = dataset[i]
-            with ad.tape() as tp:
+            with ad.tape(label=f"train step {step}") as tp:
                 feats, pred = model.forward(dense[i], training=True)
                 total, lp, l2 = total_loss(feats, pred, sample.depth, sample.teacher_features,
                                            projections, distill_cfg)

@@ -569,7 +569,8 @@ def test_gradient_tape_keeps_no_derived_copies():
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
     """The in-place forward (with and without a tape) and backward give the
-    plain formulas' exact bits."""
+    plain formulas' exact bits, also with a constant gamma and beta, whose
+    gradient sums the training gx still needs."""
     rng = np.random.default_rng(2)
     c = shape[1]
     x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
@@ -590,6 +591,12 @@ def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
     assert np.array_equal(gx, ref[1])
     assert np.array_equal(ggamma, ref[2])
     assert np.array_equal(gbeta, ref[3])
+    with ad.tape() as t:
+        ad.batchnorm(ad.parameter(x), ad.tensor(gamma), ad.tensor(beta),
+                     running_mean=rm.copy(), running_var=rv.copy(), training=training)
+    gx, ggamma, gbeta = t.entries[-1].bwd(g)
+    assert np.array_equal(gx, ref[1])
+    assert ggamma is None and gbeta is None
 
 
 def _conv_bn_calls(model_kw, monkeypatch):

@@ -364,12 +364,18 @@ def test_error_categories(tmp_path, capsys):
     assert rc == 1 and out[0].startswith("error=DATA/")
 
 
-@pytest.mark.parametrize("value,ok", [("1", True), ("abc", False), ("0", False)])
-def test_sdt_threads_validation(tmp_path, value, ok):
-    env = dict(os.environ, SDT_THREADS=value)
-    # The child imports this checkout's package whatever pytest's working directory is.
+def _child_env():
+    """The environment of a child that imports this checkout's package,
+    whatever pytest's working directory is."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+@pytest.mark.parametrize("value,ok", [("1", True), ("abc", False), ("0", False)])
+def test_sdt_threads_validation(tmp_path, value, ok):
+    env = dict(_child_env(), SDT_THREADS=value)
     proc = subprocess.run(
         [sys.executable, "-m", "spikedepth", "gen", "--out", str(tmp_path / "d"),
          "--samples", "1", "--height", "16", "--width", "16",
@@ -386,12 +392,43 @@ def test_sdt_threads_validation(tmp_path, value, ok):
 @pytest.mark.parametrize("module", ["config", "train", "checkpoint", "cli"])
 def test_each_module_imports_first(module):
     """No import cycle: any of these can be the first spikedepth import."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run([sys.executable, "-c", f"import spikedepth.{module}"],
-                          capture_output=True, text=True, env=env, cwd=ROOT)
+                          capture_output=True, text=True, env=_child_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+# a fresh interpreter runs one subcommand, then names the modules it loaded
+_COLD_START = """\
+import sys
+from spikedepth.cli import main
+rc = main(sys.argv[1:])
+print("modules=" + ",".join(m for m in sys.modules if m.startswith(("numpy.random", "spikedepth."))))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("command,not_loaded", [
+    ("infer", {"numpy.random", "spikedepth.train", "spikedepth.energy"}),
+    ("eval", {"numpy.random"}),
+    ("energy", {"numpy.random"}),
+], ids=["infer", "eval", "energy"])
+def test_cold_start_loads_only_what_the_subcommand_uses(tmp_path, capsys, command, not_loaded):
+    """Checkpoint loading draws no random numbers, and `infer` loads no
+    training or audit code."""
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    spk = str(data / "sample_000.spkt")
+    argv = {
+        "infer": ["infer", "--ckpt", ckpt, "--spk", spk, "--out", str(tmp_path / "pred.pgm")],
+        "eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
+        "energy": ["energy", "--ckpt", ckpt, "--spk", spk],
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                          capture_output=True, text=True, env=_child_env(), cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].removeprefix("modules=").split(","))
+    assert "spikedepth.checkpoint" in modules  # the child did load a model
+    assert not modules & not_loaded, sorted(modules & not_loaded)
 
 
 def _tiny_data(tmp_path, capsys):

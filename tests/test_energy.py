@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from helpers import random_spikes, tiny_model
+from helpers import FOLDED_PRED_TOL, random_spikes, tiny_model
 from spikedepth import autodiff as ad
 from spikedepth.energy import (
     E_AC_PJ,
@@ -24,6 +24,7 @@ from spikedepth.errors import ConfigError, DimensionError
 from spikedepth.layers import Conv, Module
 from spikedepth.model import HEAD_KINDS, DepthModel, ModelConfig
 from spikedepth.neuron import LifParams, mlif
+from spikedepth.trace import assert_spike_purity
 
 
 def test_pricing_formulas_exact():
@@ -254,21 +255,31 @@ def _randomise_bn(model, rng):
                     else rng.standard_normal(buf.shape) * 0.2)
 
 
-@settings(derandomize=True, max_examples=220, deadline=None)
-@given(t=st.integers(1, 4), h=st.sampled_from([8, 16, 24, 32]), w=st.sampled_from([8, 16, 24, 32]),
-       d=st.sampled_from([4, 8, 16]), head=st.sampled_from(HEAD_KINDS),
-       tau=st.floats(1.0, 4.0), v_threshold=st.floats(0.25, 2.0), v_reset=st.floats(-1.0, 0.0),
-       density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), seed=st.integers(0, 2 ** 16))
-def test_streamed_audit_prices_as_the_listed_tape(t, h, w, d, head, tau, v_threshold, v_reset,
-                                                  density, seed):
-    """Pricing each entry as it is recorded gives the report `price` gives
-    over the list of the same forward, and the streamed forward predicts
-    `predict`'s bits."""
+# a random model and input: size, head, LIF constants, BN statistics and
+# the input's spike density
+_RANDOM_MODELS = given(
+    t=st.integers(1, 4), h=st.sampled_from([8, 16, 24, 32]), w=st.sampled_from([8, 16, 24, 32]),
+    d=st.sampled_from([4, 8, 16]), head=st.sampled_from(HEAD_KINDS),
+    tau=st.floats(1.0, 4.0), v_threshold=st.floats(0.25, 2.0), v_reset=st.floats(-1.0, 0.0),
+    density=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]), seed=st.integers(0, 2 ** 16))
+
+
+def _random_model(t, h, w, d, head, tau, v_threshold, v_reset, density, seed):
+    """→ (model, input spikes) of one `_RANDOM_MODELS` draw."""
     rng = np.random.default_rng(seed)
     lif = LifParams(tau=tau, v_threshold=v_threshold, v_reset=v_reset)
     model = DepthModel(ModelConfig(t=t, h=h, w=w, d=d, head=head, lif=lif), rng)
     _randomise_bn(model, rng)
-    x = (rng.random((t, 2, h, w)) < density).astype(np.float32)
+    return model, (rng.random((t, 2, h, w)) < density).astype(np.float32)
+
+
+@settings(derandomize=True, max_examples=220, deadline=None)
+@_RANDOM_MODELS
+def test_streamed_audit_prices_as_the_listed_tape(**draw):
+    """Pricing each entry as it is recorded gives the report `price` gives
+    over the list of the same forward, and the streamed forward predicts
+    `predict`'s bits."""
+    model, x = _random_model(**draw)
     pred, streamed = predict_and_audit(model, x)
     with ad.tape(grad=False) as tp:
         model.forward(x, training=False)
@@ -276,6 +287,27 @@ def test_streamed_audit_prices_as_the_listed_tape(t, h, w, d, head, tau, v_thres
     assert streamed.to_lines() == listed.to_lines()
     assert list(streamed.csv_rows()) == list(listed.csv_rows())
     assert pred.tobytes() == model.predict(x).tobytes()
+
+
+@settings(derandomize=True, max_examples=220, deadline=None)
+@_RANDOM_MODELS
+def test_gradient_and_inspection_tapes_keep_one_contract(**draw):
+    """An eval forward on a gradient tape runs the reference graph, and one
+    on an inspection tape the fused ops (`conv_bn`, `spike_attention`,
+    `fusion_tail`).  The two agree: bit-equal block features, predictions
+    within FOLDED_PRED_TOL with the fusion head and equal with
+    `linear_fcn`, one priced report, and the same spike-purity counters."""
+    model, x = _random_model(**draw)
+    with ad.tape() as grad_tape:
+        ref_feats, ref_pred = model.forward(x, training=False)
+    with ad.tape(grad=False) as inspection:
+        feats, pred = model.forward(x, training=False)
+    assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats, strict=True))
+    tol = FOLDED_PRED_TOL if draw["head"] == "fusion" else 0.0
+    assert np.abs(pred.data - ref_pred.data).max() <= tol
+    assert price(grad_tape.entries, model).to_lines() == price(inspection.entries, model).to_lines()
+    assert (assert_spike_purity(grad_tape.entries, ref_feats)
+            == assert_spike_purity(inspection.entries, feats))
 
 
 def _traced_peak(fn):

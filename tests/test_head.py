@@ -3,7 +3,7 @@ folded eval tail against the reference graph."""
 import numpy as np
 import pytest
 
-from helpers import random_spikes, tiny_model, tiny_model_cfg
+from helpers import FOLDED_PRED_TOL, random_spikes, tiny_model, tiny_model_cfg
 from spikedepth import autodiff as ad
 from spikedepth.checkpoint import load_model, save_checkpoint
 from spikedepth.config import TrainConfig
@@ -129,11 +129,6 @@ def test_fusion_projection_has_no_bias():
 
 # ---------------------------------------------------------------------------
 # folded eval tail
-
-# stated before the fold was built: float32 predictions of the folded and
-# the reference head differ by at most this much (1.3e-6 was measured)
-FOLDED_PRED_TOL = 1e-5
-
 
 def _randomise_bn(head, rng):
     """Random gamma, beta, running mean and running variance in every batch

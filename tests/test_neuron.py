@@ -153,6 +153,16 @@ def test_mlif_non_finite_current_after_the_first_step_raises(rng, mode):
             mlif(ad.parameter(x), P)
 
 
+def test_non_finite_current_names_the_tape_label_and_scope():
+    x = ad.tensor(np.array([[np.inf]], np.float32))
+    with pytest.raises(NumericError, match=r"^lif_step: non-finite input current$"):
+        mlif(x, P)
+    want = r"^lif_step: non-finite input current \(train step 2, block1\.mlp\.lif1\)$"
+    with ad.tape(label="train step 2"), ad.scope("block1.mlp"), ad.scope("lif1"):
+        with pytest.raises(NumericError, match=want):
+            mlif(x, P)
+
+
 def test_mlif_zero_input_zero_output():
     assert not mlif(ad.tensor(np.zeros((4, 3, 3))), P).data.any()
 

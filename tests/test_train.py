@@ -218,6 +218,16 @@ def test_divergence_raises(tmp_path):
         train(data, tiny_model_cfg(), tiny_distill_cfg(), TrainConfig(**_FAST), tmp_path)
 
 
+def test_overflow_names_its_training_step_and_scope(tmp_path):
+    """A value that overflows inside the network is refused by the op that
+    made it, and the message names the training step and the layer."""
+    want = r"^scale: non-finite values in result \(train step 1, block1\.attn\)$"
+    with pytest.raises(NumericError, match=want), np.errstate(all="ignore"):
+        train(tiny_dataset(n=1), tiny_model_cfg(s=1e308), tiny_distill_cfg(),
+              TrainConfig(**_FAST), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
 def test_periodic_checkpoints(tmp_path):
     data = tiny_dataset(n=2)
     train(data, tiny_model_cfg(), tiny_distill_cfg(),
