@@ -13,7 +13,9 @@ forward holds no more than an untaped one.  `Tape.backward` replays the
 entries in reverse (the recording order is already topological) and
 accumulates gradients into every parameter: parameters are the only
 gradient leaves, and every other tensor that needs a gradient is an op
-output.
+output.  The replay empties the tape and releases each entry as it goes,
+so a training step's memory falls through its backward as each layer's
+activations are freed.
 
 A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
@@ -118,8 +120,11 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate dLoss/dP into P.grad for every parameter P.
 
-        The replay empties the tape, so calling backward again without a
-        new forward finds it empty and raises StaleTapeError.
+        The replay empties the tape and releases each entry as it goes: an
+        entry's inputs, output and backward closure are freed once its
+        gradients are out, so the activations shrink as the gradients grow.
+        Calling backward again without a new forward finds the tape empty
+        and raises StaleTapeError.
         """
         if not self.grad:
             raise StaleTapeError("an inspection tape records no gradients")
@@ -130,35 +135,51 @@ class Tape:
 
         entries, self.entries = self.entries, []
         grads = {id(loss): np.ones_like(loss.data)}
-        for entry in reversed(entries):
+        while entries:
+            entry = entries.pop()  # freed when the next pop rebinds `entry`
             g = grads.pop(id(entry.output), None)
-            if g is None or entry.bwd is None:
-                continue
-            in_grads = entry.bwd(g)
-            for t, gi in zip(entry.inputs, in_grads):
-                if t is None or gi is None or not t.requires_grad:
-                    continue
-                if t.is_param:
-                    t.grad = gi if t.grad is None else t.grad + gi
-                else:
-                    key = id(t)
-                    prev = grads.get(key)
-                    grads[key] = gi if prev is None else prev + gi
+            if g is not None and entry.bwd is not None:
+                _accumulate(grads, entry.inputs, entry.bwd(g))
+
+
+def _accumulate(grads, inputs, in_grads):
+    """Add each input's gradient into its parameter's `grad`, or into
+    `grads` under the input's id: a function of its own, so that no loop
+    variable holds a replayed entry's gradients into the next replay.  An
+    id stays unique while its tensor's producing entry is unreplayed: that
+    entry holds the tensor, and a backward makes no tensors."""
+    for t, gi in zip(inputs, in_grads):
+        if t is None or gi is None or not t.requires_grad:
+            continue
+        if t.is_param:
+            t.grad = gi if t.grad is None else t.grad + gi
+        else:
+            key = id(t)
+            prev = grads.get(key)
+            grads[key] = gi if prev is None else prev + gi
 
 
 _STACK: list[Tape] = []
+# the scopes open while no tape is active, so that a failure in an untaped
+# forward still names its layer; a tape opened inside them starts its own
+_UNTAPED_SCOPES: list[str] = []
 
 
 def active_tape():
     return _STACK[-1] if _STACK else None
 
 
+def _open_scopes() -> list[str]:
+    t = active_tape()
+    return _UNTAPED_SCOPES if t is None else t._scopes
+
+
 def failure_site() -> str:
     """Where a failure happened, as a suffix for its message: " (label,
-    scope)" of the active tape, with whichever of the two is set, or ""
-    with no tape or neither set."""
+    scope)" of the active tape, or " (scope)" with no tape, with whichever
+    of the two is set, or "" with neither."""
     t = active_tape()
-    parts = [p for p in (t.label, t.scope) if p] if t is not None else []
+    parts = [p for p in (t.label if t else "", ".".join(_open_scopes())) if p]
     return f" ({', '.join(parts)})" if parts else ""
 
 
@@ -174,16 +195,14 @@ def tape(grad=True, consumer=None, label=""):
 
 @contextmanager
 def scope(name: str):
-    """Label ops recorded inside the block (nested scopes join with '.')."""
-    t = active_tape()
-    if t is None:
-        yield
-        return
-    t._scopes.append(name)
+    """Label ops recorded inside the block (nested scopes join with '.'):
+    on the active tape, or with no tape for `failure_site` alone."""
+    scopes = _open_scopes()
+    scopes.append(name)
     try:
         yield
     finally:
-        t._scopes.pop()
+        scopes.pop()
 
 
 def _needs(*tensors):
@@ -485,27 +504,24 @@ def _check_affine(op, c, gamma, beta):
         raise DimensionError(f"{op}: affine params must have shape ({c},)")
 
 
-def _standardise(x, mean, inv_std, out=None):
-    """xhat = (x - mean) * inv_std over [B,C,H,W], into `out` when given."""
-    xhat = np.subtract(x, mean[_C], out=out)
+def _standardise(x, mean, inv_std):
+    """xhat = (x - mean) * inv_std over [B,C,H,W], as a new array."""
+    xhat = np.subtract(x, mean[_C])
     xhat *= inv_std[_C]
     return xhat
 
 
-def _normalise(x, mean, var, gamma, beta, in_place=False):
-    """Batch norm's float op sequence over x [B,C,H,W] with per-channel
-    mean, var, gamma and beta arrays: inv_std = 1 / sqrt(var + BN_EPS) in
-    var's dtype, `_standardise`, then gamma * xhat + beta.
-
-    xhat is written into x itself with `in_place` (when x - mean keeps x's
-    dtype, so the bits are those of a fresh array), else into a new array;
-    the output is written into xhat's buffer unless a gamma of another
-    dtype needs a new one.  Returns (output, inv_std).
+def _normalise(xc, var, gamma, beta):
+    """Batch norm's float op sequence over a centred xc = x - mean
+    [B,C,H,W], in place, with per-channel var, gamma and beta arrays:
+    inv_std = 1 / sqrt(var + BN_EPS) in var's dtype, xhat = xc * inv_std
+    (the bits of `_standardise`), then gamma * xhat + beta, written into
+    xc's buffer unless a gamma of another dtype needs a new one.  Returns
+    (output, inv_std).
     """
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    in_place = in_place and np.result_type(x, mean) == x.dtype
-    xhat = _standardise(x, mean, inv_std, out=x if in_place else None)
-    out = np.multiply(gamma[_C], xhat, out=xhat if gamma.dtype == xhat.dtype else None)
+    xc *= inv_std[_C]
+    out = np.multiply(gamma[_C], xc, out=xc if gamma.dtype == xc.dtype else None)
     out += beta[_C]
     return out, inv_std
 
@@ -535,8 +551,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
     axes = (0, 2, 3)
     n = xd.shape[0] * xd.shape[2] * xd.shape[3]
     if training:
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        # np.mean and np.var's own sequence, with x - mean computed once:
+        # sum / n, subtract, square, sum / n
+        mu = _mean_of_sum(xd.sum(axis=axes), n)
+        xc = np.subtract(xd, mu[_C])
+        var = _mean_of_sum(np.square(xc).sum(axis=axes), n)
         if running_mean is not None and running_var is not None:
             unbiased = var * (n / (n - 1)) if n > 1 else var
             running_mean *= 1.0 - BN_MOMENTUM
@@ -548,8 +567,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
             raise DimensionError("batchnorm: eval mode needs running statistics")
         mu = running_mean
         var = running_var
+        xc = np.subtract(xd, mu[_C])
 
-    out_data, inv_std = _normalise(xd, mu, var, gamma.data, beta.data)
+    out_data, inv_std = _normalise(xc, var, gamma.data, beta.data)
     _guard("batchnorm", out_data)
 
     def bwd(g):
@@ -591,7 +611,10 @@ def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, run
     _check_conv("conv_bn", xd, wd, pad)
     _check_affine("conv_bn", wd.shape[0], gamma, beta)
     y = _corr2d(xd, wd, pad)
-    out_data, _ = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
+    # centred in place when y - mean keeps y's dtype: the bits of a new array
+    in_place = np.result_type(y, running_mean) == y.dtype
+    y = np.subtract(y, running_mean[_C], out=y if in_place else None)
+    out_data, _ = _normalise(y, running_var, gamma.data, beta.data)
     _guard("conv_bn", out_data)
     return _op("conv_bn", (x, w, gamma, beta), out_data, None)
 

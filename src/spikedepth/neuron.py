@@ -41,18 +41,21 @@ class LifParams:
 
 @dataclass
 class LifState:
-    """Mutable membrane potential carried across timesteps of one sample;
-    `v_pre` is the membrane of the last step just before its reset, and
-    `fired` that step's spike mask.  `lif_step` reuses both buffers (and
-    `v`) from step to step."""
+    """Mutable membrane potential carried across timesteps of one sample,
+    with the two buffers a step reuses: `fired`, the last step's spike
+    mask, and `v_pre`.  After `lif_step`, `v_pre` holds the membrane just
+    before that step's reset.  An `mlif` that keeps no backward uses it as
+    the spare membrane buffer instead: each step integrates and resets in
+    it, then swaps it with `v`."""
 
     v: np.ndarray
-    v_pre: np.ndarray | None = None
-    fired: np.ndarray | None = None
+    v_pre: np.ndarray
+    fired: np.ndarray
 
 
 def fresh_state(shape, dtype=np.float32) -> LifState:
-    return LifState(v=np.zeros(shape, dtype=dtype))
+    return LifState(v=np.zeros(shape, dtype=dtype), v_pre=np.empty(shape, dtype=dtype),
+                    fired=np.empty(shape, dtype=bool))
 
 
 def surrogate_grad(v_minus_threshold, alpha: float):
@@ -65,37 +68,56 @@ def surrogate_grad(v_minus_threshold, alpha: float):
     return (alpha / 2.0) / (1.0 + z * z)
 
 
+def _refuse_non_finite(x, mask=None):
+    """Raise NumericError, naming the failure site, unless x is all finite;
+    `mask`, when given, is a bool buffer of x's shape to test into."""
+    if not np.isfinite(x, out=mask).all():
+        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
+
+
+def _advance(state: LifState, x, params: LifParams, out, v_pre) -> None:
+    """One step of the update, unchecked, in the state's buffers with no
+    temporary ((x - v) / tau + v is the same IEEE sum as v + (x - v) / tau);
+    the spikes are written into `out`.
+
+    The pre-reset membrane is written into `v_pre` when given, which keeps
+    it, and `state.v` becomes a copy of it that is then reset.  With None
+    it is written into the spare `state.v_pre`, reset there and swapped in
+    as `state.v`: the same bits, with no copy.
+    """
+    buf = state.v_pre if v_pre is None else v_pre
+    np.subtract(x, state.v, out=buf)
+    buf /= params.tau
+    buf += state.v
+    np.greater_equal(buf, params.v_threshold, out=state.fired)
+    if v_pre is None:
+        state.v, state.v_pre = buf, state.v
+    else:
+        np.copyto(state.v, buf)
+    np.copyto(state.v, params.v_reset, where=state.fired)
+    np.copyto(out, state.fired)
+
+
 def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
              out: np.ndarray | None = None) -> np.ndarray:
     """Advance the membrane one step; returns the binary spike plane, written
     into `out` when given.
 
-    Mutates `state.v` (hard reset where a spike fired) and sets
-    `state.v_pre` to the membrane before that reset.  The update runs in
-    the state's buffers, with no temporary: (x - v) / tau + v is the same
-    IEEE sum as v + (x - v) / tau.
+    Mutates `state.v` (hard reset where a spike fired) and writes into
+    `state.v_pre` the membrane before that reset.  A non-finite input
+    current raises NumericError.  An input of a wider dtype than the state
+    promotes its buffers first, exactly.
     """
     x = np.asarray(input_current)
     if x.shape != state.v.shape:
         raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
-    if state.fired is None:
-        state.fired = np.empty(x.shape, dtype=bool)
-    if not np.isfinite(x, out=state.fired).all():
-        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
+    _refuse_non_finite(x, state.fired)
     dtype = np.result_type(x, state.v)
-    if state.v_pre is None or state.v_pre.dtype != dtype:  # the first step, or a promoting input
-        state.v_pre = np.empty(x.shape, dtype=dtype)
-    v_pre = np.subtract(x, state.v, out=state.v_pre)
-    v_pre /= params.tau
-    v_pre += state.v
-    np.greater_equal(v_pre, params.v_threshold, out=state.fired)
     if state.v.dtype != dtype:
-        state.v = np.empty_like(v_pre)
-    np.copyto(state.v, v_pre)
-    np.copyto(state.v, params.v_reset, where=state.fired)
+        state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
-    np.copyto(out, state.fired)
+    _advance(state, x, params, out, state.v_pre)
     return out
 
 
@@ -120,25 +142,26 @@ def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> 
 
 
 def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
-    """Multistep LIF over the leading time axis of x [T, ...]: T calls of
-    `lif_step` on one fresh state, each writing its spikes into the output.
+    """Multistep LIF over the leading time axis of x [T, ...]: T steps of
+    `lif_step`'s update on one fresh state, each writing its spikes into
+    the output.
 
     State starts at zero for every call (one call = one sample) and is
     carried across the T steps.  Output is binary with the input dtype; a
-    non-finite input current raises NumericError.
+    non-finite input current raises lif_step's NumericError, checked once
+    over the whole input.  Only for a backward pass does each step write
+    its pre-reset membrane into a kept v_pre[t]; otherwise the state swaps
+    its two membrane buffers and keeps none.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[0] < 1:
         raise DimensionError(f"mlif: need a non-empty time axis, got shape {xd.shape}")
-    # the pre-reset membrane is kept only for a backward pass
-    needs = ad._needs(x)
-    v_pre = np.empty_like(xd) if needs else None
+    _refuse_non_finite(xd)
+    v_pre = np.empty_like(xd) if ad._needs(x) else None
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
-        lif_step(state, xd[t], params, out=spikes[t])
-        if needs:
-            v_pre[t] = state.v_pre
+        _advance(state, xd[t], params, spikes[t], None if v_pre is None else v_pre[t])
 
     def bwd(g):
         return (lif_backward(v_pre, g, params),)

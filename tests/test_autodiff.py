@@ -1,4 +1,7 @@
 """Dense ops and reverse-mode gradients against hand and FD oracles."""
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -275,6 +278,68 @@ def test_gradient_tape_refuses_a_consumer():
         with ad.tape(consumer=lambda e: None):
             pass
     assert ad.active_tape() is None
+
+
+def _spy_on_replay(entries, refs, alive):
+    """Wrap each entry's bwd so that, when it runs, `alive` gets the indices
+    of the `refs` (weak references to entry outputs, None for a numpy
+    scalar) that are still alive among the entries replayed before it.  A
+    helper, so that no local of the test holds an entry."""
+    for i, e in enumerate(entries):
+        def spy(g, i=i, bwd=e.bwd):
+            alive.append([j for j in range(i + 1, len(refs)) if refs[j] and refs[j]() is not None])
+            return bwd(g)
+        e.bwd = spy
+
+
+def test_backward_frees_each_entry_once_replayed():
+    """Once backward has replayed an entry, nothing it holds keeps that
+    entry's output array alive: when any backward closure runs, the output
+    of every entry replayed before it is gone, save the loss the caller
+    holds.  Checked over a tiny model's training forward and its loss."""
+    model = tiny_model(seed=0)
+    rng = np.random.default_rng(0)
+    gt = depth_map(rng.uniform(0.2, 1.0, (16, 16)))
+    with ad.tape() as t:
+        feats, pred = model.forward(random_spikes(rng, p=0.4), training=True)
+        loss, _, _ = total_loss(feats, pred, gt, None, None, DistillConfig(matched_blocks=(2, 4)))
+    del feats, pred
+    assert t.entries[-1].output is loss
+    refs = [weakref.ref(e.output.data) if isinstance(e.output.data, np.ndarray) else None
+            for e in t.entries[:-1]]
+    n, ops = len(t.entries), {e.op for e in t.entries}
+    assert {"conv2d", "batchnorm", "mlif", "matmul"} <= ops
+    alive = []
+    _spy_on_replay(t.entries, refs, alive)
+    t.backward(loss)
+    assert len(alive) == n
+    assert not any(alive), [a for a in alive if a][:3]
+    assert all(r is None or r() is None for r in refs)
+
+
+def test_training_backward_peaks_near_the_forward_memory():
+    """A linear-FCN training step at 128x160 (320 tokens): the memory traced
+    through its backward peaks at most 10% above what the forward left
+    traced, as each replayed layer's activations are freed while the
+    gradients grow (1.22x when the tape held every entry to the end)."""
+    h, w = 128, 160
+    rng = np.random.default_rng(0)
+    model = DepthModel(ModelConfig(t=4, c=2, h=h, w=w, d=64, l=4, head="linear_fcn"), rng)
+    spikes = (rng.random((4, 2, h, w)) < 0.3).astype(np.float32)
+    gt = depth_map(rng.uniform(0.1, 1.0, (h, w)))
+    tracemalloc.start()
+    try:
+        with ad.tape() as t:
+            feats, pred = model.forward(spikes, training=True)
+            loss, _, _ = total_loss(feats, pred, gt, None, None, DistillConfig(matched_blocks=(2, 4)))
+        forward_end, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        t.backward(loss)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_end > 50e6  # the activations of the whole step are traced
+    assert backward_peak <= 1.1 * forward_end, (backward_peak, forward_end)
 
 
 def test_backward_needs_scalar_loss():
@@ -599,6 +664,33 @@ def test_batchnorm_matches_reference_bit_for_bit(training, shape, dtype):
     assert ggamma is None and gbeta is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 8, 32, 40), (1, 3, 1, 1), (1, 5, 7, 9), (4, 16, 32, 40),
+                                   (3, 6, 13, 11)])
+def test_batchnorm_running_stats_match_mean_and_var_bit_for_bit(shape, dtype):
+    """A training forward, with any tape or none, moves the running buffers
+    by the momentum update of x.mean and the unbiased x.var over B, H and W,
+    bit for bit, at B = 1 and B > 1 (and n = 1, where the variance is 0)."""
+    rng = np.random.default_rng(4)
+    c = shape[1]
+    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    rm0 = rng.standard_normal(c).astype(dtype)
+    rv0 = (rng.random(c) + 0.5).astype(dtype)
+    n = x.size // c
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    unbiased = var * (n / (n - 1)) if n > 1 else var
+    m = ad.BN_MOMENTUM
+    want_mean = (1.0 - m) * rm0 + m * mean
+    want_var = (1.0 - m) * rv0 + m * unbiased
+    for mode, context in TAPE_MODES.items():
+        rm, rv = rm0.copy(), rv0.copy()
+        with context():
+            ad.batchnorm(ad.parameter(x), ad.parameter(np.ones(c, dtype)),
+                         ad.parameter(np.zeros(c, dtype)), running_mean=rm, running_var=rv)
+        assert rm.dtype == dtype and rm.tobytes() == want_mean.tobytes(), mode
+        assert rv.dtype == dtype and rv.tobytes() == want_var.tobytes(), mode
+
+
 def _conv_bn_calls(model_kw, monkeypatch):
     """{(x shape, w shape): scope} of every distinct ConvBN that an eval
     forward of the model runs (the fusion head's l3 and l4 run folded)."""
@@ -727,3 +819,25 @@ def test_scopes_join_with_dots():
             with ad.scope("inner"):
                 ad.add(x, x)
     assert t.entries[0].scope == "outer.inner"
+
+
+def test_untaped_scopes_name_a_failure_and_leave_tapes_as_they_were():
+    """With no tape a scope still names a failure; a tape opened inside it
+    records its entries with its own scopes only, as always, and its label
+    and those scopes name a failure in it."""
+    nan = ad.tensor(np.array([np.nan]))
+    with ad.scope("block2"), ad.scope("attn"):
+        with pytest.raises(NumericError, match=r"^scale: non-finite values in result \(block2\.attn\)$"):
+            ad.scale(nan, 10.0)
+        with ad.tape(label="train step 1") as t:
+            ad.scale(ad.tensor(np.ones(1)), 2.0)
+            with ad.scope("q"):
+                ad.scale(ad.tensor(np.ones(1)), 2.0)
+                with pytest.raises(NumericError, match=r"\(train step 1, q\)$"):
+                    ad.scale(nan, 10.0)
+        with ad.tape(grad=False) as inner:
+            ad.scale(ad.tensor(np.ones(1)), 2.0)
+        assert ad.failure_site() == " (block2.attn)"
+    assert [e.scope for e in t.entries] == ["", "q"]
+    assert [e.scope for e in inner.entries] == [""]
+    assert ad.failure_site() == ""

@@ -547,6 +547,25 @@ def test_negative_backbone_running_var_is_one_numeric_error_line(tmp_path, capsy
     _assert_negative_running_var_fails(tmp_path, capsys, command, layer)
 
 
+@pytest.mark.parametrize("command", ["infer", "eval", "energy"])
+def test_numeric_failure_names_its_layer_in_every_subcommand(tmp_path, capsys, command):
+    """infer runs its forward with no tape and eval and energy under an
+    audit's inspection tape, and each names the layer that failed."""
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    layer = "block2.attn.q.conv"
+    Path(ckpt).write_bytes(poison_payload(Path(ckpt).read_bytes(), f"{layer}.running_var", -1.0))
+    spk = str(data / "sample_000.spkt")
+    argv = {
+        "infer": ["infer", "--ckpt", ckpt, "--spk", spk, "--out", str(tmp_path / "pred.pgm")],
+        "eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
+        "energy": ["energy", "--ckpt", ckpt, "--spk", spk],
+    }[command]
+    rc, out = _run(capsys, argv)
+    assert rc == 1
+    assert out == [f"error=NUMERIC/conv_bn: non-finite values in result ({layer})"]
+
+
 def _corrupt_manifest(tmp_path, capsys, old, new):
     data = _tiny_data(tmp_path, capsys)
     manifest = data / "manifest.txt"
