@@ -504,24 +504,27 @@ def _check_affine(op, c, gamma, beta):
         raise DimensionError(f"{op}: affine params must have shape ({c},)")
 
 
-def _standardise(x, mean, inv_std):
-    """xhat = (x - mean) * inv_std over [B,C,H,W], as a new array."""
-    xhat = np.subtract(x, mean[_C])
+def _standardise(x, mean, inv_std, out=None):
+    """xhat = (x - mean) * inv_std over [B,C,H,W], into `out` when given."""
+    xhat = np.subtract(x, mean[_C], out=out)
     xhat *= inv_std[_C]
     return xhat
 
 
-def _normalise(xc, var, gamma, beta):
-    """Batch norm's float op sequence over a centred xc = x - mean
-    [B,C,H,W], in place, with per-channel var, gamma and beta arrays:
-    inv_std = 1 / sqrt(var + BN_EPS) in var's dtype, xhat = xc * inv_std
-    (the bits of `_standardise`), then gamma * xhat + beta, written into
-    xc's buffer unless a gamma of another dtype needs a new one.  Returns
-    (output, inv_std).
+def _normalise(x, mean, var, gamma, beta, in_place=False):
+    """Batch norm's float op sequence over x [B,C,H,W] with per-channel
+    mean, var, gamma and beta arrays: inv_std = 1 / sqrt(var + BN_EPS) in
+    var's dtype, `_standardise`, then gamma * xhat + beta.
+
+    xhat is written into x itself with `in_place` (when x - mean keeps x's
+    dtype, so the bits are those of a fresh array), else into a new array;
+    the output is written into xhat's buffer unless a gamma of another
+    dtype needs a new one.  Returns (output, inv_std).
     """
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xc *= inv_std[_C]
-    out = np.multiply(gamma[_C], xc, out=xc if gamma.dtype == xc.dtype else None)
+    in_place = in_place and np.result_type(x, mean) == x.dtype
+    xhat = _standardise(x, mean, inv_std, out=x if in_place else None)
+    out = np.multiply(gamma[_C], xhat, out=xhat if gamma.dtype == xhat.dtype else None)
     out += beta[_C]
     return out, inv_std
 
@@ -551,11 +554,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
     axes = (0, 2, 3)
     n = xd.shape[0] * xd.shape[2] * xd.shape[3]
     if training:
-        # np.mean and np.var's own sequence, with x - mean computed once:
-        # sum / n, subtract, square, sum / n
-        mu = _mean_of_sum(xd.sum(axis=axes), n)
-        xc = np.subtract(xd, mu[_C])
-        var = _mean_of_sum(np.square(xc).sum(axis=axes), n)
+        mu = xd.mean(axis=axes)
+        var = xd.var(axis=axes)
         if running_mean is not None and running_var is not None:
             unbiased = var * (n / (n - 1)) if n > 1 else var
             running_mean *= 1.0 - BN_MOMENTUM
@@ -567,9 +567,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
             raise DimensionError("batchnorm: eval mode needs running statistics")
         mu = running_mean
         var = running_var
-        xc = np.subtract(xd, mu[_C])
 
-    out_data, inv_std = _normalise(xc, var, gamma.data, beta.data)
+    out_data, inv_std = _normalise(xd, mu, var, gamma.data, beta.data)
     _guard("batchnorm", out_data)
 
     def bwd(g):
@@ -611,10 +610,7 @@ def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, run
     _check_conv("conv_bn", xd, wd, pad)
     _check_affine("conv_bn", wd.shape[0], gamma, beta)
     y = _corr2d(xd, wd, pad)
-    # centred in place when y - mean keeps y's dtype: the bits of a new array
-    in_place = np.result_type(y, running_mean) == y.dtype
-    y = np.subtract(y, running_mean[_C], out=y if in_place else None)
-    out_data, _ = _normalise(y, running_var, gamma.data, beta.data)
+    out_data, _ = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
     _guard("conv_bn", out_data)
     return _op("conv_bn", (x, w, gamma, beta), out_data, None)
 

@@ -41,12 +41,10 @@ class LifParams:
 
 @dataclass
 class LifState:
-    """Mutable membrane potential carried across timesteps of one sample,
-    with the two buffers a step reuses: `fired`, the last step's spike
-    mask, and `v_pre`.  After `lif_step`, `v_pre` holds the membrane just
-    before that step's reset.  An `mlif` that keeps no backward uses it as
-    the spare membrane buffer instead: each step integrates and resets in
-    it, then swaps it with `v`."""
+    """Mutable membrane potential carried across timesteps of one sample;
+    `v_pre` is the membrane of the last step just before its reset, and
+    `fired` that step's spike mask.  `lif_step` reuses both buffers (and
+    `v`) from step to step."""
 
     v: np.ndarray
     v_pre: np.ndarray
@@ -68,32 +66,23 @@ def surrogate_grad(v_minus_threshold, alpha: float):
     return (alpha / 2.0) / (1.0 + z * z)
 
 
-def _refuse_non_finite(x, mask=None):
+def _refuse_non_finite(x, mask):
     """Raise NumericError, naming the failure site, unless x is all finite;
-    `mask`, when given, is a bool buffer of x's shape to test into."""
+    `mask` is a bool buffer of x's shape to test into."""
     if not np.isfinite(x, out=mask).all():
         raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
 
 
 def _advance(state: LifState, x, params: LifParams, out, v_pre) -> None:
-    """One step of the update, unchecked, in the state's buffers with no
-    temporary ((x - v) / tau + v is the same IEEE sum as v + (x - v) / tau);
-    the spikes are written into `out`.
-
-    The pre-reset membrane is written into `v_pre` when given, which keeps
-    it, and `state.v` becomes a copy of it that is then reset.  With None
-    it is written into the spare `state.v_pre`, reset there and swapped in
-    as `state.v`: the same bits, with no copy.
-    """
-    buf = state.v_pre if v_pre is None else v_pre
-    np.subtract(x, state.v, out=buf)
-    buf /= params.tau
-    buf += state.v
-    np.greater_equal(buf, params.v_threshold, out=state.fired)
-    if v_pre is None:
-        state.v, state.v_pre = buf, state.v
-    else:
-        np.copyto(state.v, buf)
+    """One step of the update, unchecked, with no temporary ((x - v) / tau
+    + v is the same IEEE sum as v + (x - v) / tau): the pre-reset membrane
+    is written into `v_pre`, `state.v` becomes a copy of it that is then
+    reset, and the spikes are written into `out`."""
+    np.subtract(x, state.v, out=v_pre)
+    v_pre /= params.tau
+    v_pre += state.v
+    np.greater_equal(v_pre, params.v_threshold, out=state.fired)
+    np.copyto(state.v, v_pre)
     np.copyto(state.v, params.v_reset, where=state.fired)
     np.copyto(out, state.fired)
 
@@ -148,20 +137,19 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
 
     State starts at zero for every call (one call = one sample) and is
     carried across the T steps.  Output is binary with the input dtype; a
-    non-finite input current raises lif_step's NumericError, checked once
-    over the whole input.  Only for a backward pass does each step write
-    its pre-reset membrane into a kept v_pre[t]; otherwise the state swaps
-    its two membrane buffers and keeps none.
+    non-finite input current raises lif_step's NumericError.  Only for a
+    backward pass does each step write its pre-reset membrane straight into
+    a kept v_pre[t]; otherwise it goes into the state's own `v_pre`.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[0] < 1:
         raise DimensionError(f"mlif: need a non-empty time axis, got shape {xd.shape}")
-    _refuse_non_finite(xd)
     v_pre = np.empty_like(xd) if ad._needs(x) else None
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
-        _advance(state, xd[t], params, spikes[t], None if v_pre is None else v_pre[t])
+        _refuse_non_finite(xd[t], state.fired)
+        _advance(state, xd[t], params, spikes[t], state.v_pre if v_pre is None else v_pre[t])
 
     def bwd(g):
         return (lif_backward(v_pre, g, params),)

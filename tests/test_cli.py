@@ -513,7 +513,7 @@ def _assert_negative_running_var_fails(tmp_path, capsys, command, layer):
     """A negative running variance is finite, so the loader accepts it; the
     eval forward that normalises with it (in a fused `conv_bn` op, or folded
     into the fusion head's tail) still ends in one NUMERIC line, with no
-    warning, and writes no output."""
+    warning, and writes no output.  Returns that line."""
     data = _tiny_data(tmp_path, capsys)
     _, ckpt, _ = _pipeline_untrained(tmp_path)
     Path(ckpt).write_bytes(poison_payload(Path(ckpt).read_bytes(), f"{layer}.running_var", -1.0))
@@ -533,6 +533,7 @@ def _assert_negative_running_var_fails(tmp_path, capsys, command, layer):
     assert len(lines) == 1 and lines[0].startswith("error=NUMERIC/"), lines
     assert captured.err == ""
     assert not out.exists()
+    return lines[0]
 
 
 @pytest.mark.parametrize("layer", ["head.l2.conv", "head.l3.conv", "head.l4.conv"])
@@ -541,29 +542,13 @@ def test_negative_head_running_var_is_one_numeric_error_line(tmp_path, capsys, c
     _assert_negative_running_var_fails(tmp_path, capsys, command, layer)
 
 
-@pytest.mark.parametrize("layer", ["embed.s1.conv", "block1.attn.q.conv"])
+@pytest.mark.parametrize("layer", ["embed.s1.conv", "block1.attn.q.conv", "block2.attn.q.conv"])
 @pytest.mark.parametrize("command", ["infer", "eval", "energy"])
 def test_negative_backbone_running_var_is_one_numeric_error_line(tmp_path, capsys, command, layer):
-    _assert_negative_running_var_fails(tmp_path, capsys, command, layer)
-
-
-@pytest.mark.parametrize("command", ["infer", "eval", "energy"])
-def test_numeric_failure_names_its_layer_in_every_subcommand(tmp_path, capsys, command):
     """infer runs its forward with no tape and eval and energy under an
     audit's inspection tape, and each names the layer that failed."""
-    data = _tiny_data(tmp_path, capsys)
-    _, ckpt, _ = _pipeline_untrained(tmp_path)
-    layer = "block2.attn.q.conv"
-    Path(ckpt).write_bytes(poison_payload(Path(ckpt).read_bytes(), f"{layer}.running_var", -1.0))
-    spk = str(data / "sample_000.spkt")
-    argv = {
-        "infer": ["infer", "--ckpt", ckpt, "--spk", spk, "--out", str(tmp_path / "pred.pgm")],
-        "eval": ["eval", "--ckpt", ckpt, "--data", str(data)],
-        "energy": ["energy", "--ckpt", ckpt, "--spk", spk],
-    }[command]
-    rc, out = _run(capsys, argv)
-    assert rc == 1
-    assert out == [f"error=NUMERIC/conv_bn: non-finite values in result ({layer})"]
+    line = _assert_negative_running_var_fails(tmp_path, capsys, command, layer)
+    assert line == f"error=NUMERIC/conv_bn: non-finite values in result ({layer})"
 
 
 def _corrupt_manifest(tmp_path, capsys, old, new):
