@@ -619,21 +619,34 @@ def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, run
 # pooling
 
 
+def _running_max(views) -> np.ndarray:
+    """np.maximum over `views` left to right, into one fresh array."""
+    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+    for v in views[2:]:
+        np.maximum(out, v, out=out)
+    return out
+
+
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     """Max pooling over non-overlapping k x k windows of the last two axes;
-    ties resolve to the first index in row-major window order."""
+    a tie routes the gradient to the first index in row-major window order.
+
+    The forward takes the running max over the k column views x[..., j::k]
+    first, then over the k row views of that 1/k-width result, which are
+    contiguous along W.  It selects the element that one running max over
+    the window in row-major order selects: np.maximum returns its second
+    operand on ties (+0 against -0) and on two NaNs, so it is associative
+    in the element it picks, and row chains followed by a chain across
+    rows keep the row-major operand order.  Rows first would not keep it.
+    """
     xd = x.data
     if xd.ndim < 2:
         raise DimensionError("maxpool2d: input must be at least 2-D")
     H, W = xd.shape[-2:]
     if H % k or W % k:
         raise DimensionError(f"maxpool2d: spatial dims ({H},{W}) not divisible by {k}")
-    # the k*k strided views hold the window elements in row-major window
-    # order; a running max over them needs no window copy or argmax array
-    views = [xd[..., i::k, j::k] for i in range(k) for j in range(k)]
-    out_data = views[0].copy()
-    for v in views[1:]:
-        np.maximum(out_data, v, out=out_data)
+    cols = _running_max([xd[..., j::k] for j in range(k)])
+    out_data = _running_max([cols[..., i::k, :] for i in range(k)])
 
     def bwd(g):
         gx = np.zeros_like(xd)

@@ -76,14 +76,23 @@ def _refuse_non_finite(x, mask):
 def _advance(state: LifState, x, params: LifParams, out, v_pre) -> None:
     """One step of the update, unchecked, with no temporary ((x - v) / tau
     + v is the same IEEE sum as v + (x - v) / tau): the pre-reset membrane
-    is written into `v_pre`, `state.v` becomes a copy of it that is then
-    reset, and the spikes are written into `out`."""
+    is written into `v_pre`, the reset membrane into `state.v` and the
+    spikes into `out`.
+
+    The reset is a branch-free select, v = pre + (reset - pre) * fired, on
+    the integer views of the membranes (same width, wrapping arithmetic):
+    three unmasked passes in place of a masked copy.  It only moves bits,
+    so it is exact for every membrane (±inf, NaN, -0.0) and every v_reset.
+    """
     np.subtract(x, state.v, out=v_pre)
     v_pre /= params.tau
     v_pre += state.v
     np.greater_equal(v_pre, params.v_threshold, out=state.fired)
-    np.copyto(state.v, v_pre)
-    np.copyto(state.v, params.v_reset, where=state.fired)
+    ints = np.dtype(f"i{v_pre.itemsize}")
+    pre, v = v_pre.view(ints), state.v.view(ints)
+    np.subtract(np.array(params.v_reset, v_pre.dtype).view(ints), pre, out=v)
+    v *= state.fired
+    v += pre
     np.copyto(out, state.fired)
 
 
@@ -95,13 +104,17 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
     Mutates `state.v` (hard reset where a spike fired) and writes into
     `state.v_pre` the membrane before that reset.  A non-finite input
     current raises NumericError.  An input of a wider dtype than the state
-    promotes its buffers first, exactly.
+    promotes its buffers first, exactly; a membrane dtype that is not a
+    float of at most 8 bytes (float128, complex) raises DimensionError
+    before the step, as the reset selects on the membrane's integer view.
     """
     x = np.asarray(input_current)
     if x.shape != state.v.shape:
         raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
-    _refuse_non_finite(x, state.fired)
     dtype = np.result_type(x, state.v)
+    if dtype.kind != "f" or dtype.itemsize > 8:
+        raise DimensionError(f"lif_step: membrane dtype {dtype} is not a float of at most 8 bytes")
+    _refuse_non_finite(x, state.fired)
     if state.v.dtype != dtype:
         state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
     if out is None:

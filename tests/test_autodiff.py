@@ -1,4 +1,5 @@
 """Dense ops and reverse-mode gradients against hand and FD oracles."""
+import itertools
 import tracemalloc
 import weakref
 
@@ -170,6 +171,44 @@ def test_maxpool_matches_argmax_oracle_on_spike_stacks(rng, shape, k, p):
     assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
     np.testing.assert_array_equal(out.data, want_out)
     np.testing.assert_array_equal(x.grad, want_gx)
+
+
+def _running_max_oracle(xd, k):
+    """One running np.maximum over the k*k strided views in row-major window
+    order, the forward as it was written before the row-contiguous one."""
+    views = [xd[..., i::k, j::k] for i in range(k) for j in range(k)]
+    out = views[0].copy()
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
+    return out
+
+
+def _two_nans(dtype):
+    ints = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    nan = np.array(np.nan, dtype)
+    return nan, (nan.view(ints) + 1).view(dtype)  # a second payload
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_forward_matches_running_max_bits_on_every_2x2_window(dtype):
+    """All 8**4 windows over {+-0, +-1, +-inf, two NaN payloads}: the max
+    is the element the row-major running max picks, on ties of +0 with -0
+    and between NaN payloads too."""
+    vals = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, *_two_nans(dtype)], dtype)
+    win = vals[np.array(list(itertools.product(range(8), repeat=4)))]  # [4096, 4]
+    for x in (win.reshape(4096, 2, 2),  # one window per plane
+              win.reshape(64, 64, 2, 2).transpose(0, 2, 1, 3).reshape(64, 2, 128)):
+        got = ad.maxpool2d(ad.tensor(x), 2).data
+        assert got.dtype == dtype and got.tobytes() == _running_max_oracle(x, 2).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_k3_matches_running_max_bits_with_planted_ties(rng, dtype):
+    x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0], dtype), size=(2, 3, 9, 12))
+    x[..., ::4, ::5] = rng.standard_normal(x[..., ::4, ::5].shape)
+    x[0, 0, :3, :3] = np.array(_two_nans(dtype))[rng.integers(0, 2, size=(3, 3))]
+    got = ad.maxpool2d(ad.tensor(x), 3).data
+    assert got.dtype == dtype and got.tobytes() == _running_max_oracle(x, 3).tobytes()
 
 
 def test_matmul_identity_and_mismatch(rng):

@@ -144,6 +144,114 @@ def test_mlif_same_bits_in_every_tape_mode(rng, p, dtype):
     assert gx.tobytes() == lif_backward(np.stack(v_pre), g, p).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the reset select against a fresh-array np.where oracle
+
+RESETS = (0.0, -0.0, 0.1, -0.2)
+
+
+def _extreme_currents(dtype, rng, v_reset):
+    """[4, lanes] currents of +-0.9 * the dtype's max, and LIF parameters
+    with the threshold at 0.6 of it: x - v overflows to +inf in lane 0
+    (which fires) and to -inf in lane 1 (a NaN membrane on the next step);
+    lane 2 fires on finite membranes; the rest are random."""
+    big = 0.9 * np.finfo(dtype).max
+    lanes = [[-big, -big, big, 0.0], [big, -big, 0.0, 0.0], [big] * 4]
+    x = np.concatenate([np.array(lanes).T, big * rng.uniform(-1, 1, size=(4, 13))], axis=1)
+    return x.astype(dtype), LifParams(v_threshold=0.6 * big, v_reset=v_reset)
+
+
+def _where_oracle(x, p, v0):
+    """(spikes, pre-reset membranes, reset membranes) of each step, the
+    reset written as np.where(fired, v_reset, v_pre) on fresh arrays."""
+    v, reset = v0, np.asarray(p.v_reset, dtype=x.dtype)
+    spikes, pres, vs = [], [], []
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for xt in x:
+            pre = (xt - v) / p.tau + v
+            fired = pre >= p.v_threshold
+            v = np.where(fired, reset, pre)
+            spikes.append(fired.astype(x.dtype)), pres.append(pre), vs.append(v)
+    return np.stack(spikes), np.stack(pres), np.stack(vs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v_reset", RESETS)
+def test_lif_step_reset_matches_where_oracle_bit_for_bit(rng, dtype, v_reset):
+    """Every membrane bit pattern comes through the reset as the oracle's:
+    +-inf pre-reset membranes, the NaN after -inf, -0.0 from an underflow
+    on a -0.0 membrane, and a -0.0 v_reset."""
+    x, p = _extreme_currents(dtype, rng, v_reset)
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.concatenate([x, np.array([[-tiny], [-0.0], [1.0], [0.0]], dtype)], axis=1)
+    v0 = np.zeros(x.shape[1], dtype)
+    v0[-1] = -0.0
+    want_spikes, want_pre, want_v = _where_oracle(x, p, v0)
+    assert np.isposinf(want_pre).any() and np.isneginf(want_pre).any()
+    assert np.isnan(want_pre).any() and (np.signbit(want_pre) & (want_pre == 0)).any()
+    state = fresh_state(x.shape[1:], dtype)
+    state.v[:] = v0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for t in range(x.shape[0]):
+            spikes = lif_step(state, x[t], p)
+            assert spikes.tobytes() == want_spikes[t].tobytes(), t
+            assert state.v_pre.tobytes() == want_pre[t].tobytes(), t
+            assert state.v.tobytes() == want_v[t].tobytes(), t
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v_reset", RESETS)
+def test_mlif_reset_matches_where_oracle_in_every_tape_mode(rng, dtype, v_reset):
+    x, p = _extreme_currents(dtype, rng, v_reset)
+    want, pres, _ = _where_oracle(x, p, np.zeros(x.shape[1], dtype))
+    g = rng.standard_normal(x.shape).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode, context in TAPE_MODES.items():
+            with context() as tp:
+                got = mlif(ad.parameter(x), p).data
+            assert got.tobytes() == want.tobytes(), mode
+        (gx,) = tp.entries[0].bwd(g)  # the gradient tape's, the last mode
+        assert gx.tobytes() == lif_backward(pres, g, p).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v_reset", RESETS)
+def test_reset_select_raises_no_numpy_error(rng, dtype, v_reset):
+    """The select wraps in integer arithmetic (v_reset - v_pre leaves the
+    integer range here) and says nothing, also under errstate(all="raise")."""
+    x = rng.uniform(-3, 3, size=(4, 64)).astype(dtype)
+    p = LifParams(v_reset=v_reset)
+    want, pres, vs = _where_oracle(x, p, np.zeros(64, dtype))
+    ints = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    info = np.iinfo(ints)
+    diff = np.array(v_reset, dtype).view(ints).astype(object) - pres.view(ints).astype(object)
+    # +0.0 (all bits zero) minus a membrane other than -0.0 stays in range
+    assert ((diff < info.min) | (diff > info.max)).any() or not np.signbit(v_reset) and v_reset == 0
+    with np.errstate(all="raise"):
+        state = fresh_state((64,), dtype)
+        for t in range(4):
+            lif_step(state, x[t], p)
+            assert state.v.tobytes() == vs[t].tobytes()
+        for context in TAPE_MODES.values():
+            with context():
+                assert mlif(ad.parameter(x), p).data.tobytes() == want.tobytes()
+
+
+def test_lif_step_refuses_a_membrane_dtype_with_no_integer_view():
+    """The reset selects on an integer view of the membrane's width, so a
+    float128 or complex membrane raises DimensionError before the step and
+    leaves the state as it was; float16 steps."""
+    refused = [np.complex64] + [np.longdouble] * (np.dtype(np.longdouble).itemsize > 8)
+    for dtype in refused:
+        state = fresh_state((2,))
+        with pytest.raises(DimensionError, match=np.dtype(dtype).name):
+            lif_step(state, np.array([2.0, 0.5], dtype), P)
+        assert state.v.dtype == np.float32 and not state.v.any()
+    state = fresh_state((2,), np.float16)
+    spikes = lif_step(state, np.array([2.0, 0.5], np.float16), P)
+    assert spikes.tolist() == [1.0, 0.0] and state.v.tolist() == [0.0, 0.25]
+
+
 @pytest.mark.parametrize("mode", sorted(TAPE_MODES))
 def test_mlif_non_finite_current_after_the_first_step_raises(rng, mode):
     for bad in (np.nan, np.inf):
