@@ -6,16 +6,17 @@ that needs no gradient), k x k max pooling and bilinear upsampling for the
 layers, batched matmul for attention, and elementwise arithmetic plus
 reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
 tape is active, record an entry holding the backward closure (None when the
-output needs no gradient, as on an inspection tape).  A tape appends each
-entry to its list, unless it is an inspection tape given a consumer, which
-is handed each entry as it is recorded and keeps none, so a streamed
-forward holds no more than an untaped one.  `Tape.backward` replays the
-entries in reverse (the recording order is already topological) and
-accumulates gradients into every parameter: parameters are the only
-gradient leaves, and every other tensor that needs a gradient is an op
-output.  The replay empties the tape and releases each entry as it goes,
-so a training step's memory falls through its backward as each layer's
-activations are freed.
+output needs no gradient, as on an inspection tape).  A tape's kind is
+whether it has a consumer: a gradient tape has none and appends each entry
+to its list; an inspection tape hands each entry to its consumer as it is
+recorded and keeps none, so a streamed forward holds no more than an
+untaped one.  Scopes live on one stack, taped or not, and name entries and
+failures.  `Tape.backward` replays a gradient tape's entries in reverse
+(the recording order is already topological) and accumulates gradients
+into every parameter: parameters are the only gradient leaves, and every
+other tensor that needs a gradient is an op output.  The replay empties the
+tape and releases each entry as it goes, so a training step's memory falls
+through its backward as each layer's activations are freed.
 
 A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
@@ -30,12 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError, NumericError, StaleTapeError
+from .errors import DimensionError, NumericError, StaleTapeError
 
 
 def _guard(op, arr):
@@ -92,30 +94,30 @@ class TapeEntry:
 class Tape:
     """Ordered record of executed ops; reverse replay computes gradients.
 
-    With `grad=False` it is an inspection tape: entries keep their op, scope,
-    inputs and output, but no op output needs a gradient, every `bwd` is
-    None and no op keeps state for a backward pass.  An inspection tape
-    given a `consumer` calls `consumer(entry)` for each entry in recording
-    order instead of appending it, so `entries` stays empty and an entry,
-    with every array only it references, is freed as the forward moves on.
-    A gradient tape refuses a consumer with ConfigError: backward replays
-    the list.  `label` (e.g. "train step 3") names the tape's run in a
+    With no `consumer` it is a gradient tape: it appends each entry to
+    `entries`, which `backward` replays.  With a consumer it is an
+    inspection tape: no op output needs a gradient, every `bwd` is None, no
+    op keeps state for a backward pass, and each entry goes to
+    `consumer(entry)` in recording order, so `entries` stays empty and an
+    entry, with every array only it references, is freed as the forward
+    moves on.  `label` (e.g. "train step 3") names the tape's run in a
     failure message, before the scope (see `failure_site`).
     """
 
-    def __init__(self, grad=True, consumer=None, label=""):
-        if grad and consumer is not None:
-            raise ConfigError("a gradient tape keeps its entries for backward; "
-                              "only an inspection tape (grad=False) takes a consumer")
-        self.grad = grad
+    def __init__(self, consumer=None, label=""):
         self.consumer = consumer
         self.label = label
         self.entries: list[TapeEntry] = []
-        self._scopes: list[str] = []
+        # `_op` records through this one call; `backward` empties `entries`
+        # in place, so it stays the list this appends to
+        self.record = self.entries.append if consumer is None else consumer
+        self._depth = len(_SCOPES)
 
     @property
     def scope(self) -> str:
-        return ".".join(self._scopes)
+        """The scopes opened since the tape opened, joined with '.': the
+        ones open around it are not its own."""
+        return ".".join(_SCOPES[self._depth:])
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate dLoss/dP into P.grad for every parameter P.
@@ -124,16 +126,17 @@ class Tape:
         entry's inputs, output and backward closure are freed once its
         gradients are out, so the activations shrink as the gradients grow.
         Calling backward again without a new forward finds the tape empty
-        and raises StaleTapeError.
+        and raises StaleTapeError, as does an inspection tape.
         """
-        if not self.grad:
+        if self.consumer is not None:
             raise StaleTapeError("an inspection tape records no gradients")
         if not self.entries:
             raise StaleTapeError("tape is empty or already consumed; run a new forward pass")
         if loss.data.size != 1:
             raise DimensionError(f"backward expects a scalar loss, got shape {loss.data.shape}")
 
-        entries, self.entries = self.entries, []
+        entries = self.entries.copy()
+        self.entries.clear()
         grads = {id(loss): np.ones_like(loss.data)}
         while entries:
             entry = entries.pop()  # freed when the next pop rebinds `entry`
@@ -160,32 +163,26 @@ def _accumulate(grads, inputs, in_grads):
 
 
 _STACK: list[Tape] = []
-# the scopes open while no tape is active, so that a failure in an untaped
-# forward still names its layer; a tape opened inside them starts its own
-_UNTAPED_SCOPES: list[str] = []
+# the open scopes, outermost first, whether or not a tape is active
+_SCOPES: list[str] = []
 
 
 def active_tape():
     return _STACK[-1] if _STACK else None
 
 
-def _open_scopes() -> list[str]:
-    t = active_tape()
-    return _UNTAPED_SCOPES if t is None else t._scopes
-
-
 def failure_site() -> str:
     """Where a failure happened, as a suffix for its message: " (label,
-    scope)" of the active tape, or " (scope)" with no tape, with whichever
-    of the two is set, or "" with neither."""
+    scope)" of the active tape, or " (scope)" of every open scope with no
+    tape, with whichever of the two is set, or "" with neither."""
     t = active_tape()
-    parts = [p for p in (t.label if t else "", ".".join(_open_scopes())) if p]
+    parts = [p for p in ((t.label, t.scope) if t else (".".join(_SCOPES),)) if p]
     return f" ({', '.join(parts)})" if parts else ""
 
 
 @contextmanager
-def tape(grad=True, consumer=None, label=""):
-    t = Tape(grad, consumer, label)
+def tape(consumer=None, label=""):
+    t = Tape(consumer, label)
     _STACK.append(t)
     try:
         yield t
@@ -195,21 +192,21 @@ def tape(grad=True, consumer=None, label=""):
 
 @contextmanager
 def scope(name: str):
-    """Label ops recorded inside the block (nested scopes join with '.'):
-    on the active tape, or with no tape for `failure_site` alone."""
-    scopes = _open_scopes()
-    scopes.append(name)
+    """Label ops recorded inside the block (nested scopes join with '.'),
+    on the one scope stack: it names the entries of a tape opened outside
+    it, and a failure inside it with or without a tape."""
+    _SCOPES.append(name)
     try:
         yield
     finally:
-        scopes.pop()
+        _SCOPES.pop()
 
 
 def _needs(*tensors):
     """Whether an op's output needs a gradient, so that the op keeps a
     backward (and mlif its v_pre): only under a gradient tape."""
     tp = active_tape()
-    if tp is None or not tp.grad:
+    if tp is None or tp.consumer is not None:
         return False
     return any(t is not None and t.requires_grad for t in tensors)
 
@@ -218,15 +215,11 @@ def _op(op, inputs, data, bwd) -> Tensor:
     """The output Tensor of `op` over `inputs` (None for an absent optional
     input), holding `data`; on an active tape, also its entry, which keeps
     `bwd` only when the output needs a gradient and goes to the tape's
-    consumer, if it has one, else onto its list."""
+    `record`: onto its list, or to its consumer."""
     out = Tensor(data, requires_grad=_needs(*inputs))
     t = active_tape()
     if t is not None:
-        entry = TapeEntry(op, t.scope, inputs, out, bwd if out.requires_grad else None)
-        if t.consumer is None:
-            t.entries.append(entry)
-        else:
-            t.consumer(entry)
+        t.record(TapeEntry(op, t.scope, inputs, out, bwd if out.requires_grad else None))
     return out
 
 
@@ -619,6 +612,17 @@ def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, run
 # pooling
 
 
+def _size(op, name, n) -> int:
+    """n as an int, or DimensionError unless it is an integer >= 1."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise DimensionError(f"{op}: {name} must be an integer >= 1, got {n!r}")
+    return size
+
+
 def _running_max(views) -> np.ndarray:
     """np.maximum over `views` left to right, into one fresh array."""
     out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
@@ -639,6 +643,7 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     in the element it picks, and row chains followed by a chain across
     rows keep the row-major operand order.  Rows first would not keep it.
     """
+    k = _size("maxpool2d", "k", k)
     xd = x.data
     if xd.ndim < 2:
         raise DimensionError("maxpool2d: input must be at least 2-D")
@@ -693,9 +698,7 @@ def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     """Bilinear upsampling of the last two axes by an integer factor
     (half-pixel / align_corners=False convention)."""
-    factor = int(factor)
-    if factor < 1:
-        raise DimensionError(f"upsample_bilinear: factor must be >= 1, got {factor}")
+    factor = _size("upsample_bilinear", "factor", factor)
     xd = x.data
     if xd.ndim < 2:
         raise DimensionError("upsample_bilinear: input must be at least 2-D")

@@ -277,7 +277,7 @@ def predict_and_audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: 
     """One eval-mode forward pass → (depth prediction [H, W], EnergyReport).
 
     The prediction is the array `model.predict` returns for the same input
-    and the report equals `price` over an inspection tape of that forward.
+    and the report equals `price` over the entries of that forward.
     The costs are checked before the forward runs; then each entry is
     priced as its op records it, under a tape that keeps none, so the pass
     holds no more memory than `predict`.  Every `ConvBN` is one `conv_bn`
@@ -286,7 +286,7 @@ def predict_and_audit(model, spikes_dense, e_mac_pj: float = E_MAC_PJ, e_ac_pj: 
     """
     _check_costs(e_mac_pj, e_ac_pj)
     rows = []
-    with ad.tape(grad=False, consumer=lambda e: rows.extend(_priced(e, e_mac_pj, e_ac_pj))):
+    with ad.tape(consumer=lambda e: rows.extend(_priced(e, e_mac_pj, e_ac_pj))):
         _, pred = model.forward(spikes_dense, training=False)
     return pred.data, _report(rows, model, e_mac_pj, e_ac_pj)
 

@@ -43,8 +43,9 @@ class LifParams:
 class LifState:
     """Mutable membrane potential carried across timesteps of one sample;
     `v_pre` is the membrane of the last step just before its reset, and
-    `fired` that step's spike mask.  `lif_step` reuses both buffers (and
-    `v`) from step to step."""
+    `fired` that step's spike mask.  `lif_step` writes into all three
+    buffers in place from step to step, so a caller may point `v_pre` at a
+    slot of its own, as `mlif` does to keep every step's."""
 
     v: np.ndarray
     v_pre: np.ndarray
@@ -66,24 +67,38 @@ def surrogate_grad(v_minus_threshold, alpha: float):
     return (alpha / 2.0) / (1.0 + z * z)
 
 
-def _refuse_non_finite(x, mask):
-    """Raise NumericError, naming the failure site, unless x is all finite;
-    `mask` is a bool buffer of x's shape to test into."""
-    if not np.isfinite(x, out=mask).all():
-        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
+def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Advance the membrane one step; returns the binary spike plane, written
+    into `out` when given.
 
+    Mutates `state.v` (hard reset where a spike fired) and writes into
+    `state.v_pre` the membrane before that reset.  A non-finite input
+    current raises NumericError, naming the failure site.  An input of a
+    wider dtype than the state promotes its buffers first, exactly; a
+    membrane dtype that is not a float of at most 8 bytes (float128,
+    complex) raises DimensionError before the step.
 
-def _advance(state: LifState, x, params: LifParams, out, v_pre) -> None:
-    """One step of the update, unchecked, with no temporary ((x - v) / tau
-    + v is the same IEEE sum as v + (x - v) / tau): the pre-reset membrane
-    is written into `v_pre`, the reset membrane into `state.v` and the
-    spikes into `out`.
-
-    The reset is a branch-free select, v = pre + (reset - pre) * fired, on
-    the integer views of the membranes (same width, wrapping arithmetic):
-    three unmasked passes in place of a masked copy.  It only moves bits,
-    so it is exact for every membrane (±inf, NaN, -0.0) and every v_reset.
+    The update has no temporary ((x - v) / tau + v is the same IEEE sum as
+    v + (x - v) / tau).  The reset is a branch-free select, v = pre +
+    (reset - pre) * fired, on the integer views of the membranes (same
+    width, wrapping arithmetic): three unmasked passes in place of a masked
+    copy.  It only moves bits, so it is exact for every membrane (±inf,
+    NaN, -0.0) and every v_reset.
     """
+    x = np.asarray(input_current)
+    if x.shape != state.v.shape:
+        raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
+    dtype = np.result_type(x, state.v)
+    if dtype.kind != "f" or dtype.itemsize > 8:
+        raise DimensionError(f"lif_step: membrane dtype {dtype} is not a float of at most 8 bytes")
+    if not np.isfinite(x, out=state.fired).all():
+        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
+    if state.v.dtype != dtype:
+        state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    v_pre = state.v_pre
     np.subtract(x, state.v, out=v_pre)
     v_pre /= params.tau
     v_pre += state.v
@@ -94,32 +109,6 @@ def _advance(state: LifState, x, params: LifParams, out, v_pre) -> None:
     v *= state.fired
     v += pre
     np.copyto(out, state.fired)
-
-
-def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Advance the membrane one step; returns the binary spike plane, written
-    into `out` when given.
-
-    Mutates `state.v` (hard reset where a spike fired) and writes into
-    `state.v_pre` the membrane before that reset.  A non-finite input
-    current raises NumericError.  An input of a wider dtype than the state
-    promotes its buffers first, exactly; a membrane dtype that is not a
-    float of at most 8 bytes (float128, complex) raises DimensionError
-    before the step, as the reset selects on the membrane's integer view.
-    """
-    x = np.asarray(input_current)
-    if x.shape != state.v.shape:
-        raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
-    dtype = np.result_type(x, state.v)
-    if dtype.kind != "f" or dtype.itemsize > 8:
-        raise DimensionError(f"lif_step: membrane dtype {dtype} is not a float of at most 8 bytes")
-    _refuse_non_finite(x, state.fired)
-    if state.v.dtype != dtype:
-        state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
-    if out is None:
-        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
-    _advance(state, x, params, out, state.v_pre)
     return out
 
 
@@ -144,15 +133,15 @@ def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> 
 
 
 def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
-    """Multistep LIF over the leading time axis of x [T, ...]: T steps of
-    `lif_step`'s update on one fresh state, each writing its spikes into
-    the output.
+    """Multistep LIF over the leading time axis of x [T, ...]: T calls of
+    `lif_step` on one fresh state, each writing its spikes into the output.
 
     State starts at zero for every call (one call = one sample) and is
     carried across the T steps.  Output is binary with the input dtype; a
     non-finite input current raises lif_step's NumericError.  Only for a
-    backward pass does each step write its pre-reset membrane straight into
-    a kept v_pre[t]; otherwise it goes into the state's own `v_pre`.
+    backward pass does the state's `v_pre` point at a kept v_pre[t], so
+    that each step writes its pre-reset membrane straight into its slot;
+    otherwise every step reuses the state's own buffer.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[0] < 1:
@@ -161,8 +150,9 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
-        _refuse_non_finite(xd[t], state.fired)
-        _advance(state, xd[t], params, spikes[t], state.v_pre if v_pre is None else v_pre[t])
+        if v_pre is not None:
+            state.v_pre = v_pre[t]
+        lif_step(state, xd[t], params, out=spikes[t])
 
     def bwd(g):
         return (lif_backward(v_pre, g, params),)

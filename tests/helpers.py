@@ -184,9 +184,26 @@ def scalar_lif_backward_reference(inputs, upstream, p: LifParams):
     return g_in
 
 
-# no tape, an inspection tape and a gradient tape: a forward that needs no
-# gradient runs the first two on its fused paths, the third on the reference graph
-TAPE_MODES = {"none": nullcontext, "inspect": lambda: ad.tape(grad=False), "grad": ad.tape}
+@contextmanager
+def inspection_tape():
+    """An inspection tape whose consumer appends each entry, in recording
+    order, to the list it yields."""
+    entries = []
+    with ad.tape(consumer=entries.append):
+        yield entries
+
+
+@contextmanager
+def gradient_tape():
+    """A gradient tape, yielding its list of entries."""
+    with ad.tape() as t:
+        yield t.entries
+
+
+# no tape, an inspection tape and a gradient tape, each yielding the entries
+# it records (None with no tape): a forward that needs no gradient runs the
+# first two on its fused paths, the third on the reference graph
+TAPE_MODES = {"none": nullcontext, "inspect": inspection_tape, "grad": gradient_tape}
 
 
 def tiny_model_cfg(**overrides) -> ModelConfig:

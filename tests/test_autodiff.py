@@ -19,7 +19,7 @@ from helpers import (
 )
 from spikedepth import autodiff as ad
 from spikedepth.energy import price
-from spikedepth.errors import ConfigError, DimensionError, NumericError, StaleTapeError
+from spikedepth.errors import DimensionError, NumericError, StaleTapeError
 from spikedepth.head import FOLDED_LAYERS, rate_encode
 from spikedepth.layers import ConvBN
 from spikedepth.losses import DistillConfig, FeatureProjections, total_loss
@@ -134,6 +134,16 @@ def test_maxpool_forward_and_binary(rng):
 def test_maxpool_indivisible_raises(rng):
     with pytest.raises(DimensionError):
         ad.maxpool2d(ad.tensor(rng.standard_normal((1, 3, 4))), 2)
+
+
+@pytest.mark.parametrize("size", [0, -2, 2.5, 2.0, "3", None])
+@pytest.mark.parametrize("op,name", [("maxpool2d", "k"), ("upsample_bilinear", "factor")])
+def test_pool_and_upsample_refuse_a_size_that_is_not_an_integer_of_at_least_1(op, name, size):
+    x = ad.tensor(np.ones((1, 4, 4)))
+    with pytest.raises(DimensionError, match=rf"^{op}: {name} must be an integer >= 1, got "):
+        getattr(ad, op)(x, size)
+    # any integer type passes, as its int
+    assert getattr(ad, op)(x, np.int64(2)).data.tobytes() == getattr(ad, op)(x, 2).data.tobytes()
 
 
 def test_maxpool_tie_routes_to_first_element():
@@ -287,36 +297,34 @@ def test_backward_on_empty_tape_raises():
 
 def test_inspection_tape_records_without_gradients():
     x = ad.parameter(np.ones(3))
-    with ad.tape(grad=False) as t:
+    entries = []
+    with ad.tape(consumer=entries.append) as t:
         y = ad.reduce_sum(ad.mul(x, x))
-    assert [e.op for e in t.entries] == ["mul", "reduce_sum"]
-    assert all(e.bwd is None for e in t.entries) and not y.requires_grad
+    assert [e.op for e in entries] == ["mul", "reduce_sum"] and t.entries == []
+    assert all(e.bwd is None for e in entries) and not y.requires_grad
     with pytest.raises(StaleTapeError):
         t.backward(y)
     assert x.grad is None
 
 
 def test_consuming_tape_streams_every_entry_in_order():
-    """An inspection tape with a consumer hands over every entry a list tape
-    records for the same forward, in recording order, and keeps none."""
+    """An inspection tape hands its consumer each entry as its op records
+    it, and keeps none: every entry arrives while its tape is active and
+    after the entries that made its inputs."""
     model = tiny_model(seed=0)
     spikes = random_spikes(np.random.default_rng(0), p=0.4)
-    with ad.tape(grad=False) as listed:
-        model.forward(spikes, training=False)
     got = []
-    with ad.tape(grad=False, consumer=lambda e: got.append((e.op, e.scope))) as streamed:
+
+    def consumer(entry):
+        assert ad.active_tape() is streamed
+        got.append(entry)
+
+    with ad.tape(consumer=consumer) as streamed:
         model.forward(spikes, training=False)
     assert streamed.entries == []
-    assert got == [(e.op, e.scope) for e in listed.entries]
-    assert {"conv_bn", "spike_attention", "fusion_tail", "mlif"} <= {op for op, _ in got}
-
-
-def test_gradient_tape_refuses_a_consumer():
-    # backward replays the entry list, which a consumer would leave empty
-    with pytest.raises(ConfigError, match="consumer"):
-        with ad.tape(consumer=lambda e: None):
-            pass
-    assert ad.active_tape() is None
+    made = {id(e.output): i for i, e in enumerate(got)}
+    assert all(made.get(id(t), -1) < i for i, e in enumerate(got) for t in e.inputs if t is not None)
+    assert {"conv_bn", "spike_attention", "fusion_tail", "mlif"} <= {e.op for e in got}
 
 
 def _spy_on_replay(entries, refs, alive):
@@ -585,14 +593,14 @@ def test_conv2d_matches_rowmajor_oracle_bit_for_bit(model, monkeypatch):
         b = rng.standard_normal(w_shape[0], dtype=np.float32) if has_bias else None
         outs = {}
         for mode, context in TAPE_MODES.items():
-            with context() as t:
+            with context() as entries:
                 y = ad.conv2d(ad.parameter(x), ad.parameter(w),
                               ad.parameter(b) if has_bias else None, pad=pad)
             outs[mode] = y.data
-        # t is now the gradient tape, the last mode
+        # entries are now the gradient tape's, the last mode
         g = rng.standard_normal(y.data.shape, dtype=np.float32)
-        gx, gw, gb = t.entries[-1].bwd(g)
-        del t, y  # the tape holds x and w: free it before the reference builds its cols
+        gx, gw, gb = entries[-1].bwd(g)
+        del entries, y  # the entry holds x and w: free it before the reference builds its cols
         ref = rowmajor_conv2d(x, w, b, g, pad)
         what = f"{model} x{x_shape} w{w_shape}"
         for mode, out in outs.items():
@@ -782,9 +790,8 @@ def test_conv_bn_matches_conv2d_then_batchnorm_bit_for_bit(model, dtype, monkeyp
         x_before = x.copy()
         outs, entries = {}, {}
         for mode, context in TAPE_MODES.items():
-            with context() as t:
+            with context() as entries[mode]:
                 outs[mode] = layer.forward(ad.tensor(x), training=False).data
-            entries[mode] = t.entries if t is not None else None
         what = f"{scope} x{x_shape} w{w_shape} {np.dtype(dtype).name}"
         assert x.tobytes() == x_before.tobytes(), what
         assert outs["grad"].dtype == dtype and np.abs(outs["grad"]).max() > 0, what
@@ -814,20 +821,20 @@ def test_eval_model_runs_one_conv_bn_per_conv_bn_layer(dtype):
         buf[...] = (bn_rng.random(buf.shape) + 0.1 if name.endswith("var")
                     else bn_rng.standard_normal(buf.shape) * 0.2)
     spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(dtype)
-    feats, preds, tapes = {}, {}, {}
+    feats, preds, entries = {}, {}, {}
     for mode, context in TAPE_MODES.items():
-        with context() as t:
+        with context() as entries[mode]:
             f, pred = model.forward(spikes, training=False)
         feats[mode] = b"".join(z.data.tobytes() for z in f)
-        preds[mode], tapes[mode] = pred.data, t
+        preds[mode] = pred.data
     assert feats["none"] == feats["inspect"] == feats["grad"]
     assert preds["none"].tobytes() == preds["inspect"].tobytes()
-    fused = tapes["inspect"].entries
+    fused = entries["inspect"]
     ops = [e.op for e in fused]
     assert "batchnorm" not in ops and all(e.bwd is None for e in fused)
     folded = {f"head.{name}" for name in FOLDED_LAYERS}
     assert [e.scope for e in fused if e.op == "conv_bn"] == [s for s in layers if s not in folded]
-    assert price(fused, model).rows == price(tapes["grad"].entries, model).rows
+    assert price(fused, model).rows == price(entries["grad"], model).rows
 
 
 # ---------------------------------------------------------------------------
@@ -861,9 +868,11 @@ def test_scopes_join_with_dots():
 
 
 def test_untaped_scopes_name_a_failure_and_leave_tapes_as_they_were():
-    """With no tape a scope still names a failure; a tape opened inside it
-    records its entries with its own scopes only, as always, and its label
-    and those scopes name a failure in it."""
+    """With no tape a scope still names a failure; a gradient or consumer
+    tape opened inside it records its entries with its own scopes only, and
+    its label and those scopes name a failure in it.  A failure that
+    escapes a tape, its scopes and the outer scopes leaves the one scope
+    stack empty, so a fresh tape records unscoped entries."""
     nan = ad.tensor(np.array([np.nan]))
     with ad.scope("block2"), ad.scope("attn"):
         with pytest.raises(NumericError, match=r"^scale: non-finite values in result \(block2\.attn\)$"):
@@ -874,9 +883,23 @@ def test_untaped_scopes_name_a_failure_and_leave_tapes_as_they_were():
                 ad.scale(ad.tensor(np.ones(1)), 2.0)
                 with pytest.raises(NumericError, match=r"\(train step 1, q\)$"):
                     ad.scale(nan, 10.0)
-        with ad.tape(grad=False) as inner:
+        consumed = []
+        with ad.tape(consumer=consumed.append):
             ad.scale(ad.tensor(np.ones(1)), 2.0)
+            with ad.scope("k"), ad.scope("conv"):
+                ad.scale(ad.tensor(np.ones(1)), 2.0)
+                with pytest.raises(NumericError, match=r"^scale: non-finite values in result \(k\.conv\)$"):
+                    ad.scale(nan, 10.0)
         assert ad.failure_site() == " (block2.attn)"
     assert [e.scope for e in t.entries] == ["", "q"]
-    assert [e.scope for e in inner.entries] == [""]
+    assert [e.scope for e in consumed] == ["", "k.conv"]
     assert ad.failure_site() == ""
+
+    with pytest.raises(NumericError, match=r"\(eval, v\.lif\)$"):
+        with ad.scope("block3"), ad.scope("attn"):
+            with ad.tape(consumer=consumed.append, label="eval"), ad.scope("v"), ad.scope("lif"):
+                ad.scale(nan, 10.0)
+    assert ad.failure_site() == "" and ad.active_tape() is None
+    with ad.tape() as fresh:
+        ad.scale(ad.tensor(np.ones(1)), 2.0)
+    assert [e.scope for e in fresh.entries] == [""]

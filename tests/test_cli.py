@@ -1,17 +1,24 @@
 """Command-line interface: full pipeline, output contract, error lines."""
+import io
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import disk_full_after, poison_payload
 from spikedepth import dataio
 from spikedepth.cli import main
+from spikedepth.config import KNOWN_KEYS
 from spikedepth.metrics import METRIC_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -401,6 +408,7 @@ def test_each_module_imports_first(module):
 _COLD_START = """\
 import sys
 from spikedepth.cli import main
+from spikedepth.config import KNOWN_KEYS
 rc = main(sys.argv[1:])
 print("modules=" + ",".join(m for m in sys.modules if m.startswith(("numpy.random", "spikedepth."))))
 sys.exit(rc)
@@ -601,3 +609,168 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, make_argv, category
     rc, out = _run(capsys, make_argv(tmp_path, capsys))
     assert rc == 1
     assert len(out) == 1 and out[0].startswith(f"error={category}/"), out
+
+
+# ---------------------------------------------------------------------------
+# property: every subcommand keeps the output contract under hostile input
+
+# numbers no flag may take silently; HUGE only where a value sizes no work
+_BAD_NUMBERS = ["nan", "-nan", "inf", "-inf", "-1", "0", "-0.0", "2.5", "abc", "", " ", "0x10"]
+_HUGE = ["1e308", "-1e308", "1e-320", "9" * 40]
+# config keys whose value sizes the work of a run, each with its base value
+_SIZING = {"t": "2", "c": "2", "h": "8", "w": "8", "d": "4", "l": "4", "mlp_ratio": "2",
+           "teacher_dim": "4", "steps": "1", "epochs": "1", "batch_size": "1",
+           "checkpoint_every": "0"}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 2-sample 8x8 dataset and a d=4 checkpoint trained on it for one step."""
+    root = tmp_path_factory.mktemp("contract")
+    data, run = root / "data", root / "run"
+    argv = ["gen", "--out", str(data), "--samples", "2", "--height", "8", "--width", "8",
+            "--timesteps", "2", "--teacher-dim", "4"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        assert main(["train", "--data", str(data), "--out", str(run),
+                     *(f"--set={k}={v}" for k, v in _SIZING.items())]) == 0
+    cfg = root / "train.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in _SIZING.items()) + "lr=0.001\n")
+    return data, run / "model.sdtw", cfg
+
+
+def _number(draw, ints=None, huge=False):
+    """A flag value: an in-range int from `ints`, a bad number, or a huge one."""
+    pool = [st.sampled_from(_BAD_NUMBERS + (_HUGE if huge else []))]
+    if ints is not None:
+        pool.append(st.integers(*ints).map(str))
+    return draw(st.one_of(pool))
+
+
+def _mangled(draw, blob: bytes) -> bytes:
+    """`blob` cut short, or with a few bits flipped."""
+    if not blob or draw(st.booleans()):
+        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.integers(0, len(out) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(out)
+
+
+def _in_path(draw, good: Path, wrong: list, tmp: Path) -> str:
+    """A path to a truncated or bit-flipped copy of the `good` file, to a
+    file of the wrong format, to a directory, or to nothing."""
+    kind = draw(st.sampled_from(["mangled", "wrong", "dir", "missing"]))
+    if kind == "wrong":
+        return str(draw(st.sampled_from(wrong)))
+    if kind == "dir":
+        return str(tmp)
+    path = tmp / f"in_{draw(st.integers(0, 9**6))}{good.suffix}"
+    if kind == "mangled":
+        path.write_bytes(_mangled(draw, good.read_bytes()))
+    return str(path)
+
+
+def _data_dir(draw, good: Path, tmp: Path) -> str:
+    """A copy of the `good` dataset with one file mangled, an empty
+    directory, a file, or nothing."""
+    kind = draw(st.sampled_from(["mangled", "empty", "file", "missing"]))
+    if kind == "file":
+        return str(good / "manifest.txt")
+    copy = tmp / f"data_{draw(st.integers(0, 9**6))}"
+    if kind == "empty":
+        copy.mkdir()
+    elif kind == "mangled":
+        shutil.copytree(good, copy)
+        victim = copy / draw(st.sampled_from(sorted(p.name for p in good.iterdir())))
+        victim.write_bytes(_mangled(draw, victim.read_bytes()))
+    return str(copy)
+
+
+def _out_path(draw, tmp: Path) -> str:
+    """An existing directory, or a path below a file."""
+    if draw(st.booleans()):
+        return str(tmp)
+    (tmp / "file").write_bytes(b"x")
+    return str(tmp / "file" / "out")
+
+
+def _set_items(draw) -> list:
+    """One to three --set overrides of any key with a hostile value; a key
+    that sizes the run stays within two steps of an 8x8 model."""
+    items = []
+    for key in draw(st.lists(st.sampled_from(sorted(KNOWN_KEYS)), min_size=1, max_size=3)):
+        if key in _SIZING:
+            value = _number(draw, (-1, 2) if key in ("steps", "epochs") else (-1, 9))
+        else:
+            value = draw(st.one_of(st.sampled_from(_BAD_NUMBERS + _HUGE), st.text(max_size=12)))
+        items.append(f"--set={key}={value}")
+    return items
+
+
+def _contract_argv(draw, tiny, tmp: Path) -> list:
+    """A run of one subcommand whose arguments are good but for up to two,
+    each a hostile number, --set text, input file or output path."""
+    data, ckpt, cfg = tiny
+    spk = data / "sample_000.spkt"
+    wrong = [ckpt, spk, data / "manifest.txt", cfg]
+    ckpt_slot = (str(ckpt), lambda: _in_path(draw, ckpt, wrong, tmp))
+    spk_slot = (str(spk), lambda: _in_path(draw, spk, wrong, tmp))
+    data_slot = (str(data), lambda: _data_dir(draw, data, tmp))
+    out_slot = (str(tmp / "out"), lambda: _out_path(draw, tmp))
+    # flag -> (its good value, a drawer of a hostile one)
+    slots = {
+        "gen": {"--out": out_slot, "--samples": ("2", lambda: _number(draw, (0, 3))),
+                **{flag: ("8", lambda: _number(draw, (0, 33)))
+                   for flag in ("--height", "--width", "--timesteps", "--teacher-dim")},
+                "--seed": ("3", lambda: _number(draw, (-2, 2**70), huge=True)),
+                "--contrast": ("0.15", lambda: _number(draw, huge=True))},
+        "train": {"--config": (str(cfg), lambda: _in_path(draw, cfg, wrong, tmp)),
+                  "--data": data_slot, "--out": out_slot},
+        "eval": {"--ckpt": ckpt_slot, "--data": data_slot,
+                 "--eps": ("1e-3", lambda: _number(draw, huge=True)),
+                 "--csv": (str(tmp / "eval.csv"), lambda: _out_path(draw, tmp))},
+        "infer": {"--ckpt": ckpt_slot, "--spk": spk_slot,
+                  "--out": (str(tmp / draw(st.sampled_from(["p.pgm", "p.dpth"]))),
+                            lambda: _out_path(draw, tmp))},
+        "energy": {"--ckpt": ckpt_slot, "--spk": spk_slot,
+                   "--e-mac": ("4.6", lambda: _number(draw, huge=True)),
+                   "--e-ac": ("0.9", lambda: _number(draw, huge=True)),
+                   "--csv": (str(tmp / "energy.csv"), lambda: _out_path(draw, tmp))},
+    }
+    command = draw(st.sampled_from(sorted(slots)))
+    names = sorted(slots[command]) + ["--set"] * (command == "train")
+    spoiled = draw(st.sets(st.sampled_from(names), max_size=2))
+    argv = [command]
+    for flag, (good, bad) in slots[command].items():
+        argv += [flag, bad() if flag in spoiled else good]
+    if command == "train":
+        argv += [f"--set={k}={v}" for k, v in _SIZING.items()]
+        argv += _set_items(draw) if "--set" in spoiled else []
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_subcommand_keeps_the_output_contract(tiny_run, data):
+    """Hostile numbers, --set text and input files end either in exit 0 with
+    only key=value lines, or in exit 1 with exactly one error= line; stderr
+    stays empty but for argparse's usage text on a usage error, and nothing
+    warns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _contract_argv(data.draw, tiny_run, Path(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+    lines, err = out.getvalue().splitlines(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    if rc == 0:
+        assert lines and all(KEY_VALUE.match(ln) and not ln.startswith("error=") for ln in lines), lines
+        assert err == ""
+    else:
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error="), (rc, lines)
+        usage = lines[0].startswith("error=CONFIG/usage: ")
+        assert err.startswith("usage: spikedepth") if usage else err == "", err

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from helpers import FOLDED_PRED_TOL, random_spikes, tiny_model
+from helpers import FOLDED_PRED_TOL, inspection_tape, random_spikes, tiny_model
 from spikedepth import autodiff as ad
 from spikedepth.energy import (
     E_AC_PJ,
@@ -76,7 +76,7 @@ def test_pricing_rules_on_a_hand_built_tape():
     kt = t([[[1, 0], [1, 1], [0, 1]], [[1, 0], [0, 0], [1, 1]]])  # [2, 3, 2]
     scores = t([[[2, 1], [0, 3]], [[1, 0], [0, 2]]])  # counts, [2, 2, 2]
     v = t([[[1, 0, 1], [0, 0, 1]], [[1, 1, 1], [0, 0, 0]]])  # 6 spikes, [2, 2, 3]
-    with ad.tape(grad=False) as tp:
+    with inspection_tape() as entries:
         with ad.scope("embed.s1.conv"):  # float scope, binary input
             ad.conv2d(ad.tensor(x3), w1, pad=1)
         with ad.scope("block1.mlp.fc1.conv"):
@@ -97,7 +97,7 @@ def test_pricing_rules_on_a_hand_built_tape():
             ad.add(q, q)
         with ad.scope("block1.attn.q.lif"):
             mlif(t(np.zeros((2, 3, 4))), LifParams())
-    rep = price(tp.entries, Module(), e_mac_pj=4.0, e_ac_pj=0.5)
+    rep = price(entries, Module(), e_mac_pj=4.0, e_ac_pj=0.5)
     got = [(r.name, r.kind, r.equiv_macs, r.timesteps, r.synops, r.energy_pj) for r in rep.rows]
     assert got == [
         ("embed.s1.conv", "float", 81, 2, 162, 648.0),
@@ -116,9 +116,8 @@ def test_pricing_rules_on_a_hand_built_tape():
 def test_trace_forward_keeps_no_backward_state(rng):
     model = tiny_model(seed=0)
     spikes = random_spikes(rng, p=0.4)
-    with ad.tape(grad=False) as tp:
+    with inspection_tape() as entries:
         _, pred = model.forward(spikes, training=False)
-    entries = tp.entries
     ops = {e.op for e in entries}
     assert {"conv_bn", "spike_attention", "mlif"} <= ops
     assert "batchnorm" not in ops  # every eval batch norm runs fused with its conv
@@ -281,9 +280,9 @@ def test_streamed_audit_prices_as_the_listed_tape(**draw):
     `predict`'s bits."""
     model, x = _random_model(**draw)
     pred, streamed = predict_and_audit(model, x)
-    with ad.tape(grad=False) as tp:
+    with inspection_tape() as entries:
         model.forward(x, training=False)
-    listed = price(tp.entries, model)
+    listed = price(entries, model)
     assert streamed.to_lines() == listed.to_lines()
     assert list(streamed.csv_rows()) == list(listed.csv_rows())
     assert pred.tobytes() == model.predict(x).tobytes()
@@ -300,14 +299,14 @@ def test_gradient_and_inspection_tapes_keep_one_contract(**draw):
     model, x = _random_model(**draw)
     with ad.tape() as grad_tape:
         ref_feats, ref_pred = model.forward(x, training=False)
-    with ad.tape(grad=False) as inspection:
+    with inspection_tape() as inspection:
         feats, pred = model.forward(x, training=False)
     assert all(np.array_equal(f.data, r.data) for f, r in zip(feats, ref_feats, strict=True))
     tol = FOLDED_PRED_TOL if draw["head"] == "fusion" else 0.0
     assert np.abs(pred.data - ref_pred.data).max() <= tol
-    assert price(grad_tape.entries, model).to_lines() == price(inspection.entries, model).to_lines()
+    assert price(grad_tape.entries, model).to_lines() == price(inspection, model).to_lines()
     assert (assert_spike_purity(grad_tape.entries, ref_feats)
-            == assert_spike_purity(inspection.entries, feats))
+            == assert_spike_purity(inspection, feats))
 
 
 def _traced_peak(fn):

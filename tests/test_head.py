@@ -3,7 +3,14 @@ folded eval tail against the reference graph."""
 import numpy as np
 import pytest
 
-from helpers import FOLDED_PRED_TOL, random_spikes, tiny_model, tiny_model_cfg
+from helpers import (
+    FOLDED_PRED_TOL,
+    TAPE_MODES,
+    inspection_tape,
+    random_spikes,
+    tiny_model,
+    tiny_model_cfg,
+)
 from spikedepth import autodiff as ad
 from spikedepth.checkpoint import load_model, save_checkpoint
 from spikedepth.config import TrainConfig
@@ -141,13 +148,13 @@ def _randomise_bn(head, rng):
         conv.running_var[...] = rng.uniform(0.05, 3.0, d)
 
 
-def _logits(head, feats, grad):
+def _logits(head, feats, mode):
     """The head's pre-sigmoid map and its tape entries, on a gradient tape
     (the reference graph) or an inspection tape (the folded tail)."""
-    with ad.tape(grad=grad) as tp:
+    with TAPE_MODES[mode]() as entries:
         head.forward(feats, training=False)
-    (sig,) = [e for e in tp.entries if e.op == "sigmoid"]
-    return sig.inputs[0].data[0, 0], tp.entries
+    (sig,) = [e for e in entries if e.op == "sigmoid"]
+    return sig.inputs[0].data[0, 0], entries
 
 
 def test_folded_tail_equals_reference_in_float64(rng):
@@ -158,8 +165,8 @@ def test_folded_tail_equals_reference_in_float64(rng):
     head = FusionHead(tiny_model_cfg(), np.random.default_rng(3), np.float64)
     _randomise_bn(head, rng)
     feats = [ad.tensor((rng.random((2, 8, 3, 5)) < 0.5).astype(np.float64)) for _ in range(4)]
-    ref, ref_entries = _logits(head, feats, grad=True)
-    folded, entries = _logits(head, feats, grad=False)
+    ref, ref_entries = _logits(head, feats, "grad")
+    folded, entries = _logits(head, feats, "inspect")
     assert folded.shape == (24, 40) and np.abs(ref).max() > 1.0
     diff = np.abs(folded - ref)
     assert diff.max() <= 1e-12
@@ -168,7 +175,7 @@ def test_folded_tail_equals_reference_in_float64(rng):
     ref_scopes = {e.scope for e in ref_entries if e.op == "conv2d"}
     assert {f"head.{name}" for name in FOLDED_LAYERS} <= ref_scopes
     assert {e.scope for e in entries if e.op == "conv_bn"} == {"head.l2.conv"}
-    with ad.tape(grad=False):
+    with inspection_tape():
         inspected = head.forward(feats, training=False).data
     assert np.array_equal(head.forward(feats, training=False).data, inspected)
 
@@ -229,10 +236,10 @@ def test_folded_predict_matches_reference_graph(trained_models, size):
     assert all(f.data.any() for f in feats)  # every block fires
     assert np.abs(pred.data - ref_pred.data).max() <= FOLDED_PRED_TOL
     assert np.array_equal(model.predict(spikes), pred.data)
-    with ad.tape(grad=False) as tp:
+    with inspection_tape() as entries:
         _, traced_pred = model.forward(spikes, training=False)
     assert np.array_equal(traced_pred.data, pred.data)
-    assert price(tp.entries, model).to_lines() == ref_lines
+    assert price(entries, model).to_lines() == ref_lines
 
 
 # ---------------------------------------------------------------------------

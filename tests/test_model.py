@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_spikes, tiny_model, tiny_model_cfg
+from helpers import TAPE_MODES, inspection_tape, random_spikes, tiny_model, tiny_model_cfg
 from spikedepth import autodiff as ad
 from spikedepth.energy import price
 from spikedepth.errors import ConfigError, ContractError, DimensionError
@@ -124,32 +124,32 @@ def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, 
 
     got = spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)  # no tape
     assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
-    with ad.tape(grad=False) as tp, _in_scope(scope):
+    with inspection_tape() as entries, _in_scope(scope):
         spike_attention_product(ad.tensor(q), ad.tensor(k), ad.tensor(v), s)
-    assert _ops(tp.entries) == ["spike_attention", "scale"]
-    assert price(tp.entries, Module()).rows == price(grad_tape.entries, Module()).rows
+    assert _ops(entries) == ["spike_attention", "scale"]
+    assert price(entries, Module()).rows == price(grad_tape.entries, Module()).rows
 
     half = [q, k, v]
     half[seed % 3] = half[seed % 3] * 0.5 + 0.25  # not binary anywhere
-    with ad.tape(grad=False) as tp, ad.scope("block1.attn"):
+    with inspection_tape() as entries, ad.scope("block1.attn"):
         spike_attention_product(*map(ad.tensor, half), s)
-    assert _ops(tp.entries) == ["spike_attention", "scale"]
+    assert _ops(entries) == ["spike_attention", "scale"]
     with pytest.raises(ContractError, match="block1.attn"):
-        assert_spike_purity(tp.entries)
+        assert_spike_purity(entries)
     with pytest.raises(ContractError, match="block1.attn"):
-        price(tp.entries, Module())
+        price(entries, Module())
 
 
 def test_purity_counts_fused_attention_as_two_products(rng):
     model = tiny_model(seed=1)
     x = random_spikes(rng, p=0.4)
     counters = {}
-    for grad in (True, False):
-        with ad.tape(grad=grad) as t:
+    for mode in ("grad", "inspect"):
+        with TAPE_MODES[mode]() as entries:
             feats, _ = model.forward(x, training=False)
-        assert ("spike_attention" in _ops(t.entries)) is not grad
-        counters[grad] = assert_spike_purity(t.entries, boundary_tensors=feats)
-    assert counters[True] == counters[False]
+        assert ("spike_attention" in _ops(entries)) is (mode == "inspect")
+        counters[mode] = assert_spike_purity(entries, boundary_tensors=feats)
+    assert counters["grad"] == counters["inspect"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +319,17 @@ def test_purity_catches_one_planted_violation_per_rule(rule):
             assert_spike_purity([], boundary_tensors=[_half((2, 2))])
         return
     scope, record = PLANTED[rule]
-    with ad.tape(grad=False) as t, ad.scope(scope):
+    with inspection_tape() as entries, ad.scope(scope):
         record()
     with pytest.raises(ContractError, match=scope):
-        assert_spike_purity(t.entries)
+        assert_spike_purity(entries)
 
 
 def test_purity_passes_a_product_with_a_parameter_operand():
-    with ad.tape(grad=False) as t, ad.scope("block1.attn.gate"):
+    with inspection_tape() as entries, ad.scope("block1.attn.gate"):
         ad.mul(ad.parameter(np.full((2, 2), 0.5)), _half((2, 2)))
         ad.matmul(_half((2, 2)), ad.parameter(np.full((2, 2), 0.5)))
-    counters = assert_spike_purity(t.entries)
+    counters = assert_spike_purity(entries)
     assert counters["muls"] == counters["matmuls"] == 0
 
 

@@ -134,11 +134,11 @@ def test_mlif_same_bits_in_every_tape_mode(rng, p, dtype):
     want = np.stack(want)
     g = rng.standard_normal(x.shape).astype(dtype)
     for mode, context in TAPE_MODES.items():
-        with context() as tp:
+        with context() as entries:
             got = mlif(ad.parameter(x), p).data
         assert got.dtype == dtype and got.tobytes() == want.tobytes(), mode
-        if tp is not None:
-            (entry,) = tp.entries
+        if entries is not None:
+            (entry,) = entries
             assert (entry.bwd is None) == (mode == "inspect")
     (gx,) = entry.bwd(g)  # the gradient tape's, the last mode
     assert gx.tobytes() == lif_backward(np.stack(v_pre), g, p).tobytes()
@@ -207,10 +207,10 @@ def test_mlif_reset_matches_where_oracle_in_every_tape_mode(rng, dtype, v_reset)
     g = rng.standard_normal(x.shape).astype(dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for mode, context in TAPE_MODES.items():
-            with context() as tp:
+            with context() as entries:
                 got = mlif(ad.parameter(x), p).data
             assert got.tobytes() == want.tobytes(), mode
-        (gx,) = tp.entries[0].bwd(g)  # the gradient tape's, the last mode
+        (gx,) = entries[0].bwd(g)  # the gradient tape's, the last mode
         assert gx.tobytes() == lif_backward(pres, g, p).tobytes()
 
 
