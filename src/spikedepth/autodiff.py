@@ -681,8 +681,6 @@ def _bilinear_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
         frac = src - i0
         if i0 < 0:
             i0, frac = 0, 0.0
-        if i0 > n_in - 1:
-            i0, frac = n_in - 1, 0.0
         i1 = min(i0 + 1, n_in - 1)
         M[o, i0] += 1.0 - frac
         M[o, i1] += frac

@@ -10,7 +10,8 @@ Layout (all integers little-endian uint32):
 
 Tensors cover trainable parameters and batch-norm running statistics of
 the depth model, plus distillation projection weights when present.  Every
-payload value is finite: NaN or inf is refused on save and on read.
+payload value is finite: NaN or inf is refused on save and on read.  The
+last tensor ends the file; a byte after it is refused on read.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .dataio import _read_exact, open_framed, write_framed
+from .dataio import _read_exact, open_framed, utf8, write_framed
 from .errors import FormatError, NumericError
 from .losses import FeatureProjections
 from .model import DepthModel
@@ -61,24 +62,21 @@ def save_checkpoint(path, model, projections=None, distill=None) -> None:
     write_framed(path, SDTW_MAGIC, (SDTW_VERSION, len(blob)), chunks)
 
 
-def _utf8(blob: bytes, what: str) -> str:
-    try:
-        return blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"checkpoint {what} is not valid UTF-8: {exc.reason}") from exc
-
-
 def read_checkpoint(path):
-    """→ (model config, distill config or None, {name: float32 array})."""
+    """→ (model config, distill config or None, {name: float32 array}).
+
+    Raises FormatError on a bad magic or version, a short or over-long file
+    (`open_framed` refuses any byte after the last tensor), text that is
+    not UTF-8, a duplicate name or a non-finite value."""
     with open_framed(path, SDTW_MAGIC, 2, "checkpoint") as ((version, clen), fh):
         if version != SDTW_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        text = _utf8(_read_exact(fh, clen, "config text"), "config text")
+        text = utf8(_read_exact(fh, clen, "config text"), "checkpoint config text", FormatError)
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-            name = _utf8(_read_exact(fh, nlen, "tensor name"), "tensor name")
+            name = utf8(_read_exact(fh, nlen, "tensor name"), "checkpoint tensor name", FormatError)
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "tensor rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor shape"))
             n = math.prod(shape)  # exact: a corrupt shape must not wrap around int64

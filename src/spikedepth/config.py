@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
 
+from .dataio import utf8
 from .errors import ConfigError
 from .losses import DistillConfig
 from .model import ModelConfig
@@ -104,12 +106,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def read_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
-    return parse_config_text(text)
+    return parse_config_text(utf8(Path(path).read_bytes(), f"config file {path}", ConfigError))
 
 
 def _convert(key: str, value: str):

@@ -2,7 +2,7 @@
 
 File formats (all headers little-endian u32 after a 4-byte ASCII magic;
 `write_framed` writes every such file atomically and `open_framed` checks
-its magic and header):
+its magic and header and that no byte follows the payload):
 
   SPKT  magic "SPKT", version=1, T, C, H, W, then ceil(T*C*H*W/8) payload
         bytes.  Bits are packed MSB-first in flattened row-major order,
@@ -151,12 +151,26 @@ def write_framed(path, magic: bytes, header, chunks) -> None:
 @contextmanager
 def open_framed(path, magic: bytes, n_header: int, what: str):
     """Open `path`, check its magic and read its `n_header` u32 header words;
-    yields (header, file), the file positioned at the payload."""
+    yields (header, file), the file positioned at the payload, which the
+    caller reads with `_read_exact`.  A framed file ends with its payload:
+    a byte left unread when the block exits raises FormatError."""
     with open(path, "rb") as fh:
         got = _read_exact(fh, 4, f"{what} magic")
         if got != magic:
             raise FormatError(f"bad {what} magic {got!r}, expected {magic!r}")
         yield struct.unpack(f"<{n_header}I", _read_exact(fh, 4 * n_header, f"{what} header")), fh
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+        if extra:
+            raise FormatError(f"{what} has {extra} bytes after its payload")
+
+
+def utf8(blob: bytes, what: str, error) -> str:
+    """`blob` decoded as UTF-8, the one decoder of every text input; bytes
+    that are not UTF-8 raise `error`, the caller's package error class."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc.reason}") from exc
 
 
 def write_spikes(path, spikes: SpikeTensor) -> None:
@@ -167,10 +181,7 @@ def read_spikes(path) -> SpikeTensor:
     with open_framed(path, SPKT_MAGIC, 5, "SPKT") as ((version, t, c, h, w), f):
         if version != SPKT_VERSION:
             raise FormatError(f"unsupported SPKT version {version}")
-        payload = f.read()
-    need = (t * c * h * w + 7) // 8
-    if len(payload) != need:
-        raise FormatError(f"SPKT payload length {len(payload)}, expected {need}")
+        payload = _read_exact(f, (t * c * h * w + 7) // 8, "SPKT payload")
     return SpikeTensor(t, c, h, w, payload)
 
 
@@ -186,9 +197,7 @@ def write_depth(path, depth: DepthMap) -> None:
 
 def read_depth(path) -> DepthMap:
     with open_framed(path, DPTH_MAGIC, 2, "DPTH") as ((h, w), f):
-        payload = f.read()
-    if len(payload) != h * w * 4:
-        raise FormatError(f"DPTH payload length {len(payload)}, expected {h * w * 4}")
+        payload = _read_exact(f, h * w * 4, "DPTH payload")
     vals = np.frombuffer(payload, dtype="<f4").reshape(h, w).astype(np.float32)
     mask = np.isfinite(vals)
     vals = np.where(mask, vals, np.float32(0.0))
@@ -204,9 +213,7 @@ def write_features(path, feats: np.ndarray) -> None:
 
 def read_features(path) -> np.ndarray:
     with open_framed(path, FEAT_MAGIC, 3, "FEAT") as ((d, h, w), f):
-        payload = f.read()
-    if len(payload) != d * h * w * 4:
-        raise FormatError(f"FEAT payload length {len(payload)}, expected {d * h * w * 4}")
+        payload = _read_exact(f, d * h * w * 4, "FEAT payload")
     return np.frombuffer(payload, dtype="<f4").reshape(d, h, w).astype(np.float32)
 
 
@@ -421,10 +428,7 @@ def load_dataset(data_dir, need_teacher: bool = False) -> list[SampleTuple]:
     manifest = root / MANIFEST_NAME
     if not manifest.is_file():
         raise DataError(f"no manifest at {manifest}")
-    try:
-        text = manifest.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"manifest {manifest} is not UTF-8 text: {exc.reason}") from exc
+    text = utf8(manifest.read_bytes(), f"manifest {manifest}", DataError)
     count, entries = None, []
     for line in text.splitlines():
         line = line.strip()

@@ -421,6 +421,43 @@ def test_guarded_op_refuses_non_finite_result(op):
     assert t.entries == []
 
 
+def _t(*shape):
+    return ad.tensor(np.ones(shape))
+
+
+_BAD_INPUTS = {  # input guard -> (package error, message, call)
+    "add_shapes": (DimensionError, "add: shape mismatch", lambda: ad.add(_t(2, 2), _t(2, 3))),
+    "log_non_positive": (NumericError, "log: non-positive",
+                         lambda: ad.log(ad.tensor(np.array([1.0, 0.0])))),
+    "transpose_axes": (DimensionError, "transpose: axes",
+                       lambda: ad.transpose(_t(2, 3, 4), (1, 0))),
+    "matmul_1d": (DimensionError, "at least 2-D", lambda: ad.matmul(_t(3), _t(3, 2))),
+    "matmul_batch_dims": (DimensionError, "batch dims differ",
+                          lambda: ad.matmul(_t(2, 2, 3), _t(3, 3, 2))),
+    "conv2d_non_square_kernel": (DimensionError, "square",
+                                 lambda: ad.conv2d(_t(1, 1, 4, 4), _t(1, 1, 3, 1))),
+    "conv2d_kernel_too_large": (DimensionError, "kernel larger than padded input",
+                                lambda: ad.conv2d(_t(1, 1, 2, 2), _t(1, 1, 5, 5), pad=1)),
+    "conv2d_bias_shape": (DimensionError, "bias shape",
+                          lambda: ad.conv2d(_t(1, 1, 4, 4), _t(2, 1, 3, 3), _t(3), pad=1)),
+    "batchnorm_zero_channels": (DimensionError, "zero-size channel axis",
+                                lambda: ad.batchnorm(_t(1, 0, 2, 2), _t(0), _t(0))),
+    "batchnorm_affine_shape": (DimensionError, "affine params",
+                               lambda: ad.batchnorm(_t(1, 2, 2, 2), _t(3), _t(2))),
+    "maxpool2d_1d": (DimensionError, "maxpool2d: input must be at least 2-D",
+                     lambda: ad.maxpool2d(_t(4))),
+    "upsample_bilinear_1d": (DimensionError, "upsample_bilinear: input must be at least 2-D",
+                             lambda: ad.upsample_bilinear(_t(4), 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_input_guards_raise_package_errors(case):
+    error, message, call = _BAD_INPUTS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # backward: finite-difference oracles (64-bit, h=1e-5)
 

@@ -103,6 +103,28 @@ def test_renamed_tensor_rejected(tmp_path):
         load_model(bad)
 
 
+def _duplicate_name(path, model):
+    save_checkpoint(path, model)
+    path.write_bytes(path.read_bytes().replace(b"embed.s2.conv.w", b"embed.s1.conv.w", 1))
+
+
+def _transposed_weight(path, model):
+    w = dict(model.named_params())["embed.s2.conv.w"]
+    w.data = np.ascontiguousarray(w.data.transpose(1, 0, 2, 3))  # (4,2,3,3) -> (2,4,3,3)
+    save_checkpoint(path, model)
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (_duplicate_name, r"duplicate tensor 'embed\.s1\.conv\.w'"),
+    (_transposed_weight, r"'embed\.s2\.conv\.w': shape \(2, 4, 3, 3\) != expected \(4, 2, 3, 3\)"),
+], ids=["duplicate_name", "shape_differs_from_model"])
+def test_tensor_guards_raise_format_errors(tmp_path, spoil, message):
+    path = tmp_path / "model.sdtw"
+    spoil(path, tiny_model(seed=0))
+    with pytest.raises(FormatError, match=message):
+        load_model(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_tensors_are_refused(tmp_path, value):
     model = tiny_model(seed=0)
@@ -166,8 +188,11 @@ def small_checkpoint(tmp_path_factory):
 @given(data=st.data())
 def test_corrupt_checkpoint_raises_only_package_errors(small_checkpoint, data):
     path, blob = small_checkpoint
-    if data.draw(st.booleans(), label="truncate"):
+    kind = data.draw(st.sampled_from(["truncate", "flip", "append"]), label="kind")
+    if kind == "truncate":
         mutated = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    elif kind == "append":
+        mutated = blob + data.draw(st.binary(min_size=1, max_size=16), label="appended")
     else:
         mutated = bytearray(blob)
         flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
@@ -175,6 +200,10 @@ def test_corrupt_checkpoint_raises_only_package_errors(small_checkpoint, data):
             mutated[pos] ^= mask
     bad = path.with_name("mutated.sdtw")
     bad.write_bytes(bytes(mutated))
+    if kind == "append":
+        with pytest.raises(FormatError, match="after its payload"):
+            load_model(bad)
+        return
     try:
         load_model(bad)  # read_checkpoint plus the name/shape checks against the model
     except SpikeDepthError:

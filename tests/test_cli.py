@@ -251,6 +251,8 @@ def test_train_overrides_and_missing_paths(tmp_path, capsys):
     cfg.write_text(TINY_TRAIN_CFG)  # no data=/out= keys
     rc, out = _run(capsys, ["train", "--config", str(cfg)])
     assert rc == 1 and out[0].startswith("error=CONFIG/")
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data)])
+    assert rc == 1 and out == ["error=CONFIG/train: no output directory (pass --out or config key out=)"]
     # --data/--out and --set fill the gaps
     rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data),
                             "--out", str(tmp_path / "run"), "--set", "steps=1"])
@@ -323,6 +325,31 @@ def test_unwritable_csv_prints_no_report(tmp_path, capsys, command):
     assert list(target.iterdir()) == []
 
 
+def test_checkpoint_with_appended_bytes_is_refused(tmp_path, capsys):
+    """A checkpoint ends with its last tensor: bytes after it are refused by
+    `load_model`, and `infer`, `eval` and `energy` each print one IO error
+    line and write nothing."""
+    from spikedepth.checkpoint import load_model
+    from spikedepth.errors import FormatError
+
+    data = _tiny_data(tmp_path, capsys)
+    _, ckpt, _ = _pipeline_untrained(tmp_path)
+    with open(ckpt, "ab") as fh:
+        fh.write(b"\x00\x01\x02\x03")
+    with pytest.raises(FormatError, match="4 bytes after its payload"):
+        load_model(ckpt)
+    out = tmp_path / "out"
+    out.mkdir()
+    spk = str(data / "sample_000.spkt")
+    for argv in (["infer", "--ckpt", ckpt, "--spk", spk, "--out", str(out / "pred.pgm")],
+                 ["eval", "--ckpt", ckpt, "--data", str(data), "--csv", str(out / "m.csv")],
+                 ["energy", "--ckpt", ckpt, "--spk", spk, "--csv", str(out / "e.csv")]):
+        rc, lines = _run(capsys, argv)
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error=IO/"), lines
+    assert list(out.iterdir()) == []
+
+
 def test_train_out_that_is_a_file_is_refused_before_training(tmp_path, capsys, monkeypatch):
     from spikedepth import train as train_mod
 
@@ -378,6 +405,42 @@ def _child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+# a fresh interpreter runs one sensor-size forward and prints its peak RSS
+_PEAK_RSS = """\
+import resource, sys
+from spikedepth.checkpoint import load_model
+from spikedepth.dataio import load_dataset
+from spikedepth.train import evaluate_checkpoint
+ckpt, data, mode = sys.argv[1:]
+if mode == "eval":
+    evaluate_checkpoint(ckpt, data)
+else:
+    model, _, _ = load_model(ckpt)
+    model.predict(load_dataset(data)[0].spikes.to_dense())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_evaluate_checkpoint_peak_rss_is_near_predicts(tmp_path):
+    """The audited forward of `evaluate_checkpoint` keeps no activations: at
+    256x320 its fresh-process peak RSS is within 1.3x of a `predict` run's."""
+    from spikedepth.checkpoint import save_checkpoint
+    from spikedepth.model import DepthModel, ModelConfig
+
+    cfg = ModelConfig(t=4, c=2, h=256, w=320, d=64, l=4)
+    ckpt = tmp_path / "sensor.sdtw"
+    save_checkpoint(ckpt, DepthModel(cfg, np.random.default_rng(0)))
+    dataio.write_dataset(tmp_path / "data", dataio.gen_synthetic(seed=8, n_samples=1, t=4,
+                                                                 h=256, w=320, teacher_dim=4))
+    peak = {}
+    for mode in ("eval", "predict"):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(ckpt), str(tmp_path / "data"),
+                               mode], capture_output=True, text=True, env=_child_env(), cwd=ROOT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        peak[mode] = int(proc.stdout.split()[-1])
+    assert peak["eval"] <= 1.3 * peak["predict"], peak
 
 
 @pytest.mark.parametrize("value,ok", [("1", True), ("abc", False), ("0", False)])

@@ -263,6 +263,32 @@ def test_load_dataset_checks_teacher_grid(tmp_path):
         load_dataset(tmp_path, need_teacher=True)
 
 
+def _depth_size_differs(root):
+    write_dataset(root, gen_synthetic(seed=1, n_samples=1, t=2, h=16, w=16, teacher_dim=4))
+    write_depth(root / "sample_000.dpth", depth_map(np.full((8, 16), 0.5)))
+    load_dataset(root)
+
+
+_BAD_VALUES = {  # input guard -> (package error, message, call on a scratch directory)
+    "spike_payload_size": (DimensionError, "payload of 3 bytes, expected 2",
+                           lambda root: SpikeTensor(1, 1, 2, 8, b"\x00" * 3)),
+    "spikes_from_3d": (DimensionError, r"need \(T,C,H,W\)",
+                       lambda root: SpikeTensor.from_dense(np.zeros((2, 4, 4)))),
+    "depth_mask_shape": (DimensionError, "must be equal 2-D",
+                         lambda root: DepthMap(np.zeros((2, 3)), np.ones((3, 2), bool))),
+    "features_2d": (DimensionError, r"need \(D,H,W\)",
+                    lambda root: write_features(root / "f.feat", np.zeros((4, 4)))),
+    "dataset_depth_size": (DataError, "spike dims 16x16 != depth dims 8x16", _depth_size_differs),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_input_guards_raise_package_errors(tmp_path, case):
+    error, message, call = _BAD_VALUES[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 def test_write_dataset_requires_teacher(tmp_path):
     def sample(name, teacher):
         return SampleTuple(
@@ -368,14 +394,17 @@ def test_manifest_paths_must_stay_inside_dataset(tmp_path, field, outside):
 
 def _hostile(data, blob, header_words=0):
     """Draw a corruption of the valid file `blob`: a truncation, 1-4 byte
-    flips, random bytes (mostly not UTF-8) or, for a binary format, a huge
-    value in one of the `header_words` u32 words after the magic."""
-    kinds = ["truncate", "flip", "random"] + (["huge"] if header_words else [])
+    flips, random bytes (mostly not UTF-8) or, for a binary format, 1-16
+    bytes appended after the payload or a huge value in one of the
+    `header_words` u32 words after the magic."""
+    kinds = ["truncate", "flip", "random"] + (["append", "huge"] if header_words else [])
     kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind == "truncate":
         return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
     if kind == "random":
         return data.draw(st.binary(max_size=64), label="bytes")
+    if kind == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=16), label="appended")
     out = bytearray(blob)
     if kind == "flip":
         flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
@@ -410,8 +439,14 @@ _DECODERS = {  # suffix -> (reader, number of u32 header words after the magic)
 def test_hostile_tensor_files_raise_only_package_errors(valid_dataset, suffix, data):
     root, valid = valid_dataset
     reader, header_words = _DECODERS[suffix]
+    good = valid[f"sample_000.{suffix}"]
+    mutated = _hostile(data, good, header_words)
     bad = root / f"mutated.{suffix}"
-    bad.write_bytes(_hostile(data, valid[f"sample_000.{suffix}"], header_words))
+    bad.write_bytes(mutated)
+    if len(mutated) > len(good) and mutated.startswith(good):  # bytes after the payload
+        with pytest.raises(FormatError, match="after its payload"):
+            reader(bad)
+        return
     try:
         reader(bad)
     except (SpikeDepthError, OSError):

@@ -93,6 +93,8 @@ def test_pricing_rules_on_a_hand_built_tape():
             ad.matmul(t(np.transpose(v.data, (0, 2, 1))), scores)
         with ad.scope("block3.attn.av"):  # no binary operand
             ad.matmul(scores, scores)
+        with ad.scope("head.attn"):  # float scope, binary operands
+            ad.matmul(q, kt)
         with ad.scope("block1.merge1"):  # not priced
             ad.add(q, q)
         with ad.scope("block1.attn.q.lif"):
@@ -108,9 +110,10 @@ def test_pricing_rules_on_a_hand_built_tape():
         ("block1.attn.av", "spike", 12, 2, 12.0, 6.0),  # m=2 rows x 6 spikes
         ("block2.attn.av", "spike", 12, 2, 12.0, 6.0),  # n=2 columns x 6 spikes
         ("block3.attn.av", "float", 8, 2, 16, 64.0),
+        ("head.attn", "float", 12, 2, 24, 96.0),
         ("block1.attn.q.lif", "float", 24, 2, 48, 192.0),  # 2 ops x 12 neurons
     ]
-    assert rep.total_pj == 1603.0 and rep.param_count == 0
+    assert rep.total_pj == 1699.0 and rep.param_count == 0
 
 
 def test_trace_forward_keeps_no_backward_state(rng):

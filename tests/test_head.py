@@ -128,6 +128,12 @@ def test_fusion_needs_exactly_four_levels(rng):
         head.forward([_spike_stack(rng)] * 3, training=False)
 
 
+def test_linear_fcn_needs_a_feature_stack():
+    head = LinearFcnHead(tiny_model_cfg(), np.random.default_rng(0))
+    with pytest.raises(DimensionError, match="at least one feature stack"):
+        head.forward([], training=False)
+
+
 def test_fusion_projection_has_no_bias():
     names = [n for n, _ in _head().named_params()]
     assert "head.proj.w" in names and "head.proj.b" not in names

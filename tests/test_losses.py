@@ -113,6 +113,12 @@ def test_si_empty_mask_raises():
         si_l2_loss(ad.tensor(np.zeros((2, 2))), gt)
 
 
+def test_si_shape_mismatch_raises():
+    gt = depth_map(np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match=r"pred \(2, 3\) vs gt \(2, 2\)"):
+        si_l2_loss(ad.tensor(np.zeros((2, 3))), gt)
+
+
 def test_si_nonnegative(rng):
     for _ in range(30):
         gt = depth_map(rng.random((3, 5)))

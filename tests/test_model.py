@@ -194,6 +194,8 @@ def test_config_validation():
         ModelConfig(rate_mode="sum")
     with pytest.raises(ConfigError):
         tiny_model_cfg(head="fusion", l=3)
+    with pytest.raises(ConfigError, match="mlp_ratio must be >= 1"):
+        tiny_model_cfg(mlp_ratio=0)
     cfg = tiny_model_cfg()
     assert cfg.embed_channels == (2, 4, 8)
     assert cfg.tokens == 4
@@ -309,6 +311,8 @@ PLANTED = {
     "neuron": ("block1.attn.q.lif", _plant_neuron),
     "clamp_merge": ("block1.merge1", lambda: ad.clamp(ad.tensor(np.full((2, 2), 2.0)), 0.0, 2.0)),
     "add_merge": ("block1.merge2", lambda: ad.add(_half((2, 2)), ad.tensor(np.ones((2, 2))))),
+    # no op makes a softmax: an entry recorded by hand, outside the backbone
+    "softmax": ("head.attn", lambda: ad._op("softmax", (_half((2, 2)),), _half((2, 2)).data, None)),
 }
 
 
