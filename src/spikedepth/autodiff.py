@@ -7,16 +7,17 @@ layers, batched matmul for attention, and elementwise arithmetic plus
 reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
 tape is active, record an entry holding the backward closure (None when the
 output needs no gradient, as on an inspection tape).  A tape's kind is
-whether it has a consumer: a gradient tape has none and appends each entry
-to its list; an inspection tape hands each entry to its consumer as it is
-recorded and keeps none, so a streamed forward holds no more than an
-untaped one.  Scopes live on one stack, taped or not, and name entries and
-failures.  `Tape.backward` replays a gradient tape's entries in reverse
-(the recording order is already topological) and accumulates gradients
-into every parameter: parameters are the only gradient leaves, and every
-other tensor that needs a gradient is an op output.  The replay empties the
-tape and releases each entry as it goes, so a training step's memory falls
-through its backward as each layer's activations are freed.
+whether it has a consumer: a gradient tape has none and appends each entry to
+its list; an inspection tape hands each entry to its consumer as it is
+recorded and keeps none, so a streamed forward holds no more than an untaped
+one.  Scopes live on one stack, taped or not: those opened since a tape
+opened name its entries, and every open one names a failure.  `Tape.backward`
+replays a gradient tape's entries in reverse (the recording order is already
+topological) and accumulates gradients into every parameter: parameters are
+the only gradient leaves, and every other tensor that needs a gradient is an
+op output.  The replay empties the tape and releases each entry as it goes,
+so a training step's memory falls through its backward as each layer's
+activations are freed.
 
 A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
@@ -100,13 +101,12 @@ class Tape:
     op keeps state for a backward pass, and each entry goes to
     `consumer(entry)` in recording order, so `entries` stays empty and an
     entry, with every array only it references, is freed as the forward
-    moves on.  `label` (e.g. "train step 3") names the tape's run in a
-    failure message, before the scope (see `failure_site`).
+    moves on.  The scopes open around it (e.g. "train step 3") name no
+    entry of it, only its run in a failure message (see `failure_site`).
     """
 
-    def __init__(self, consumer=None, label=""):
+    def __init__(self, consumer=None):
         self.consumer = consumer
-        self.label = label
         self.entries: list[TapeEntry] = []
         # `_op` records through this one call; `backward` empties `entries`
         # in place, so it stays the list this appends to
@@ -172,17 +172,17 @@ def active_tape():
 
 
 def failure_site() -> str:
-    """Where a failure happened, as a suffix for its message: " (label,
-    scope)" of the active tape, or " (scope)" of every open scope with no
-    tape, with whichever of the two is set, or "" with neither."""
-    t = active_tape()
-    parts = [p for p in ((t.label, t.scope) if t else (".".join(_SCOPES),)) if p]
+    """Where a failure happened, as a suffix for its message: the open scopes
+    split where the active tape opened (at 0 with no tape), each part joined
+    with '.', the parts with ", ", e.g. " (train step 1, block1.attn)"."""
+    depth = _STACK[-1]._depth if _STACK else 0
+    parts = [".".join(s) for s in (_SCOPES[:depth], _SCOPES[depth:]) if s]
     return f" ({', '.join(parts)})" if parts else ""
 
 
 @contextmanager
-def tape(consumer=None, label=""):
-    t = Tape(consumer, label)
+def tape(consumer=None):
+    t = Tape(consumer)
     _STACK.append(t)
     try:
         yield t

@@ -48,9 +48,8 @@ def save_checkpoint(path, model, projections=None, distill=None) -> None:
     if a tensor holds NaN or inf."""
     text = cfgmod.encode_model_config(model.cfg, distill)
     items = list(_named_tensors(model, projections))
-    if not np.isfinite(np.concatenate([np.ravel(arr) for _, arr in items])).all():
-        # one vectorised pass above; the offending names are found only on failure
-        bad = [name for name, arr in items if not np.isfinite(arr).all()]
+    bad = [name for name, arr in items if not np.isfinite(arr).all()]
+    if bad:
         raise NumericError(f"refusing to save non-finite tensors: {', '.join(bad)}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     blob = text.encode("utf-8")

@@ -212,14 +212,13 @@ def _attention_work(entry):
 def _fusion_tail_work(entry):
     """The float rows `_conv_work` gives the reference layers that a folded
     fusion-head tail stands for: `FOLDED_LAYERS`, whose weights are the
-    entry's 4-D parameter inputs in that order.  The first of them, the
-    l3 conv, runs at half the output's resolution; the others at full."""
+    entry's 4-D parameter inputs in that order, each run at the output's
+    resolution divided by its factor there."""
     B, _, H, W = entry.output.data.shape
     weights = [t.data.shape for t in entry.inputs if t.is_param and t.data.ndim == 4]
-    sizes = ((H // 2) * (W // 2), H * W, H * W)
     scope = entry.scope + "." if entry.scope else ""
-    return [(scope + name, math.prod(w) * n, B, None)
-            for name, w, n in zip(FOLDED_LAYERS, weights, sizes)]
+    return [(scope + name, math.prod(w) * (H // f) * (W // f), B, None)
+            for (name, f), w in zip(FOLDED_LAYERS.items(), weights)]
 
 
 def _mlif_work(entry):

@@ -25,8 +25,9 @@ def rate_encode(x: ad.Tensor) -> ad.Tensor:
 
 
 # the reference layers, by scope under the head, that the folded eval tail of
-# `FusionHead` stands for; `energy.price` charges that tail as these layers
-FOLDED_LAYERS = ("l3.conv", "l4.conv", "proj")
+# `FusionHead` stands for, each with how many times smaller than the depth
+# map its output is; `energy.price` charges that tail as these layers
+FOLDED_LAYERS = {"l3.conv": 2, "l4.conv": 1, "proj": 1}
 
 
 def _bn_affine(conv: ConvBN):

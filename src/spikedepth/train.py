@@ -28,12 +28,12 @@ CHECKPOINT_NAME = "model.sdtw"
 
 
 class Adam:
-    """Adam with optional global-norm gradient clipping."""
+    """Adam with optional global-norm gradient clipping, as set by its config's
+    `lr`, `beta1`, `beta2`, `adam_eps` and `grad_clip` (0 = no clipping)."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, grad_clip=0.0):
+    def __init__(self, params, cfg: TrainConfig):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.grad_clip = grad_clip
+        self.cfg = cfg
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -51,20 +51,21 @@ class Adam:
     def step(self, grad_scale: float = 1.0) -> float:
         """Apply one update from the accumulated grads; returns the global
         gradient norm before clipping."""
+        c = self.cfg
         grads = self._grads(grad_scale)
         gnorm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
-        if self.grad_clip > 0 and gnorm > self.grad_clip:
-            factor = self.grad_clip / gnorm
+        if c.grad_clip > 0 and gnorm > c.grad_clip:
+            factor = c.grad_clip / gnorm
             grads = [g * factor for g in grads]
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - c.beta1 ** self.t
+        bc2 = 1.0 - c.beta2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * (g * g)
+            p.data -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
         return gnorm
 
 
@@ -148,8 +149,7 @@ def train(
     named = list(model.named_params())
     if projections is not None:
         named += projections.named_params()
-    opt = Adam([p for _, p in named], train_cfg.lr, train_cfg.beta1, train_cfg.beta2,
-               train_cfg.adam_eps, train_cfg.grad_clip)
+    opt = Adam([p for _, p in named], train_cfg)
 
     n, bs = len(dataset), train_cfg.batch_size
     per_epoch = math.ceil(n / bs)
@@ -167,7 +167,7 @@ def train(
         tot_acc = lp_acc = l2_acc = 0.0
         for i in batch:
             sample = dataset[i]
-            with ad.tape(label=f"train step {step}") as tp:
+            with ad.scope(f"train step {step}"), ad.tape() as tp:
                 feats, pred = model.forward(dense[i], training=True)
                 total, lp, l2 = total_loss(feats, pred, sample.depth, sample.teacher_features,
                                            projections, distill_cfg)

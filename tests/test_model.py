@@ -258,12 +258,19 @@ def test_no_softmax_and_purity_small_scale(rng):
     model = tiny_model(seed=1)
     x = random_spikes(rng, p=0.4)
     with ad.tape() as t:
-        feats, _ = model.forward(x, training=False, validate=True)
+        feats, pred = model.forward(x, training=False, validate=True)
         counters = assert_spike_purity(t.entries, boundary_tensors=feats)
     assert "softmax" not in {e.op for e in t.entries}
     assert counters["convs"] > 0 and counters["neurons"] > 0
     assert counters["matmuls"] >= 2 * model.cfg.l  # QK^T and (QK^T)V per block
     assert counters["boundaries"] == model.cfg.l
+    # what the sensor-size bench checks of this forward: one integer QK^T
+    # matmul per block, and a prediction strictly inside (0, 1)
+    qk = [e for e in t.entries if e.op == "matmul" and e.scope.endswith("attn.qk")]
+    assert len(qk) == model.cfg.l
+    for e in qk:
+        np.testing.assert_array_equal(e.output.data, np.rint(e.output.data))
+    assert pred.data.min() > 0.0 and pred.data.max() < 1.0
 
 
 def test_trace_scope_naming(rng):

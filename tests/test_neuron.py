@@ -266,7 +266,7 @@ def test_non_finite_current_names_the_tape_label_and_scope():
     with pytest.raises(NumericError, match=r"^lif_step: non-finite input current$"):
         mlif(x, P)
     want = r"^lif_step: non-finite input current \(train step 2, block1\.mlp\.lif1\)$"
-    with ad.tape(label="train step 2"), ad.scope("block1.mlp"), ad.scope("lif1"):
+    with ad.scope("train step 2"), ad.tape(), ad.scope("block1.mlp"), ad.scope("lif1"):
         with pytest.raises(NumericError, match=want):
             mlif(x, P)
 

@@ -50,7 +50,7 @@ def test_adam_matches_reference(rng, clip):
     grad_seqs = [[rng.standard_normal(x.shape) for x in x0s] for _ in range(7)]
 
     params = [ad.parameter(x.copy()) for x in x0s]
-    opt = Adam(params, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8, grad_clip=clip)
+    opt = Adam(params, TrainConfig(lr=0.05, beta1=0.9, beta2=0.999, adam_eps=1e-8, grad_clip=clip))
     for grads in grad_seqs:
         for p, g in zip(params, grads):
             p.grad = g.copy()
@@ -63,12 +63,12 @@ def test_adam_matches_reference(rng, clip):
 
 def test_adam_step_reports_unclipped_norm(rng):
     p = ad.parameter(np.zeros(3))
-    opt = Adam([p], lr=0.1, grad_clip=1.0)
+    opt = Adam([p], TrainConfig(lr=0.1, grad_clip=1.0))
     p.grad = np.array([3.0, 4.0, 0.0])  # norm 5
     assert opt.step() == pytest.approx(5.0)
     # post-clip update equals the update from the scaled gradient
     q = ad.parameter(np.zeros(3))
-    opt2 = Adam([q], lr=0.1, grad_clip=0.0)
+    opt2 = Adam([q], TrainConfig(lr=0.1, grad_clip=0.0))
     q.grad = np.array([3.0, 4.0, 0.0]) / 5.0
     opt2.step()
     np.testing.assert_allclose(p.data, q.data, rtol=1e-12)
@@ -76,7 +76,7 @@ def test_adam_step_reports_unclipped_norm(rng):
 
 def test_adam_missing_grad_is_zero(rng):
     p = ad.parameter(np.ones(2))
-    opt = Adam([p], lr=0.1)
+    opt = Adam([p], TrainConfig(lr=0.1))
     opt.zero_grad()
     opt.step()
     np.testing.assert_array_equal(p.data, np.ones(2))
