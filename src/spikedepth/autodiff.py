@@ -21,8 +21,8 @@ activations are freed.
 
 A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
-xhat) from its entry's input and per-channel vectors.  Only `neuron.mlif`
-keeps more, its pre-reset membrane v_pre, rather than rerun the recurrence.
+xhat, maxpool2d its column maxima, `neuron.mlif` its pre-reset membranes by
+rerunning the recurrence) from its entry's input and per-channel vectors.
 
 float32 is the production dtype; gradient-check tests build float64 graphs.
 Ops keep the dtype of their inputs and never broadcast beyond the documented
@@ -204,7 +204,7 @@ def scope(name: str):
 
 def _needs(*tensors):
     """Whether an op's output needs a gradient, so that the op keeps a
-    backward (and mlif its v_pre): only under a gradient tape."""
+    backward: only under a gradient tape."""
     tp = active_tape()
     if tp is None or tp.consumer is not None:
         return False
@@ -575,10 +575,13 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
         if x.requires_grad:
             gs = gamma.data[_C] * inv_std[_C]
             if training:
-                # gs * (g - mean(g) - xhat * mean(g * xhat)), built in place,
-                # with each mean its sum above divided as np.mean divides
-                gx = g - _mean_of_sum(gbeta, n)[_C]
-                gx -= np.multiply(xhat, _mean_of_sum(ggamma, n)[_C], out=gxhat)
+                # gs * (g - mean(g) - xhat * mean(g * xhat)), built in place
+                # in the buffers of g * xhat and then of xhat, with each mean
+                # its sum above divided as np.mean divides
+                xhat_m = np.multiply(xhat, _mean_of_sum(ggamma, n)[_C], out=gxhat)
+                gx = np.subtract(g, _mean_of_sum(gbeta, n)[_C],
+                                 out=xhat if xhat.dtype == g.dtype else None)
+                gx -= xhat_m
                 gx *= gs
             else:
                 gx = gs * g
@@ -631,6 +634,22 @@ def _running_max(views) -> np.ndarray:
     return out
 
 
+def _route(g, views, best, outs):
+    """Write g into the first of `views` (in order) whose element equals
+    `best`'s, and +0.0 into the rest of `outs`, one out per view.  Each out
+    takes g's bit pattern times 0 or 1 on their integer views, so a -0.0
+    keeps its bits, and g is then left holding only what no view has taken
+    yet; a NaN in `best` equals nothing and routes nothing."""
+    ints = np.dtype(f"i{g.itemsize}")
+    rest = g.view(ints)
+    hit = np.empty(best.shape, dtype=bool)
+    for i, (v, o) in enumerate(zip(views, outs)):
+        taken = o.view(ints)
+        np.multiply(rest, np.equal(v, best, out=hit), out=taken)
+        if i < len(views) - 1:
+            rest -= taken
+
+
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     """Max pooling over non-overlapping k x k windows of the last two axes;
     a tie routes the gradient to the first index in row-major window order.
@@ -654,14 +673,15 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     out_data = _running_max([cols[..., i::k, :] for i in range(k)])
 
     def bwd(g):
-        gx = np.zeros_like(xd)
-        taken = np.zeros(out_data.shape, dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                hit = xd[..., i::k, j::k] == out_data
-                hit &= ~taken
-                taken |= hit
-                gx[..., i::k, j::k] = np.where(hit, g, 0)
+        # the forward's two stages inverted: g goes down the row views of
+        # the rebuilt column maxima, then each row's share across its
+        # column views, so a tie still goes to the first element in
+        # row-major window order
+        cols = _running_max([xd[..., j::k] for j in range(k)])
+        gcols, gx = np.empty_like(cols), np.empty_like(xd)
+        _route(np.array(g, dtype=xd.dtype), [cols[..., i::k, :] for i in range(k)], out_data,
+               [gcols[..., i::k, :] for i in range(k)])
+        _route(gcols, [xd[..., j::k] for j in range(k)], cols, [gx[..., j::k] for j in range(k)])
         return (gx,)
 
     return _op("maxpool2d", (x,), out_data, bwd)

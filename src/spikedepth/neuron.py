@@ -45,7 +45,7 @@ class LifState:
     `v_pre` is the membrane of the last step just before its reset, and
     `fired` that step's spike mask.  `lif_step` writes into all three
     buffers in place from step to step, so a caller may point `v_pre` at a
-    slot of its own, as `mlif` does to keep every step's."""
+    slot of its own, as `mlif`'s backward does to rebuild every step's."""
 
     v: np.ndarray
     v_pre: np.ndarray
@@ -57,14 +57,21 @@ def fresh_state(shape, dtype=np.float32) -> LifState:
                     fired=np.empty(shape, dtype=bool))
 
 
-def surrogate_grad(v_minus_threshold, alpha: float):
-    """Derivative surrogate for the spike Heaviside.
+def surrogate_grad(v_minus_threshold, alpha: float, out=None):
+    """Derivative surrogate for the spike Heaviside: (alpha / 2) / (1 + z * z)
+    with z = (pi * alpha / 2) * (v - threshold), computed in place in `out`
+    (which may be the input itself) when given, else in a new array.
 
     Peaks at alpha/2 when the membrane sits exactly at threshold and decays
     quadratically away from it.
     """
-    z = (np.pi * alpha / 2.0) * np.asarray(v_minus_threshold)
-    return (alpha / 2.0) / (1.0 + z * z)
+    d = np.asarray(v_minus_threshold)
+    if out is None:
+        out = np.empty(d.shape, np.result_type(d, alpha))
+    z = np.multiply(np.pi * alpha / 2.0, d, out=out)
+    np.multiply(z, z, out=z)
+    np.add(1.0, z, out=z)
+    return np.divide(alpha / 2.0, z, out=z)
 
 
 def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
@@ -98,6 +105,16 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
         state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
     if out is None:
         out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
+    _advance(state, x, params)
+    np.copyto(out, state.fired)
+    return out
+
+
+def _advance(state: LifState, x: np.ndarray, params: LifParams) -> None:
+    """`lif_step`'s update and reset of a state by a current that it has
+    checked: writes `state.v_pre`, `state.fired` and `state.v`.  `mlif`'s
+    backward reruns the forward's steps through it, on the input they
+    checked, so it rebuilds their pre-reset membranes bit for bit."""
     v_pre = state.v_pre
     np.subtract(x, state.v, out=v_pre)
     v_pre /= params.tau
@@ -108,27 +125,40 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
     np.subtract(np.array(params.v_reset, v_pre.dtype).view(ints), pre, out=v)
     v *= state.fired
     v += pre
-    np.copyto(out, state.fired)
-    return out
 
 
-def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams) -> np.ndarray:
+def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Reverse recurrence through T recorded pre-reset membrane values.
 
     `v_pre[t]` is the membrane after integration at step t (before reset),
-    `upstream[t]` is dLoss/dSpike[t].  Returns dLoss/dInput of shape [T, ...].
-    The reset is detached: the post-reset membrane passes gradient only where
-    no spike fired.
+    `upstream[t]` is dLoss/dSpike[t], of v_pre's shape and dtype (else
+    DimensionError).  Returns dLoss/dInput of shape [T, ...], written into
+    `out` when given, which may be v_pre itself.  The reset is detached: the
+    post-reset membrane passes gradient only where no spike fired.
+
+    The surrogate term upstream * surrogate_grad(v_pre - threshold) is taken
+    over all T at once, in place in the result; the recurrence then adds,
+    from the last step back, the post-reset gradient where no spike fired,
+    and the division by tau is again one pass over all T.  Each element
+    meets the fresh-array formulas' operations with their operands in
+    order, so it gets their bits.
     """
+    if upstream.shape != v_pre.shape or upstream.dtype != v_pre.dtype:
+        raise DimensionError(f"lif_backward: upstream {upstream.shape} {upstream.dtype} does not "
+                             f"match v_pre {v_pre.shape} {v_pre.dtype}")
     decay = 1.0 - 1.0 / params.tau
-    gx = np.empty_like(v_pre)
+    silent = np.greater_equal(v_pre, params.v_threshold)
+    np.logical_not(silent, out=silent)
+    gx = np.subtract(v_pre, params.v_threshold, out=out)
+    np.multiply(upstream, surrogate_grad(gx, params.surrogate_alpha, out=gx), out=gx)
     g_vpost = np.zeros(v_pre.shape[1:], dtype=v_pre.dtype)
     for t in range(v_pre.shape[0] - 1, -1, -1):
-        fired = v_pre[t] >= params.v_threshold
-        g_vpre = upstream[t] * surrogate_grad(v_pre[t] - params.v_threshold, params.surrogate_alpha)
-        g_vpre = g_vpre + g_vpost * (~fired)
-        gx[t] = g_vpre / params.tau
-        g_vpost = g_vpre * decay
+        g_vpre = gx[t, ...]
+        g_vpost *= silent[t]
+        g_vpre += g_vpost
+        np.multiply(g_vpre, decay, out=g_vpost)
+    gx /= params.tau
     return gx
 
 
@@ -138,23 +168,28 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
 
     State starts at zero for every call (one call = one sample) and is
     carried across the T steps.  Output is binary with the input dtype; a
-    non-finite input current raises lif_step's NumericError.  Only for a
-    backward pass does the state's `v_pre` point at a kept v_pre[t], so
-    that each step writes its pre-reset membrane straight into its slot;
-    otherwise every step reuses the state's own buffer.
+    non-finite input current raises lif_step's NumericError.  The forward
+    keeps nothing but its entry's input: the backward reruns its T steps
+    from x through lif_step's own update (`_advance`, without the checks x
+    has passed), pointing the state's `v_pre` at each slot of a [T, ...]
+    buffer, so it reads the very pre-reset membranes the forward computed;
+    `lif_backward` then writes the gradient over them, and the buffer lives
+    for that backward only.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[0] < 1:
         raise DimensionError(f"mlif: need a non-empty time axis, got shape {xd.shape}")
-    v_pre = np.empty_like(xd) if ad._needs(x) else None
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
-        if v_pre is not None:
-            state.v_pre = v_pre[t]
         lif_step(state, xd[t], params, out=spikes[t])
 
     def bwd(g):
-        return (lif_backward(v_pre, g, params),)
+        v_pre = np.empty_like(xd)
+        state = fresh_state(xd.shape[1:], xd.dtype)
+        for t in range(xd.shape[0]):
+            state.v_pre = v_pre[t]
+            _advance(state, xd[t], params)
+        return (lif_backward(v_pre, g, params, out=v_pre),)
 
     return ad._op("mlif", (x,), spikes, bwd)

@@ -184,6 +184,38 @@ def scalar_lif_backward_reference(inputs, upstream, p: LifParams):
     return g_in
 
 
+def lif_backward_reference(v_pre, upstream, p: LifParams):
+    """`neuron.lif_backward` as first written, with fresh arrays for every
+    intermediate: the reverse recurrence through the recorded [T, ...]
+    pre-reset membranes, whose bits the in-place kernel must keep."""
+    decay = 1.0 - 1.0 / p.tau
+    gx = np.empty_like(v_pre)
+    g_vpost = np.zeros(v_pre.shape[1:], dtype=v_pre.dtype)
+    for t in range(v_pre.shape[0] - 1, -1, -1):
+        fired = v_pre[t] >= p.v_threshold
+        z = (np.pi * p.surrogate_alpha / 2.0) * (v_pre[t] - p.v_threshold)
+        g_vpre = upstream[t] * ((p.surrogate_alpha / 2.0) / (1.0 + z * z))
+        g_vpre = g_vpre + g_vpost * (~fired)
+        gx[t] = g_vpre / p.tau
+        g_vpost = g_vpre * decay
+    return gx
+
+
+def maxpool_backward_reference(x, out, g, k):
+    """`maxpool2d`'s backward as first written: each of the k*k strided
+    views in row-major window order takes g where it equals the pooled max
+    and no earlier view took it, through a mask and `np.where`."""
+    gx = np.zeros_like(x)
+    taken = np.zeros(out.shape, dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            hit = x[..., i::k, j::k] == out
+            hit &= ~taken
+            taken |= hit
+            gx[..., i::k, j::k] = np.where(hit, g, 0)
+    return gx
+
+
 @contextmanager
 def inspection_tape():
     """An inspection tape whose consumer appends each entry, in recording

@@ -13,6 +13,7 @@ from helpers import (
     depth_map,
     fd_gradient,
     grad_agreement,
+    maxpool_backward_reference,
     random_spikes,
     rowmajor_conv2d,
     tiny_model,
@@ -219,6 +220,54 @@ def test_maxpool_k3_matches_running_max_bits_with_planted_ties(rng, dtype):
     x[0, 0, :3, :3] = np.array(_two_nans(dtype))[rng.integers(0, 2, size=(3, 3))]
     got = ad.maxpool2d(ad.tensor(x), 3).data
     assert got.dtype == dtype and got.tobytes() == _running_max_oracle(x, 3).tobytes()
+
+
+def _maxpool_backward(x, k, g):
+    x = ad.parameter(x)
+    with ad.tape() as t:
+        out = ad.maxpool2d(x, k)
+    (gx,) = t.entries[0].bwd(g)
+    return out.data, gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_backward_matches_masked_routing_bits_on_every_2x2_window(rng, dtype):
+    """All 8**4 windows over {+-0, +-1, +-inf, two NaN payloads}, with -0.0
+    and random upstream gradients: the two-stage routing writes the bits
+    the masked row-major routing writes, a -0.0 gradient included."""
+    vals = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, *_two_nans(dtype)], dtype)
+    win = vals[np.array(list(itertools.product(range(8), repeat=4)))]
+    x = win.reshape(64, 64, 2, 2).transpose(0, 2, 1, 3).reshape(64, 2, 128)
+    g = rng.standard_normal((64, 1, 64)).astype(dtype)
+    g[::2] = -0.0
+    out, gx = _maxpool_backward(x, 2, g)
+    want = maxpool_backward_reference(x, out, g, 2)
+    assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3])
+def test_maxpool_backward_matches_masked_routing_bits_with_planted_ties(rng, dtype, k):
+    x = rng.choice(np.array([0.0, -0.0, 1.0, -1.0], dtype), size=(2, 3, 6 * k, 4 * k))
+    x[..., ::4, ::5] = rng.standard_normal(x[..., ::4, ::5].shape)
+    g = rng.standard_normal((2, 3, 6, 4)).astype(dtype)
+    g[rng.random(g.shape) < 0.3] = -0.0
+    out, gx = _maxpool_backward(x, k, g)
+    want = maxpool_backward_reference(x, out, g, k)
+    assert gx.dtype == dtype and gx.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_maxpool_backward_routes_nothing_from_a_window_holding_nan(k):
+    """A NaN anywhere in a window makes its max NaN, which equals nothing:
+    no element of that window gets a gradient, the others still do."""
+    for i, j in itertools.product(range(k), repeat=2):
+        x = np.arange(2 * k * 2 * k, dtype=np.float32).reshape(1, 2 * k, 2 * k)
+        x[0, i, j] = np.nan
+        out, gx = _maxpool_backward(x, k, np.full((1, 2, 2), 3.0, np.float32))
+        assert np.isnan(out[0, 0, 0]) and not gx[0, :k, :k].any(), (i, j)
+        assert (gx != 0).sum() == 3 and gx.tobytes() == maxpool_backward_reference(
+            x, out, np.full((1, 2, 2), 3.0, np.float32), k).tobytes()
 
 
 def test_matmul_identity_and_mismatch(rng):
@@ -675,11 +724,11 @@ def test_untaped_forward_keeps_no_backward_state(monkeypatch):
 
 def test_gradient_tape_keeps_no_derived_copies():
     """Every array a backward closure holds on a gradient tape shares memory
-    with its entry's inputs or output or with a parameter, is a per-channel
-    vector, or is mlif's pre-reset membrane v_pre: conv2d's im2col cols and
-    batchnorm's xhat are rebuilt from the entry's input, not kept.  Checked
-    over a recipe training forward with KD projections and its loss, and an
-    eval forward."""
+    with its entry's inputs or output or with a parameter, or is a
+    per-channel vector: conv2d's im2col cols, batchnorm's xhat and mlif's
+    pre-reset membranes are rebuilt from the entry's input, not kept.
+    Checked over a recipe training forward with KD projections and its
+    loss, and an eval forward."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
     dcfg = DistillConfig(matched_blocks=(2, 4))
@@ -705,8 +754,7 @@ def test_gradient_tape_keeps_no_derived_copies():
                 continue
             checked.add(e.op)
             if (any(np.may_share_memory(arr, o) for o in own)
-                    or arr.shape == (e.inputs[0].data.shape[1],)
-                    or (e.op == "mlif" and name == "v_pre")):
+                    or arr.shape == (e.inputs[0].data.shape[1],)):
                 continue
             stray.append(f"{e.scope}: {e.op}.{name} {arr.shape}")
     assert {"conv2d", "batchnorm", "mlif", "matmul", "upsample_bilinear", "sigmoid"} <= checked

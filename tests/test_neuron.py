@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from helpers import TAPE_MODES, scalar_lif_backward_reference, scalar_lif_reference
+from helpers import (TAPE_MODES, lif_backward_reference, scalar_lif_backward_reference,
+                     scalar_lif_reference)
 from spikedepth import autodiff as ad
 from spikedepth.errors import ConfigError, DimensionError, NumericError
 from spikedepth.neuron import LifParams, fresh_state, lif_backward, lif_step, mlif, surrogate_grad
@@ -121,8 +122,8 @@ def test_mlif_t1_reduces_to_lif_step(rng):
 def test_mlif_same_bits_in_every_tape_mode(rng, p, dtype):
     """With no tape, on an inspection tape and on a gradient tape, mlif gives
     the spikes of the update rule written with fresh arrays; only the
-    gradient tape keeps a backward, and it reads the pre-reset membrane of
-    every step although lif_step reuses one buffer for it."""
+    gradient tape keeps a backward, and its rerun of the recurrence reads
+    the pre-reset membrane of every step that the fresh-array rule makes."""
     x = rng.uniform(-1, 3, size=(5, 6, 7)).astype(dtype)
     v = np.zeros((6, 7), dtype)
     want, v_pre = [], []
@@ -141,7 +142,7 @@ def test_mlif_same_bits_in_every_tape_mode(rng, p, dtype):
             (entry,) = entries
             assert (entry.bwd is None) == (mode == "inspect")
     (gx,) = entry.bwd(g)  # the gradient tape's, the last mode
-    assert gx.tobytes() == lif_backward(np.stack(v_pre), g, p).tobytes()
+    assert gx.tobytes() == lif_backward_reference(np.stack(v_pre), g, p).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def test_mlif_reset_matches_where_oracle_in_every_tape_mode(rng, dtype, v_reset)
                 got = mlif(ad.parameter(x), p).data
             assert got.tobytes() == want.tobytes(), mode
         (gx,) = entries[0].bwd(g)  # the gradient tape's, the last mode
-        assert gx.tobytes() == lif_backward(pres, g, p).tobytes()
+        assert gx.tobytes() == lif_backward_reference(pres, g, p).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -325,6 +326,48 @@ def test_mlif_backward_nondefault_params(rng):
     for j in range(16):
         want = scalar_lif_backward_reference(x[:, j], upstream[:, j], p)
         np.testing.assert_allclose(xt.grad[:, j], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", LIF_CASES)
+def test_lif_backward_matches_fresh_array_oracle_bit_for_bit(rng, p, dtype):
+    """The in-place kernel keeps the bits of the fresh-array formulas, on
+    membranes at the threshold, near it and far from it, on a -0.0
+    upstream, and on one [T] neuron, whose planes are 0-d."""
+    v_pre = rng.uniform(-1, 3, size=(6, 5, 7)).astype(dtype)
+    v_pre[:, 0, :3] = [p.v_threshold, np.nextafter(dtype(p.v_threshold), dtype(-np.inf)), -0.0]
+    g = rng.standard_normal(v_pre.shape).astype(dtype)
+    g[:, 1] = -0.0
+    for vp, up in ((v_pre, g), (v_pre[:, 2, 2], g[:, 2, 2])):
+        want = lif_backward_reference(vp, up, p)
+        got = lif_backward(vp, up, p)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v_reset", RESETS)
+def test_lif_backward_matches_fresh_array_oracle_on_extreme_membranes(rng, dtype, v_reset):
+    """+-inf and NaN pre-reset membranes (the extreme-current resets): an
+    infinite membrane's surrogate term is a signed zero and a NaN one's is
+    NaN, and the kernel keeps the oracle's bits for both."""
+    x, p = _extreme_currents(dtype, rng, v_reset)
+    _, pres, _ = _where_oracle(x, p, np.zeros(x.shape[1], dtype))
+    g = rng.standard_normal(x.shape).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = lif_backward_reference(pres, g, p)
+        got = lif_backward(pres, g, p)
+    assert np.isnan(want).any() and got.tobytes() == want.tobytes()
+
+
+def test_lif_backward_refuses_an_upstream_of_another_shape_or_dtype():
+    """A [3, 1] upstream would broadcast against a [3, 4] v_pre, and a
+    float64 one would be cast into float32 gradients: both are refused."""
+    v_pre = np.zeros((3, 4), np.float32)
+    for upstream in (np.ones((3, 1), np.float32), np.ones((3, 4), np.float64),
+                     np.ones((2, 4), np.float32)):
+        with pytest.raises(DimensionError, match=r"^lif_backward: upstream "):
+            lif_backward(v_pre, upstream, P)
+    assert lif_backward(v_pre, np.ones((3, 4), np.float32), P).shape == (3, 4)
 
 
 def test_mlif_gradient_vanishes_far_from_threshold():
