@@ -1,12 +1,14 @@
 """Reverse-mode autodiff over dense numpy tensors.
 
 The op set is exactly what the spiking depth network needs: stride-1 conv and
-batchnorm over [B,C,H,W] (fused into one `conv_bn` op for an eval forward
-that needs no gradient), k x k max pooling and bilinear upsampling for the
-layers, batched matmul for attention, and elementwise arithmetic plus
-reductions for the losses.  Ops execute eagerly on numpy arrays and, when a
-tape is active, record an entry holding the backward closure (None when the
-output needs no gradient, as on an inspection tape).  A tape's kind is
+batchnorm over [B,C,H,W] (fused into one `conv_bn` op for every eval forward,
+under any tape or none; only the model's attention product and fusion-head
+tail pick their graph by whether a gradient is needed), k x k max pooling
+and bilinear upsampling for the layers, batched matmul for attention, and
+elementwise arithmetic plus reductions for the losses.  Ops execute eagerly
+on numpy arrays and, when a tape is active, record an entry holding the
+backward closure (None when the output needs no gradient, as on an
+inspection tape).  A tape's kind is
 whether it has a consumer: a gradient tape has none and appends each entry to
 its list; an inspection tape hands each entry to its consumer as it is
 recorded and keeps none, so a streamed forward holds no more than an untaped
@@ -21,8 +23,9 @@ activations are freed.
 
 A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
-xhat, maxpool2d its column maxima, `neuron.mlif` its pre-reset membranes by
-rerunning the recurrence) from its entry's input and per-channel vectors.
+xhat, conv_bn its conv output, maxpool2d its column maxima, `neuron.mlif`
+its pre-reset membranes by rerunning the recurrence) from its entry's input
+and per-channel vectors.
 
 float32 is the production dtype; gradient-check tests build float64 graphs.
 Ops keep the dtype of their inputs and never broadcast beyond the documented
@@ -453,8 +456,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     """
     xd, wd = x.data, w.data
     _check_conv("conv2d", xd, wd, pad)
-    Ci = xd.shape[1]
-    Co, _, k, _ = wd.shape
+    Co = wd.shape[0]
     out_data = _corr2d(xd, wd, pad)
     if b is not None:
         if b.data.shape != (Co,):
@@ -463,21 +465,31 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     _guard("conv2d", out_data)
 
     def bwd(g):
-        gw = gb = gx = None
-        if w.requires_grad:
-            # one GEMM over K = B*Ho*Wo with the whole cols, rebuilt from x
-            cols = _windows(xd, k, pad).transpose(1, 4, 5, 0, 2, 3).reshape(Ci * k * k, -1)
-            gw = (g.transpose(1, 0, 2, 3).reshape(Co, -1) @ cols.T).reshape(wd.shape)
+        gb = None
         if b is not None and b.requires_grad:
             gb = g.transpose(0, 2, 3, 1).reshape(-1, Co).sum(0)
-        if x.requires_grad:
-            # full correlation with the flipped, channel-swapped kernel; at
-            # stride 1 with pad k-1-pad it is exactly [B,Ci,H,W]
-            wf = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _corr2d(g, np.ascontiguousarray(wf), k - 1 - pad)
-        return (gx, gw, gb)
+        return (*_conv_backward(g, x, w, pad), gb)
 
     return _op("conv2d", (x, w, b), out_data, bwd)
+
+
+def _conv_backward(g, x, w, pad):
+    """(gx, gw) of a stride-1 correlation of x by w with `pad` for the
+    upstream gradient g of its output, each None unless its tensor needs a
+    gradient; `conv2d` and `conv_bn` both run it."""
+    xd, wd = x.data, w.data
+    Co, Ci, k, _ = wd.shape
+    gx = gw = None
+    if w.requires_grad:
+        # one GEMM over K = B*Ho*Wo with the whole cols, rebuilt from x
+        cols = _windows(xd, k, pad).transpose(1, 4, 5, 0, 2, 3).reshape(Ci * k * k, -1)
+        gw = (g.transpose(1, 0, 2, 3).reshape(Co, -1) @ cols.T).reshape(wd.shape)
+    if x.requires_grad:
+        # full correlation with the flipped, channel-swapped kernel; at
+        # stride 1 with pad k-1-pad it is exactly [B,Ci,H,W]
+        wf = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gx = _corr2d(g, np.ascontiguousarray(wf), k - 1 - pad)
+    return gx, gw
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +606,39 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None, running
 def conv_bn(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
             pad: int = 0) -> Tensor:
     """Eval-mode `batchnorm(conv2d(x, w, pad=pad), gamma, beta, running_mean,
-    running_var, training=False)` as one op with the same bits, for a
-    forward that needs no gradient: the batch norm runs in place on the
-    conv's fresh output, through batchnorm's own `_normalise`.
+    running_var, training=False)` as one op with the same bits, forward and
+    backward: the batch norm runs in place on the conv's fresh output,
+    through batchnorm's own `_normalise`, so no conv output outlives the op.
 
     It keeps conv2d's shape checks, checks the result once for non-finite
-    values and records one `conv_bn` entry over (x, w, gamma, beta) with no
-    backward; `energy.price` prices it as its conv.
+    values and records one `conv_bn` entry over (x, w, gamma, beta), which
+    `energy.price` prices as its conv.  Its backward runs the reference
+    graph's ops in their order: batchnorm's eval backward (xhat, the sum of
+    g * xhat, the sum of g, gamma * inv_std * g), which rebuilds the conv
+    output from x only when gamma needs a gradient, then conv2d's
+    (`_conv_backward`).
     """
     xd, wd = x.data, w.data
     _check_conv("conv_bn", xd, wd, pad)
     _check_affine("conv_bn", wd.shape[0], gamma, beta)
     y = _corr2d(xd, wd, pad)
-    out_data, _ = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
+    out_data, inv_std = _normalise(y, running_mean, running_var, gamma.data, beta.data, in_place=True)
     _guard("conv_bn", out_data)
-    return _op("conv_bn", (x, w, gamma, beta), out_data, None)
+
+    def bwd(g):
+        ggamma = gbeta = gx = gw = None
+        axes = (0, 2, 3)
+        if gamma.requires_grad:
+            # the forward wrote its output over the conv's: rebuild it from
+            # x, then xhat from it
+            ggamma = (g * _standardise(_corr2d(xd, wd, pad), running_mean, inv_std)).sum(axis=axes)
+        if beta.requires_grad:
+            gbeta = g.sum(axis=axes)
+        if x.requires_grad or w.requires_grad:
+            gx, gw = _conv_backward(gamma.data[_C] * inv_std[_C] * g, x, w, pad)
+        return (gx, gw, ggamma, gbeta)
+
+    return _op("conv_bn", (x, w, gamma, beta), out_data, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,8 @@ class FusionHead(Module):
     the live parameters on every call, in float64, and the tail is recorded
     as one `fusion_tail` entry, which `energy.price` charges as the
     reference layers `FOLDED_LAYERS` it stands for.  Training and gradient
-    tapes run the reference graph above.
+    tapes run the reference graph above, whose eval ConvBNs are each one
+    `conv_bn` op, as everywhere.
     """
 
     name = "head"

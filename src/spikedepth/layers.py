@@ -102,10 +102,10 @@ class ConvBN(Module):
     kernels every caller uses) followed by per-channel batch normalisation.
 
     Training mode normalises with the statistics of the current call and
-    updates running buffers (momentum 0.1); eval mode applies the running
-    statistics.  An eval forward that needs no gradient (no tape, or an
-    inspection tape) runs both as one `ad.conv_bn` op, with the bits of the
-    `conv2d` -> `batchnorm` graph that training and gradient tapes record.
+    updates running buffers (momentum 0.1), as `conv2d` -> `batchnorm`.
+    Eval mode applies the running statistics as one `ad.conv_bn` op under
+    any tape or none: it has the bits of the `conv2d` -> `batchnorm` graph,
+    forward and backward, and keeps no conv output on a gradient tape.
     """
 
     def __init__(self, name, cin, cout, k, rng, dtype=np.float32):
@@ -119,18 +119,12 @@ class ConvBN(Module):
 
     def forward(self, x, training):
         with ad.scope(self.name):
-            if not training and not ad._needs(x, self.w, self.gamma, self.beta):
+            if not training:
                 return ad.conv_bn(x, self.w, self.gamma, self.beta, self.running_mean,
                                   self.running_var, pad=self.pad)
             y = ad.conv2d(x, self.w, pad=self.pad)
-            return ad.batchnorm(
-                y,
-                self.gamma,
-                self.beta,
-                running_mean=self.running_mean,
-                running_var=self.running_var,
-                training=training,
-            )
+            return ad.batchnorm(y, self.gamma, self.beta, running_mean=self.running_mean,
+                                running_var=self.running_var, training=True)
 
 
 class Mlif(Module):

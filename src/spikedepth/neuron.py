@@ -182,14 +182,15 @@ def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
-        lif_step(state, xd[t], params, out=spikes[t])
+        # [t, ...] is a view also of a [T] input, where [t] is a scalar
+        lif_step(state, xd[t, ...], params, out=spikes[t, ...])
 
     def bwd(g):
         v_pre = np.empty_like(xd)
         state = fresh_state(xd.shape[1:], xd.dtype)
         for t in range(xd.shape[0]):
-            state.v_pre = v_pre[t]
-            _advance(state, xd[t], params)
+            state.v_pre = v_pre[t, ...]
+            _advance(state, xd[t, ...], params)
         return (lif_backward(v_pre, g, params, out=v_pre),)
 
     return ad._op("mlif", (x,), spikes, bwd)

@@ -598,6 +598,20 @@ def test_fd_upsample(rng):
     assert_fd_match(lambda z: ad.reduce_sum(ad.mul(y := ad.upsample_bilinear(z, 2), y)), [x])
 
 
+def test_fd_conv_bn(rng):
+    # the fused eval conv + batch norm, 3x3 pad 1 with Ci != Co
+    x = rng.standard_normal((2, 3, 5, 4))
+    w = rng.standard_normal((4, 3, 3, 3)) * 0.5
+    gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+    rm, rv = rng.standard_normal(4), rng.random(4) + 0.5
+    r = ad.tensor(rng.standard_normal((2, 4, 5, 4)))
+    assert_fd_match(
+        lambda xx, ww, gg, bb: ad.reduce_sum(ad.mul(r, ad.sigmoid(ad.conv_bn(
+            xx, ww, gg, bb, rm.copy(), rv.copy(), pad=1)))),
+        [x, w, gamma, beta],
+    )
+
+
 def test_fd_composite_conv_bn_sigmoid(rng):
     # the documented composite graph: conv -> BN -> sigmoid -> sum
     x = rng.standard_normal((2, 2, 4, 4))
@@ -632,10 +646,11 @@ _EXTRA_CONVS = [((3, 64, 37, 40), (64, 64, 3, 3), False, 1),
 def _conv_calls(model_kw, monkeypatch):
     """Every distinct (x shape, w shape, has bias, pad) that a
     forward of the model and its KD projections passes to ad.conv2d; the
-    forward runs in each tape mode, and with no tape and on the inspection
-    tape it predicts the same bits.  The gradient tape runs the reference
-    fusion head and each ConvBN's conv2d, which an eval forward that needs
-    no gradient runs folded and as one `conv_bn` op."""
+    eval forward runs in each tape mode, and with no tape and on the
+    inspection tape it predicts the same bits.  Every eval ConvBN is one
+    `conv_bn` op under any tape, and only the gradient tape runs the
+    reference fusion head's proj, so a training forward, where each ConvBN
+    is conv2d -> batchnorm, gives the ConvBN shapes."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**model_kw), rng)
     projections = FeatureProjections(DistillConfig(teacher_dim=16), model_kw["d"], rng)
@@ -654,6 +669,7 @@ def _conv_calls(model_kw, monkeypatch):
             with context():
                 feats, pred = model.forward(spikes.astype(np.float32), training=False)
             preds[mode] = pred.data
+        model.forward(spikes.astype(np.float32), training=True)
         for i in projections.cfg.matched_blocks:
             projections.forward(i, rate_encode(feats[i - 1]))
     assert np.array_equal(preds["inspect"], preds["none"])
@@ -725,10 +741,11 @@ def test_untaped_forward_keeps_no_backward_state(monkeypatch):
 def test_gradient_tape_keeps_no_derived_copies():
     """Every array a backward closure holds on a gradient tape shares memory
     with its entry's inputs or output or with a parameter, or is a
-    per-channel vector: conv2d's im2col cols, batchnorm's xhat and mlif's
-    pre-reset membranes are rebuilt from the entry's input, not kept.
-    Checked over a recipe training forward with KD projections and its
-    loss, and an eval forward."""
+    per-channel vector of its input's or output's channels: conv2d's im2col
+    cols, batchnorm's xhat, conv_bn's conv output and mlif's pre-reset
+    membranes are rebuilt from the entry's input, not kept.  Checked over a
+    recipe training forward with KD projections and its loss, and an eval
+    forward, where each ConvBN is one `conv_bn` op."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
     dcfg = DistillConfig(matched_blocks=(2, 4))
@@ -753,11 +770,12 @@ def test_gradient_tape_keeps_no_derived_copies():
             if not isinstance(arr, np.ndarray):
                 continue
             checked.add(e.op)
-            if (any(np.may_share_memory(arr, o) for o in own)
-                    or arr.shape == (e.inputs[0].data.shape[1],)):
+            if any(np.may_share_memory(arr, o) for o in own) or arr.shape in (
+                    (e.inputs[0].data.shape[1],), e.output.data.shape[1:2]):
                 continue
             stray.append(f"{e.scope}: {e.op}.{name} {arr.shape}")
-    assert {"conv2d", "batchnorm", "mlif", "matmul", "upsample_bilinear", "sigmoid"} <= checked
+    assert {"conv2d", "batchnorm", "conv_bn", "mlif", "matmul", "upsample_bilinear",
+            "sigmoid"} <= checked
     assert not stray, stray
 
 
@@ -853,40 +871,93 @@ def _randomise_bn(layer, rng):
     layer.running_var[...] = (rng.random(cout) * 4 + 0.01).astype(dtype)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("model", sorted(_CONV_MODELS))
-def test_conv_bn_matches_conv2d_then_batchnorm_bit_for_bit(model, dtype, monkeypatch):
-    """At every ConvBN shape of the model (1x1, and 3x3 pad 1), an eval
-    forward with no tape or on an inspection tape (one `conv_bn` op) gives
-    the bytes of the gradient tape's conv2d -> batchnorm graph, with random
-    BN affines and statistics; the fused entry keeps no backward and prices
-    as the reference graph's rows."""
-    calls = _conv_bn_calls(_CONV_MODELS[model], monkeypatch)
+def _conv_then_batchnorm(layer, x):
+    """The reference graph of an eval ConvBN: ad.conv2d, then
+    ad.batchnorm(training=False), in the layer's scope."""
+    with ad.scope(layer.name):
+        y = ad.conv2d(x, layer.w, pad=layer.pad)
+        return ad.batchnorm(y, layer.gamma, layer.beta, running_mean=layer.running_mean,
+                            running_var=layer.running_var, training=False)
+
+
+def _model_conv_bn_layers(model_kw, dtype, monkeypatch):
+    """(layer, x) for every ConvBN shape of the model's eval forward, each
+    layer with random BN affines and statistics and x spikes in the
+    backbone, rate maps in the head."""
+    calls = _conv_bn_calls(model_kw, monkeypatch)
     assert len(calls) == 7  # 3 embed stages, the block 1x1s d->d, d->4d and 4d->d, head.l2
     assert {w[-1] for _, w in calls} == {1, 3}
     rng = np.random.default_rng(3)
+    out = []
     for (x_shape, w_shape), scope in calls.items():
         cout, cin, k, _ = w_shape
         layer = ConvBN(scope, cin, cout, k, rng, dtype)
         _randomise_bn(layer, rng)
-        # spikes in the backbone, rate maps in the head
         x = rng.random(x_shape)
-        x = (x if scope.startswith("head") else x < 0.3).astype(dtype)
+        out.append((layer, (x if scope.startswith("head") else x < 0.3).astype(dtype)))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("model", sorted(_CONV_MODELS))
+def test_conv_bn_matches_conv2d_then_batchnorm_bit_for_bit(model, dtype, monkeypatch):
+    """At every ConvBN shape of the model (1x1, and 3x3 pad 1), an eval
+    forward in every tape mode (one `conv_bn` op) gives the bytes of
+    ad.conv2d -> ad.batchnorm(training=False), with random BN affines and
+    statistics; the fused entry keeps a backward only on the gradient tape
+    and prices as the reference graph's rows."""
+    for layer, x in _model_conv_bn_layers(_CONV_MODELS[model], dtype, monkeypatch):
         x_before = x.copy()
+        with ad.tape() as ref:
+            want = _conv_then_batchnorm(layer, ad.tensor(x)).data
         outs, entries = {}, {}
         for mode, context in TAPE_MODES.items():
             with context() as entries[mode]:
                 outs[mode] = layer.forward(ad.tensor(x), training=False).data
-        what = f"{scope} x{x_shape} w{w_shape} {np.dtype(dtype).name}"
+        what = f"{layer.name} x{x.shape} w{layer.w.data.shape} {np.dtype(dtype).name}"
         assert x.tobytes() == x_before.tobytes(), what
-        assert outs["grad"].dtype == dtype and np.abs(outs["grad"]).max() > 0, what
-        for mode in ("none", "inspect"):
-            assert outs[mode].dtype == dtype, what
-            assert outs[mode].tobytes() == outs["grad"].tobytes(), f"{mode} tape: {what}"
-        fused, ref = entries["inspect"], entries["grad"]
-        assert [(e.op, e.scope, e.bwd) for e in fused] == [("conv_bn", scope, None)], what
-        assert [e.op for e in ref] == ["conv2d", "batchnorm"], what
-        assert price(fused, layer).rows == price(ref, layer).rows, what
+        assert want.dtype == dtype and np.abs(want).max() > 0, what
+        for mode, out in outs.items():
+            assert out.dtype == dtype, what
+            assert out.tobytes() == want.tobytes(), f"{mode} tape: {what}"
+        assert [e.op for e in ref.entries] == ["conv2d", "batchnorm"], what
+        for mode, has_bwd in (("inspect", False), ("grad", True)):
+            fused = entries[mode]
+            assert [(e.op, e.scope, e.bwd is not None) for e in fused] == [
+                ("conv_bn", layer.name, has_bwd)], f"{mode} tape: {what}"
+            assert price(fused, layer).rows == price(ref.entries, layer).rows, what
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("model", sorted(_CONV_MODELS))
+def test_conv_bn_backward_matches_conv2d_then_batchnorm_bit_for_bit(model, dtype, monkeypatch):
+    """At every ConvBN shape of the model, conv_bn's gx, gw, ggamma and
+    gbeta have the bits that batchnorm's eval backward and then conv2d's
+    give on the ad.conv2d -> ad.batchnorm(training=False) graph, also for
+    an x that needs no gradient (embed.s1's event input, whose gx is None)
+    and for a gamma or beta that needs none."""
+    rng = np.random.default_rng(6)
+    for layer, x in _model_conv_bn_layers(_CONV_MODELS[model], dtype, monkeypatch):
+        xt = ad.tensor(x) if layer.name == "embed.s1.conv" else ad.parameter(x)
+        g = rng.standard_normal((x.shape[0], layer.w.data.shape[0]) + x.shape[2:]).astype(dtype)
+        what = f"{layer.name} x{x.shape} w{layer.w.data.shape} {np.dtype(dtype).name}"
+        for frozen in (None, layer.gamma, layer.beta):
+            if frozen is not None:
+                frozen.requires_grad = False
+            with ad.tape() as ref:
+                _conv_then_batchnorm(layer, xt)
+            conv, bn = ref.entries
+            gy, ggamma, gbeta = bn.bwd(g)
+            gx, gw, _ = conv.bwd(gy)
+            with ad.tape() as fused:
+                layer.forward(xt, training=False)
+            got = fused.entries[0].bwd(g)
+            for name, a, b in zip(("gx", "gw", "ggamma", "gbeta"), got, (gx, gw, ggamma, gbeta)):
+                assert (a is None) == (b is None), f"{name} {what}"
+                assert a is None or (a.dtype == dtype and a.tobytes() == b.tobytes()), f"{name} {what}"
+            assert (gx is None) == (layer.name == "embed.s1.conv"), what
+            if frozen is not None:
+                frozen.requires_grad = True
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -920,6 +991,24 @@ def test_eval_model_runs_one_conv_bn_per_conv_bn_layer(dtype):
     folded = {f"head.{name}" for name in FOLDED_LAYERS}
     assert [e.scope for e in fused if e.op == "conv_bn"] == [s for s in layers if s not in folded]
     assert price(fused, model).rows == price(entries["grad"], model).rows
+
+
+def test_eval_gradient_tape_runs_one_conv_bn_per_conv_bn_layer():
+    """On a gradient tape, an eval forward of the recipe model records one
+    `conv_bn` entry with a backward under each ConvBN scope, the fusion
+    head's reference tail included, and no conv2d or batchnorm there."""
+    rng = np.random.default_rng(4)
+    model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
+    layers = [name.rsplit(".", 1)[0] for name, _ in model.named_params() if name.endswith(".gamma")]
+    spikes = (rng.random((4, 2, 64, 64)) < 0.3).astype(np.float32)
+    with ad.tape() as t:
+        model.forward(spikes, training=False)
+    ops = {}
+    for e in t.entries:
+        if e.scope in layers:
+            ops.setdefault(e.scope, []).append((e.op, e.bwd is not None))
+    assert ops == {s: [("conv_bn", True)] for s in layers}
+    assert {f"head.{name}" for name in FOLDED_LAYERS} & set(layers) == {"head.l3.conv", "head.l4.conv"}
 
 
 # ---------------------------------------------------------------------------

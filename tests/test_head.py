@@ -178,8 +178,9 @@ def test_folded_tail_equals_reference_in_float64(rng):
     assert diff.max() <= 1e-12
     assert max(diff[[0, -1]].max(), diff[:, [0, -1]].max()) <= 1e-12  # the padded borders
     assert [e.op for e in entries].count("fusion_tail") == 1
-    ref_scopes = {e.scope for e in ref_entries if e.op == "conv2d"}
-    assert {f"head.{name}" for name in FOLDED_LAYERS} <= ref_scopes
+    ref_convs = {e.scope: e.op for e in ref_entries if e.op in ("conv2d", "conv_bn")}
+    assert {name: ref_convs.get(f"head.{name}") for name in FOLDED_LAYERS} == {
+        "l3.conv": "conv_bn", "l4.conv": "conv_bn", "proj": "conv2d"}
     assert {e.scope for e in entries if e.op == "conv_bn"} == {"head.l2.conv"}
     with inspection_tape():
         inspected = head.forward(feats, training=False).data

@@ -272,6 +272,23 @@ def test_non_finite_current_names_the_tape_label_and_scope():
             mlif(x, P)
 
 
+def test_mlif_on_a_time_axis_alone_gives_the_bits_of_one_neuron(rng):
+    """A [T] input runs as the same input reshaped to [T, 1], forward and
+    backward: each step's current and spike are 0-d views, not scalars."""
+    x = (rng.standard_normal(9) * 2).astype(np.float32)
+    g = rng.standard_normal(9).astype(np.float32)
+    out = {}
+    for shape in ((9,), (9, 1)):
+        xt = ad.parameter(x.reshape(shape))
+        with ad.tape() as t:
+            y = mlif(xt, LifParams(tau=1.7))
+        (gx,) = t.entries[-1].bwd(g.reshape(shape))
+        assert y.data.shape == gx.shape == shape
+        out[shape] = (y.data.tobytes(), gx.tobytes())
+    assert out[(9,)] == out[(9, 1)]
+    assert 0 < np.frombuffer(out[(9,)][0], np.float32).sum() < 9
+
+
 def test_mlif_zero_input_zero_output():
     assert not mlif(ad.tensor(np.zeros((4, 3, 3))), P).data.any()
 
