@@ -27,9 +27,9 @@ xhat, conv_bn its conv output, maxpool2d its column maxima, `neuron.mlif`
 its pre-reset membranes by rerunning the recurrence) from its entry's input
 and per-channel vectors.
 
-float32 is the production dtype; gradient-check tests build float64 graphs.
-Ops keep the dtype of their inputs and never broadcast beyond the documented
-cases -- shape mismatches raise DimensionError instead of promoting silently.
+The model is float32 by construction; float64 gradient checks cast a built
+model.  Ops keep the dtype of their inputs and never broadcast beyond the
+documented cases: shape mismatches raise DimensionError, never promote.
 """
 from __future__ import annotations
 

@@ -41,6 +41,8 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.steps < 0 or (self.epochs == 0 and self.steps == 0):
             raise ConfigError("need epochs > 0 or steps > 0")
         if self.batch_size < 1:

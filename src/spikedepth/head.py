@@ -86,13 +86,13 @@ class FusionHead(Module):
 
     name = "head"
 
-    def __init__(self, cfg, rng, dtype=np.float32):
+    def __init__(self, cfg, rng):
         d = cfg.d
         l3, l4, proj = FOLDED_LAYERS
-        self.conv2 = ConvBN("l2.conv", d, d, 3, rng, dtype)
-        self.conv3 = ConvBN(l3, d, d, 3, rng, dtype)
-        self.conv4 = ConvBN(l4, d, d, 3, rng, dtype)
-        self.proj = Conv(proj, d, 1, 1, rng, dtype, bias=False)
+        self.conv2 = ConvBN("l2.conv", d, d, 3, rng)
+        self.conv3 = ConvBN(l3, d, d, 3, rng)
+        self.conv4 = ConvBN(l4, d, d, 3, rng)
+        self.proj = Conv(proj, d, 1, 1, rng, bias=False)
 
     def forward(self, features, training):
         if len(features) != 4:
@@ -144,8 +144,8 @@ class LinearFcnHead(Module):
 
     name = "head"
 
-    def __init__(self, cfg, rng, dtype=np.float32):
-        self.proj = ConvBN("fcn.conv", cfg.d, 1, 1, rng, dtype)
+    def __init__(self, cfg, rng):
+        self.proj = ConvBN("fcn.conv", cfg.d, 1, 1, rng)
 
     def forward(self, features, training):
         if not features:

@@ -9,18 +9,18 @@ from . import autodiff as ad
 from .neuron import LifParams, mlif
 
 
-def kaiming_uniform(rng, shape, fan_in, dtype):
+def kaiming_uniform(rng, shape, fan_in):
     """Fan-in scaled uniform init, U(-sqrt(6/fan_in), +sqrt(6/fan_in)),
-    drawn from the generator `rng`.
+    drawn from `rng` in float64 and rounded to float32, the network's dtype.
 
     `rng=None` draws nothing and returns zeros, for a caller that overwrites
     every tensor (`checkpoint.load_model`): building a model then needs no
     random numbers, so it does not load `numpy.random`.
     """
     if rng is None:
-        return np.zeros(shape, dtype=dtype)
+        return np.zeros(shape, dtype=np.float32)
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 class Module:
@@ -86,11 +86,11 @@ class Conv(Module):
     unconstrained one that optimizers random-walk.
     """
 
-    def __init__(self, name, cin, cout, k, rng, dtype=np.float32, bias=True):
+    def __init__(self, name, cin, cout, k, rng, bias=True):
         self.name = name
         self.pad = k // 2
-        self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype))
-        self.b = ad.parameter(np.zeros(cout, dtype=dtype)) if bias else None
+        self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k))
+        self.b = ad.parameter(np.zeros(cout, dtype=np.float32)) if bias else None
 
     def forward(self, x):
         with ad.scope(self.name):
@@ -108,14 +108,14 @@ class ConvBN(Module):
     forward and backward, and keeps no conv output on a gradient tape.
     """
 
-    def __init__(self, name, cin, cout, k, rng, dtype=np.float32):
+    def __init__(self, name, cin, cout, k, rng):
         self.name = name
         self.pad = k // 2
-        self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k, dtype))
-        self.gamma = ad.parameter(np.ones(cout, dtype=dtype))
-        self.beta = ad.parameter(np.zeros(cout, dtype=dtype))
-        self.running_mean = np.zeros(cout, dtype=dtype)
-        self.running_var = np.ones(cout, dtype=dtype)
+        self.w = ad.parameter(kaiming_uniform(rng, (cout, cin, k, k), cin * k * k))
+        self.gamma = ad.parameter(np.ones(cout, dtype=np.float32))
+        self.beta = ad.parameter(np.zeros(cout, dtype=np.float32))
+        self.running_mean = np.zeros(cout, dtype=np.float32)
+        self.running_var = np.ones(cout, dtype=np.float32)
 
     def forward(self, x, training):
         with ad.scope(self.name):

@@ -54,10 +54,10 @@ class FeatureProjections(Module):
 
     name = "kd"
 
-    def __init__(self, cfg: DistillConfig, student_dim: int, rng, dtype=np.float32):
+    def __init__(self, cfg: DistillConfig, student_dim: int, rng):
         self.cfg = cfg
         self.convs = {
-            i: Conv(f"proj{i}", student_dim, cfg.teacher_dim, 1, rng, dtype)
+            i: Conv(f"proj{i}", student_dim, cfg.teacher_dim, 1, rng)
             for i in cfg.matched_blocks
         }
 

@@ -112,12 +112,12 @@ class PatchEmbed(Module):
 
     name = "embed"
 
-    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng):
         chans = cfg.embed_channels
         cins = (cfg.c,) + chans[:2]
         self.stages = []
         for i, (ci, co) in enumerate(zip(cins, chans), start=1):
-            conv = ConvBN(f"s{i}.conv", ci, co, 3, rng, dtype)
+            conv = ConvBN(f"s{i}.conv", ci, co, 3, rng)
             lif = Mlif(f"s{i}.lif", cfg.lif)
             self.stages.append((conv, lif))
 
@@ -138,17 +138,17 @@ class SpikingSelfAttention(Module):
 
     name = "attn"
 
-    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng):
         d = cfg.d
         self.s = cfg.s
-        self.q_conv = ConvBN("q.conv", d, d, 1, rng, dtype)
-        self.k_conv = ConvBN("k.conv", d, d, 1, rng, dtype)
-        self.v_conv = ConvBN("v.conv", d, d, 1, rng, dtype)
+        self.q_conv = ConvBN("q.conv", d, d, 1, rng)
+        self.k_conv = ConvBN("k.conv", d, d, 1, rng)
+        self.v_conv = ConvBN("v.conv", d, d, 1, rng)
         self.q_lif = Mlif("q.lif", cfg.lif)
         self.k_lif = Mlif("k.lif", cfg.lif)
         self.v_lif = Mlif("v.lif", cfg.lif)
         self.attn_lif = Mlif("lif", cfg.lif)
-        self.out_conv = ConvBN("out.conv", d, d, 1, rng, dtype)
+        self.out_conv = ConvBN("out.conv", d, d, 1, rng)
         self.post_lif = Mlif("post.lif", cfg.lif)
 
     def forward(self, x, training):
@@ -173,11 +173,11 @@ class SpikingMlp(Module):
 
     name = "mlp"
 
-    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng):
         d, hidden = cfg.d, cfg.d * cfg.mlp_ratio
-        self.fc1 = ConvBN("fc1.conv", d, hidden, 1, rng, dtype)
+        self.fc1 = ConvBN("fc1.conv", d, hidden, 1, rng)
         self.lif1 = Mlif("lif1", cfg.lif)
-        self.fc2 = ConvBN("fc2.conv", hidden, d, 1, rng, dtype)
+        self.fc2 = ConvBN("fc2.conv", hidden, d, 1, rng)
         self.lif2 = Mlif("lif2", cfg.lif)
 
     def forward(self, x, training):
@@ -194,10 +194,10 @@ class TransformerBlock(Module):
     OR), so the block output is again a spike tensor.
     """
 
-    def __init__(self, name, cfg: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, name, cfg: ModelConfig, rng):
         self.name = name
-        self.attn = SpikingSelfAttention(cfg, rng, dtype)
-        self.mlp = SpikingMlp(cfg, rng, dtype)
+        self.attn = SpikingSelfAttention(cfg, rng)
+        self.mlp = SpikingMlp(cfg, rng)
 
     def forward(self, x, training):
         with ad.scope(self.name):
@@ -213,19 +213,18 @@ class DepthModel(Module):
     """Patch embedding, L transformer blocks and a depth head; the single
     object checkpoints serialise, and the unnamed root of the module tree."""
 
-    def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng):
         self.cfg = cfg
-        self.dtype = dtype
-        self.embed = PatchEmbed(cfg, rng, dtype)
-        self.blocks = [TransformerBlock(f"block{i}", cfg, rng, dtype) for i in range(1, cfg.l + 1)]
-        self.head = (FusionHead if cfg.head == "fusion" else LinearFcnHead)(cfg, rng, dtype)
+        self.embed = PatchEmbed(cfg, rng)
+        self.blocks = [TransformerBlock(f"block{i}", cfg, rng) for i in range(1, cfg.l + 1)]
+        self.head = (FusionHead if cfg.head == "fusion" else LinearFcnHead)(cfg, rng)
 
     def forward(self, spikes_dense: np.ndarray, training: bool, validate: bool = False):
-        """Run backbone + head on one dense event stream [T,C,H,W].
+        """Run backbone + head on one dense event stream [T,C,H,W] as float32.
         Returns (per-block feature list, depth prediction tensor [H, W]).
         `validate` checks only that the stream is binary: the spikes inside
         the network are checked on the tape (`trace.assert_spike_purity`)."""
-        x = ad.tensor(np.asarray(spikes_dense, dtype=self.dtype))
+        x = ad.tensor(np.asarray(spikes_dense, dtype=np.float32))
         if x.data.shape != (self.cfg.t, self.cfg.c, self.cfg.h, self.cfg.w):
             raise DimensionError(
                 f"backbone: input shape {x.data.shape} != configured "

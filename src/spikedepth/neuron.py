@@ -43,9 +43,9 @@ class LifParams:
 class LifState:
     """Mutable membrane potential carried across timesteps of one sample;
     `v_pre` is the membrane of the last step just before its reset, and
-    `fired` that step's spike mask.  `lif_step` writes into all three
-    buffers in place from step to step, so a caller may point `v_pre` at a
-    slot of its own, as `mlif`'s backward does to rebuild every step's."""
+    `fired` that step's spike mask.  A step writes into all three buffers
+    in place, so a caller may point `v_pre` at a slot of its own, as
+    `mlif`'s backward does to rebuild every step's."""
 
     v: np.ndarray
     v_pre: np.ndarray
@@ -74,10 +74,8 @@ def surrogate_grad(v_minus_threshold, alpha: float, out=None):
     return np.divide(alpha / 2.0, z, out=z)
 
 
-def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Advance the membrane one step; returns the binary spike plane, written
-    into `out` when given.
+def lif_step(state: LifState, input_current: np.ndarray, params: LifParams) -> np.ndarray:
+    """Advance the membrane one step; returns the binary spike plane.
 
     Mutates `state.v` (hard reset where a spike fired) and writes into
     `state.v_pre` the membrane before that reset.  A non-finite input
@@ -85,6 +83,31 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
     wider dtype than the state promotes its buffers first, exactly; a
     membrane dtype that is not a float of at most 8 bytes (float128,
     complex) raises DimensionError before the step.
+    """
+    x = np.asarray(input_current)
+    if x.shape != state.v.shape:
+        raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
+    dtype = np.result_type(x, state.v)
+    reset = _checked_reset(x, dtype, params)
+    if state.v.dtype != dtype:
+        state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
+    _advance(state, x, params, reset)
+    return state.fired.astype(x.dtype if x.dtype.kind == "f" else np.float32)
+
+
+def _checked_reset(x: np.ndarray, dtype, params: LifParams) -> np.integer:
+    """v_reset's bits as a numpy integer of a `dtype` membrane's width, once
+    `dtype` is a float of at most 8 bytes and the current x is finite."""
+    if dtype.kind != "f" or dtype.itemsize > 8:
+        raise DimensionError(f"lif_step: membrane dtype {dtype} is not a float of at most 8 bytes")
+    if not np.isfinite(x).all():
+        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
+    return np.array(params.v_reset, dtype).view(f"i{dtype.itemsize}")[()]
+
+
+def _advance(state: LifState, x: np.ndarray, params: LifParams, reset: np.integer) -> None:
+    """`lif_step`'s update and reset by a current x and the `reset` bits that
+    `_checked_reset` gave for it: writes `state.v_pre`, `.fired` and `.v`.
 
     The update has no temporary ((x - v) / tau + v is the same IEEE sum as
     v + (x - v) / tau).  The reset is a branch-free select, v = pre +
@@ -93,36 +116,13 @@ def lif_step(state: LifState, input_current: np.ndarray, params: LifParams,
     copy.  It only moves bits, so it is exact for every membrane (±inf,
     NaN, -0.0) and every v_reset.
     """
-    x = np.asarray(input_current)
-    if x.shape != state.v.shape:
-        raise DimensionError(f"lif_step: input shape {x.shape} != state shape {state.v.shape}")
-    dtype = np.result_type(x, state.v)
-    if dtype.kind != "f" or dtype.itemsize > 8:
-        raise DimensionError(f"lif_step: membrane dtype {dtype} is not a float of at most 8 bytes")
-    if not np.isfinite(x, out=state.fired).all():
-        raise NumericError(f"lif_step: non-finite input current{ad.failure_site()}")
-    if state.v.dtype != dtype:
-        state.v, state.v_pre = state.v.astype(dtype), np.empty(x.shape, dtype=dtype)
-    if out is None:
-        out = np.empty(x.shape, dtype=x.dtype if x.dtype.kind == "f" else np.float32)
-    _advance(state, x, params)
-    np.copyto(out, state.fired)
-    return out
-
-
-def _advance(state: LifState, x: np.ndarray, params: LifParams) -> None:
-    """`lif_step`'s update and reset of a state by a current that it has
-    checked: writes `state.v_pre`, `state.fired` and `state.v`.  `mlif`'s
-    backward reruns the forward's steps through it, on the input they
-    checked, so it rebuilds their pre-reset membranes bit for bit."""
     v_pre = state.v_pre
     np.subtract(x, state.v, out=v_pre)
     v_pre /= params.tau
     v_pre += state.v
     np.greater_equal(v_pre, params.v_threshold, out=state.fired)
-    ints = np.dtype(f"i{v_pre.itemsize}")
-    pre, v = v_pre.view(ints), state.v.view(ints)
-    np.subtract(np.array(params.v_reset, v_pre.dtype).view(ints), pre, out=v)
+    pre, v = v_pre.view(reset.dtype), state.v.view(reset.dtype)
+    np.subtract(reset, pre, out=v)
     v *= state.fired
     v += pre
 
@@ -163,34 +163,33 @@ def lif_backward(v_pre: np.ndarray, upstream: np.ndarray, params: LifParams,
 
 
 def mlif(x: ad.Tensor, params: LifParams) -> ad.Tensor:
-    """Multistep LIF over the leading time axis of x [T, ...]: T calls of
-    `lif_step` on one fresh state, each writing its spikes into the output.
+    """Multistep LIF over the leading time axis of x [T, ...]: `lif_step`'s
+    checks once over all of x, then T of its updates on one fresh state.
 
     State starts at zero for every call (one call = one sample) and is
-    carried across the T steps.  Output is binary with the input dtype; a
-    non-finite input current raises lif_step's NumericError.  The forward
-    keeps nothing but its entry's input: the backward reruns its T steps
-    from x through lif_step's own update (`_advance`, without the checks x
-    has passed), pointing the state's `v_pre` at each slot of a [T, ...]
-    buffer, so it reads the very pre-reset membranes the forward computed;
-    `lif_backward` then writes the gradient over them, and the buffer lives
-    for that backward only.
+    carried across the T steps.  Output is binary with the input dtype.  The
+    forward keeps nothing but its entry's input: the backward reruns the T
+    updates from x into the slots of a [T, ...] `v_pre` buffer, so it reads
+    the very pre-reset membranes the forward computed, and `lif_backward`
+    writes the gradient over them.
     """
     xd = x.data
     if xd.ndim < 1 or xd.shape[0] < 1:
         raise DimensionError(f"mlif: need a non-empty time axis, got shape {xd.shape}")
+    reset = _checked_reset(xd, xd.dtype, params)
     spikes = np.empty_like(xd)
     state = fresh_state(xd.shape[1:], xd.dtype)
     for t in range(xd.shape[0]):
         # [t, ...] is a view also of a [T] input, where [t] is a scalar
-        lif_step(state, xd[t, ...], params, out=spikes[t, ...])
+        _advance(state, xd[t, ...], params, reset)
+        np.copyto(spikes[t, ...], state.fired)
 
     def bwd(g):
         v_pre = np.empty_like(xd)
         state = fresh_state(xd.shape[1:], xd.dtype)
         for t in range(xd.shape[0]):
             state.v_pre = v_pre[t, ...]
-            _advance(state, xd[t, ...], params)
+            _advance(state, xd[t, ...], params, reset)
         return (lif_backward(v_pre, g, params, out=v_pre),)
 
     return ad._op("mlif", (x,), spikes, bwd)

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from spikedepth import autodiff as ad
 from spikedepth.dataio import DepthMap, gen_synthetic
+from spikedepth.layers import _modules
 from spikedepth.losses import DistillConfig, FeatureProjections
 from spikedepth.model import DepthModel, ModelConfig
 from spikedepth.neuron import LifParams
@@ -245,8 +246,28 @@ def tiny_model_cfg(**overrides) -> ModelConfig:
     return ModelConfig(**kw)
 
 
+def cast(module, dtype):
+    """`module` with every parameter and buffer of its tree (BN running
+    statistics included) cast to `dtype` in place: the model is float32 by
+    construction, and float64 gradient checks run on such a cast of it."""
+    for attr, value in list(vars(module).items()):
+        if isinstance(value, ad.Tensor) and value.is_param:
+            value.data = value.data.astype(dtype, copy=False)
+        elif isinstance(value, np.ndarray):
+            setattr(module, attr, value.astype(dtype, copy=False))
+        for child in _modules(value):
+            cast(child, dtype)
+    return module
+
+
+def tensor_dtypes(*modules) -> set:
+    """The dtypes of every parameter and buffer of the modules' trees."""
+    return {arr.dtype for m in modules
+            for arr in [p.data for _, p in m.named_params()] + [b for _, b in m.named_buffers()]}
+
+
 def tiny_model(seed=0, dtype=np.float32, **overrides) -> DepthModel:
-    return DepthModel(tiny_model_cfg(**overrides), np.random.default_rng(seed), dtype)
+    return cast(DepthModel(tiny_model_cfg(**overrides), np.random.default_rng(seed)), dtype)
 
 
 def tiny_distill_cfg(**overrides) -> DistillConfig:
@@ -256,7 +277,7 @@ def tiny_distill_cfg(**overrides) -> DistillConfig:
 
 
 def tiny_projections(cfg: DistillConfig, student_dim=8, seed=0, dtype=np.float32):
-    return FeatureProjections(cfg, student_dim, np.random.default_rng(seed), dtype)
+    return cast(FeatureProjections(cfg, student_dim, np.random.default_rng(seed)), dtype)
 
 
 def tiny_dataset(seed=0, n=2, t=2, h=16, w=16, teacher_dim=4):

@@ -10,6 +10,7 @@ from helpers import (
     TAPE_MODES,
     assert_fd_match,
     batchnorm_reference,
+    cast,
     depth_map,
     fd_gradient,
     grad_agreement,
@@ -891,7 +892,7 @@ def _model_conv_bn_layers(model_kw, dtype, monkeypatch):
     out = []
     for (x_shape, w_shape), scope in calls.items():
         cout, cin, k, _ = w_shape
-        layer = ConvBN(scope, cin, cout, k, rng, dtype)
+        layer = cast(ConvBN(scope, cin, cout, k, rng), dtype)
         _randomise_bn(layer, rng)
         x = rng.random(x_shape)
         out.append((layer, (x if scope.startswith("head") else x < 0.3).astype(dtype)))
@@ -967,7 +968,7 @@ def test_eval_model_runs_one_conv_bn_per_conv_bn_layer(dtype):
     inspection tape, where it records one `conv_bn` entry per ConvBN it
     runs and no batchnorm, and prices as the gradient tape's rows."""
     rng = np.random.default_rng(4)
-    model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng, dtype)
+    model = cast(DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng), dtype)
     layers = {}
     for name, p in model.named_params():
         if name.endswith(".gamma"):

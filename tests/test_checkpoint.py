@@ -10,6 +10,7 @@ from helpers import (
     disk_full_after,
     poison_payload,
     random_spikes,
+    tensor_dtypes,
     tiny_distill_cfg,
     tiny_model,
     tiny_projections,
@@ -51,6 +52,7 @@ def test_load_model_reproduces_predictions(tmp_path, rng):
     path, model, _, _ = _saved(tmp_path, seed=5)
     rebuilt, projections, distill = load_model(path)
     assert projections is not None and distill is not None
+    assert tensor_dtypes(rebuilt, projections) == {np.dtype(np.float32)}
     spikes = random_spikes(rng)
     np.testing.assert_array_equal(model.predict(spikes), rebuilt.predict(spikes))
 

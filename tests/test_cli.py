@@ -187,7 +187,7 @@ def test_full_pipeline(tmp_path, capsys):
 # model sizes that are not positive, train settings below their range, a
 # matched block named twice and a residual merge or rate encoding that is not
 # the spike-driven network's
-@pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8",
+@pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8", "seed=-1",
                                       "grad_clip=-1", "checkpoint_every=-2",
                                       "matched_blocks=4,4", "merge=add", "rate_mode=sum"])
 def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):
@@ -198,6 +198,19 @@ def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):
                    + [arg for kv in fits + [override] for arg in ("--set", kv)])
     assert rc == 1
     assert len(out) == 1 and out[0].startswith("error=CONFIG/"), out
+    assert not run.exists()
+
+
+def test_train_negative_seed_in_a_config_file_is_one_error_line(tmp_path, capsys):
+    """A seed below 0 is refused before the run, as `gen --seed -1` is: one
+    error line, exit 1 and no out dir, not numpy's ValueError from the rng."""
+    data = _tiny_data(tmp_path, capsys)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_TRAIN_CFG.replace("seed=1", "seed=-1"))
+    run = tmp_path / "run"
+    rc, out = _run(capsys, ["train", "--config", str(cfg), "--data", str(data), "--out", str(run)])
+    assert rc == 1
+    assert out == ["error=CONFIG/seed must be >= 0, got -1"], out
     assert not run.exists()
 
 

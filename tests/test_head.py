@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     FOLDED_PRED_TOL,
     TAPE_MODES,
+    cast,
     inspection_tape,
     random_spikes,
     tiny_model,
@@ -168,7 +169,7 @@ def test_folded_tail_equals_reference_in_float64(rng):
     folded tail equals the reference head's logits to 1e-12, borders
     included; it records one `fusion_tail` entry in place of the reference
     layers, and the untaped forward predicts the inspection tape's bits."""
-    head = FusionHead(tiny_model_cfg(), np.random.default_rng(3), np.float64)
+    head = cast(FusionHead(tiny_model_cfg(), np.random.default_rng(3)), np.float64)
     _randomise_bn(head, rng)
     feats = [ad.tensor((rng.random((2, 8, 3, 5)) < 0.5).astype(np.float64)) for _ in range(4)]
     ref, ref_entries = _logits(head, feats, "grad")
@@ -190,7 +191,7 @@ def test_folded_tail_equals_reference_in_float64(rng):
 def test_folded_tail_builds_its_kernels_from_the_live_parameters(rng):
     """A parameter changed between two calls changes the next prediction
     exactly as it changes the reference graph's: nothing is cached."""
-    head = FusionHead(tiny_model_cfg(), np.random.default_rng(5), np.float64)
+    head = cast(FusionHead(tiny_model_cfg(), np.random.default_rng(5)), np.float64)
     _randomise_bn(head, rng)
     feats = [ad.tensor((rng.random((2, 8, 2, 2)) < 0.5).astype(np.float64)) for _ in range(4)]
     before = head.forward(feats, training=False).data

@@ -6,6 +6,7 @@ from helpers import (
     assert_fd_match,
     depth_map,
     random_spikes,
+    tensor_dtypes,
     tiny_distill_cfg,
     tiny_model,
     tiny_projections,
@@ -196,20 +197,28 @@ def test_total_kd_needs_teacher_and_projections(rng):
 
 
 def test_total_teacher_receives_no_gradient(rng):
-    model = tiny_model()
-    cfg = tiny_distill_cfg()
-    projections = tiny_projections(cfg)
-    teacher = ad.tensor(np.zeros((4, 2, 2), np.float32))  # requires_grad False
-    gt = depth_map(rng.random((16, 16)))
-    with ad.tape() as t:
-        feats, pred = model.forward(random_spikes(rng), training=True)
-        total, _, _ = total_loss(feats, pred, gt, teacher.data, projections, cfg)
-    t.backward(total)
-    assert teacher.grad is None
-    # projections and head do receive gradients
-    assert all(p.grad is not None for _, p in projections.named_params())
-    head_grads = [p.grad for n, p in model.named_params() if n.startswith("head.")]
-    assert all(g is not None for g in head_grads)
+    """Also in float64: a model and projections cast to it, as criterion 03
+    builds them, hold only float64 tensors, and every op of the KD step, the
+    prediction and every gradient are float64; none runs in float32."""
+    for dtype in (np.float32, np.float64):
+        model = tiny_model(dtype=dtype)
+        cfg = tiny_distill_cfg()
+        projections = tiny_projections(cfg, dtype=dtype)
+        assert tensor_dtypes(model, projections) == {np.dtype(dtype)}
+        teacher = ad.tensor(np.zeros((4, 2, 2), np.float32))  # requires_grad False
+        gt = depth_map(rng.random((16, 16)))
+        with ad.tape() as t:
+            feats, pred = model.forward(random_spikes(rng), training=True)
+            total, _, _ = total_loss(feats, pred, gt, teacher.data, projections, cfg)
+        assert {e.output.data.dtype for e in t.entries} == {np.dtype(dtype)}
+        t.backward(total)
+        assert teacher.grad is None
+        # projections and head do receive gradients
+        assert all(p.grad is not None for _, p in projections.named_params())
+        head_grads = [p.grad for n, p in model.named_params() if n.startswith("head.")]
+        assert all(g is not None for g in head_grads)
+        grads = [p.grad for _, p in list(model.named_params()) + list(projections.named_params())]
+        assert {g.dtype for g in grads if g is not None} == {np.dtype(dtype)}
 
 
 def test_total_both_components_zero(rng):

@@ -6,12 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TAPE_MODES, inspection_tape, random_spikes, tiny_model, tiny_model_cfg
+from helpers import (
+    TAPE_MODES,
+    inspection_tape,
+    random_spikes,
+    tensor_dtypes,
+    tiny_distill_cfg,
+    tiny_model,
+    tiny_model_cfg,
+)
 from spikedepth import autodiff as ad
 from spikedepth.energy import price
 from spikedepth.errors import ConfigError, ContractError, DimensionError
 from spikedepth.layers import Conv, ConvBN, Module
+from spikedepth.losses import FeatureProjections
 from spikedepth.model import (
+    HEAD_KINDS,
     DepthModel,
     ModelConfig,
     merge_spikes,
@@ -213,15 +223,21 @@ def test_linear_fcn_head_allows_other_depths():
 
 
 def test_backbone_shapes_and_feature_count(rng):
-    model = tiny_model()
-    x = random_spikes(rng)
-    with ad.tape():
-        feats, pred = model.forward(x, training=False)
-    assert len(feats) == 4
-    for f in feats:
-        assert f.data.shape == (2, 8, 2, 2)  # [T, D, H/8, W/8]
-        assert set(np.unique(f.data)) <= {0.0, 1.0}
-    assert pred.data.shape == (16, 16)
+    """The model, with either head, and the KD projections are float32 by
+    construction, and so are the block features and the prediction, also
+    of a float64 stream."""
+    projections = FeatureProjections(tiny_distill_cfg(), 8, np.random.default_rng(0))
+    assert tensor_dtypes(projections) == {np.dtype(np.float32)}
+    for head in HEAD_KINDS:
+        model = DepthModel(tiny_model_cfg(head=head), np.random.default_rng(0))
+        assert tensor_dtypes(model) == {np.dtype(np.float32)}, head
+        with ad.tape():
+            feats, pred = model.forward(random_spikes(rng, dtype=np.float64), training=False)
+        assert len(feats) == 4
+        for f in feats:
+            assert f.data.shape == (2, 8, 2, 2)  # [T, D, H/8, W/8]
+            assert f.data.dtype == np.float32 and set(np.unique(f.data)) <= {0.0, 1.0}
+        assert pred.data.shape == (16, 16) and pred.data.dtype == np.float32
 
 
 def test_backbone_rejects_wrong_input_shape():
