@@ -2,8 +2,10 @@
 
 The op set is exactly what the spiking depth network needs: stride-1 conv and
 batchnorm over [B,C,H,W] (fused into one `conv_bn` op for every eval forward,
-under any tape or none; only the model's attention product and fusion-head
-tail pick their graph by whether a gradient is needed), k x k max pooling
+under any tape or none; the model's attention product is one fused
+`spike_attention` op except in an eval forward on a gradient tape, the one
+forward that runs its two-matmul graph, and the fusion-head tail folds only
+in an eval forward that needs no gradient), k x k max pooling
 and bilinear upsampling for the layers, batched matmul for attention, and
 elementwise arithmetic plus reductions for the losses.  Ops execute eagerly
 on numpy arrays and, when a tape is active, record an entry holding the
@@ -24,8 +26,9 @@ activations are freed.
 A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
 xhat, conv_bn its conv output, maxpool2d its column maxima, `neuron.mlif`
-its pre-reset membranes by rerunning the recurrence) from its entry's input
-and per-channel vectors.
+its pre-reset membranes by rerunning the recurrence, the model's
+`spike_attention` its N x N matrix Q K^T) from its entry's inputs and
+per-channel vectors.
 
 The model is float32 by construction; float64 gradient checks cast a built
 model.  Ops keep the dtype of their inputs and never broadcast beyond the

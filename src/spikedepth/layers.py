@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
+from .errors import DimensionError
 from .neuron import LifParams, mlif
 
 
@@ -15,12 +16,17 @@ def kaiming_uniform(rng, shape, fan_in):
 
     `rng=None` draws nothing and returns zeros, for a caller that overwrites
     every tensor (`checkpoint.load_model`): building a model then needs no
-    random numbers, so it does not load `numpy.random`.
+    random numbers, so it does not load `numpy.random`.  A shape that numpy
+    refuses before allocating (a dimension or byte count beyond its index
+    range) raises DimensionError.
     """
-    if rng is None:
-        return np.zeros(shape, dtype=np.float32)
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    try:
+        if rng is None:
+            return np.zeros(shape, dtype=np.float32)
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    except ValueError as exc:
+        raise DimensionError(f"model size too large: weight shape {shape} ({exc})") from None
 
 
 class Module:

@@ -72,29 +72,44 @@ class ModelConfig:
         return (self.h // 8) * (self.w // 8)
 
 
-def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float) -> ad.Tensor:
+def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float,
+                            training: bool = False) -> ad.Tensor:
     """Scaled spiking attention current ((Q K^T) V) * s for q [T, N, D],
     k [T, M, D] and v [T, M, Dv]; any other shape raises DimensionError.
 
-    Whether the output needs a gradient picks the product, and nothing else
-    does.  If it does not (no tape, or an inspection tape), the product runs
-    as Q (K^T V), one `spike_attention` entry over (q, k, v) that never forms
-    the N x N matrix Q K^T.  If it does, the `qk` and `av` matmuls run
-    (Q K^T) V, the association the backward differentiates.  For spikes,
-    every partial sum of either association is an integer of at most M*D,
-    which float32 holds exactly below 2**24, so both give the same bits.
-    The spikes are checked on the tape, not here: `trace.assert_spike_purity`
-    requires three binary operands of a fused entry, and `energy.price`,
-    which prices it as the two products, refuses one that is not.
+    A training forward, or one that needs no gradient (no tape, or an
+    inspection tape), runs the product as Q (K^T V): one `spike_attention`
+    entry over (q, k, v) that never forms the N x N matrix Q K^T, so a
+    gradient tape keeps none.  Its backward rebuilds Q K^T and reruns the
+    `qk` and `av` matmuls' own backward calls on arrays of their layout, so
+    its gradients have their bits.  Only an eval forward on a gradient tape
+    runs those two scoped matmuls, (Q K^T) V, and keeps Q K^T as the `qk`
+    entry's output.  For spikes, every partial sum of either association is
+    an integer of at most M*D, which float32 holds exactly below 2**24, so
+    both give the same bits.  The spikes are checked on the tape, not here:
+    `trace.assert_spike_purity` requires three binary operands of a fused
+    entry, and `energy.price`, which prices it as the two products, refuses
+    one that is not.
     """
     qd, kd, vd = q.data, k.data, v.data
     if not (qd.ndim == kd.ndim == vd.ndim == 3 and qd.shape[::2] == kd.shape[::2]
             and vd.shape[:2] == kd.shape[:2]):
         raise DimensionError(f"attention: need q [T,N,D], k [T,M,D], v [T,M,Dv], "
                              f"got {qd.shape}, {kd.shape}, {vd.shape}")
-    if not ad._needs(q, k, v):
+    if training or not ad._needs(q, k, v):
+
+        def bwd(g):
+            # transpose -> qk matmul -> av matmul, backward; Q K^T is freed
+            # before its gradient ga is made, so one N x N array lives at a time
+            kt = np.ascontiguousarray(kd.transpose(0, 2, 1))
+            gv = (qd @ kt).swapaxes(-1, -2) @ g if v.requires_grad else None
+            ga = g @ vd.swapaxes(-1, -2) if q.requires_grad or k.requires_grad else None
+            gq = ga @ kt.swapaxes(-1, -2) if q.requires_grad else None
+            gk = (qd.swapaxes(-1, -2) @ ga).transpose(0, 2, 1) if k.requires_grad else None
+            return gq, gk, gv
+
         out = qd @ (kd.transpose(0, 2, 1) @ vd)
-        return ad.scale(ad._op("spike_attention", (q, k, v), out, None), s)
+        return ad.scale(ad._op("spike_attention", (q, k, v), out, bwd), s)
     with ad.scope("qk"):
         attn = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
     with ad.scope("av"):
@@ -161,7 +176,7 @@ class SpikingSelfAttention(Module):
             q = self.q_lif.forward(self.q_conv.forward(x, training))
             k = self.k_lif.forward(self.k_conv.forward(x, training))
             v = self.v_lif.forward(self.v_conv.forward(x, training))
-            a = spike_attention_product(tokens(q), tokens(k), tokens(v), self.s)
+            a = spike_attention_product(tokens(q), tokens(k), tokens(v), self.s, training)
             a = ad.reshape(ad.transpose(a, (0, 2, 1)), (T, d, hh, ww))
             out = self.attn_lif.forward(a)
             out = self.out_conv.forward(out, training)

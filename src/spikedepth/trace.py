@@ -8,8 +8,9 @@ every backbone entry and enforces the spike-driven contract:
     also one fused with its eval batch norm (`conv_bn`);
   * every activation-by-activation product has at least one binary operand
     (so no float-by-float multiplications between spike tensors), and a
-    fused attention product Q (K^T V), which the gradient alone selects and
-    which scans none of its operands, has three binary ones;
+    fused attention product Q (K^T V), which every forward but an eval one
+    on a gradient tape runs and which scans none of its operands, has three
+    binary ones;
   * residual merges and neuron outputs are exactly binary, as are the
     declared layer-boundary tensors.
 """

@@ -217,6 +217,18 @@ def maxpool_backward_reference(x, out, g, k):
     return gx
 
 
+def two_matmul_attention(q, k, v, s):
+    """The spiking attention product as the op graph `transpose -> matmul
+    -> matmul -> scale`, (Q K^T) V * s, which keeps Q K^T on a gradient
+    tape: the oracle whose output and gradient bits the fused
+    `spike_attention` entry must give."""
+    with ad.scope("qk"):
+        attn = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
+    with ad.scope("av"):
+        out = ad.matmul(attn, v)
+    return ad.scale(out, s)
+
+
 @contextmanager
 def inspection_tape():
     """An inspection tape whose consumer appends each entry, in recording

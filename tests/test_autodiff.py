@@ -405,7 +405,7 @@ def test_backward_frees_each_entry_once_replayed():
     refs = [weakref.ref(e.output.data) if isinstance(e.output.data, np.ndarray) else None
             for e in t.entries[:-1]]
     n, ops = len(t.entries), {e.op for e in t.entries}
-    assert {"conv2d", "batchnorm", "mlif", "matmul"} <= ops
+    assert {"conv2d", "batchnorm", "mlif", "spike_attention"} <= ops
     alive = []
     _spy_on_replay(t.entries, refs, alive)
     t.backward(loss)
@@ -437,6 +437,37 @@ def test_training_backward_peaks_near_the_forward_memory():
         tracemalloc.stop()
     assert forward_end > 50e6  # the activations of the whole step are traced
     assert backward_peak <= 1.1 * forward_end, (backward_peak, forward_end)
+
+
+def _closure_arrays(entry):
+    """The arrays an entry's backward closure holds, Tensors' data included."""
+    cells = [c.cell_contents for c in (entry.bwd.__closure__ or ())] if entry.bwd else []
+    arrays = [c.data if isinstance(c, ad.Tensor) else c for c in cells]
+    return [a for a in arrays if isinstance(a, np.ndarray)]
+
+
+def test_training_tape_holds_no_token_by_token_matrix():
+    """A linear-FCN training forward at 128x160 (320 tokens) keeps no
+    [T, N, N] array on its gradient tape, as an entry output or in a
+    backward closure: its attention is one `spike_attention` entry, whose
+    backward rebuilds Q K^T.  An eval forward on a gradient tape still runs
+    the two-matmul graph and keeps Q K^T, the `qk` matmul's output, which
+    the `av` matmul's backward holds as its operand."""
+    rng = np.random.default_rng(0)
+    model = DepthModel(ModelConfig(t=2, c=2, h=128, w=160, d=16, l=2, head="linear_fcn"), rng)
+    spikes = (rng.random((2, 2, 128, 160)) < 0.3).astype(np.float32)
+    n = model.cfg.tokens
+    assert n == 320
+    kept = {}
+    for training in (True, False):
+        with ad.tape() as t:
+            model.forward(spikes, training=training)
+        kept[training] = [f"{e.scope}: {e.op}" for e in t.entries
+                          if any(a.shape[-2:] == (n, n)
+                                 for a in [e.output.data] + _closure_arrays(e))]
+        assert ("spike_attention" in {e.op for e in t.entries}) is training
+    assert kept[True] == []
+    assert kept[False] == [f"block{i}.attn.{p}: matmul" for i in (1, 2) for p in ("qk", "av")]
 
 
 def test_backward_needs_scalar_loss():
@@ -743,10 +774,11 @@ def test_gradient_tape_keeps_no_derived_copies():
     """Every array a backward closure holds on a gradient tape shares memory
     with its entry's inputs or output or with a parameter, or is a
     per-channel vector of its input's or output's channels: conv2d's im2col
-    cols, batchnorm's xhat, conv_bn's conv output and mlif's pre-reset
-    membranes are rebuilt from the entry's input, not kept.  Checked over a
-    recipe training forward with KD projections and its loss, and an eval
-    forward, where each ConvBN is one `conv_bn` op."""
+    cols, batchnorm's xhat, conv_bn's conv output, mlif's pre-reset
+    membranes and spike_attention's Q K^T are rebuilt from the entry's
+    inputs, not kept.  Checked over a recipe training forward with KD
+    projections and its loss, and an eval forward, where each ConvBN is one
+    `conv_bn` op and attention the two-matmul graph."""
     rng = np.random.default_rng(0)
     model = DepthModel(ModelConfig(**_CONV_MODELS["recipe"]), rng)
     dcfg = DistillConfig(matched_blocks=(2, 4))
@@ -775,8 +807,8 @@ def test_gradient_tape_keeps_no_derived_copies():
                     (e.inputs[0].data.shape[1],), e.output.data.shape[1:2]):
                 continue
             stray.append(f"{e.scope}: {e.op}.{name} {arr.shape}")
-    assert {"conv2d", "batchnorm", "conv_bn", "mlif", "matmul", "upsample_bilinear",
-            "sigmoid"} <= checked
+    assert {"conv2d", "batchnorm", "conv_bn", "mlif", "matmul", "spike_attention",
+            "upsample_bilinear", "sigmoid"} <= checked
     assert not stray, stray
 
 

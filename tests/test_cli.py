@@ -184,10 +184,13 @@ def test_full_pipeline(tmp_path, capsys):
         assert KEY_VALUE.match(line), line
 
 
-# model sizes that are not positive, train settings below their range, a
+# model sizes that are not positive, or so large that numpy refuses the
+# weight's shape before allocating it, train settings below their range, a
 # matched block named twice and a residual merge or rate encoding that is not
 # the spike-driven network's
 @pytest.mark.parametrize("override", ["d=0", "d=-4", "h=0", "w=-8", "seed=-1",
+                                      "d=99999999999999999996",
+                                      "mlp_ratio=99999999999999999999",
                                       "grad_clip=-1", "checkpoint_every=-2",
                                       "matched_blocks=4,4", "merge=add", "rate_mode=sum"])
 def test_train_bad_model_size_is_one_error_line(tmp_path, capsys, override):

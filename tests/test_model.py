@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     TAPE_MODES,
+    depth_map,
     inspection_tape,
     random_spikes,
     tensor_dtypes,
     tiny_distill_cfg,
     tiny_model,
     tiny_model_cfg,
+    two_matmul_attention,
 )
 from spikedepth import autodiff as ad
+from spikedepth import model as model_module
 from spikedepth.energy import price
 from spikedepth.errors import ConfigError, ContractError, DimensionError
-from spikedepth.layers import Conv, ConvBN, Module
-from spikedepth.losses import FeatureProjections
+from spikedepth.layers import Conv, ConvBN, Module, kaiming_uniform
+from spikedepth.losses import DistillConfig, FeatureProjections, total_loss
 from spikedepth.model import (
     HEAD_KINDS,
     DepthModel,
@@ -125,8 +128,9 @@ def _in_scope(scope):
          scope="block1.attn")  # counts of 4: the N-per-spike `av` rule
 def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, seed, dtype, s, scope):
     """Q (K^T V) for spikes gives the bits of (Q K^T) V and the energy rows
-    of its two products; only a gradient makes it stand aside, and over
-    non-spikes it is still one entry, which purity and the audit refuse."""
+    of its two products; only an eval forward on a gradient tape makes it
+    stand aside, and over non-spikes it is still one entry, which purity and
+    the audit refuse."""
     q, k, v = _attention_operands(t, n, m, d, dv, density, seed, dtype)
     with ad.tape() as grad_tape, _in_scope(scope):
         want = spike_attention_product(*(ad.parameter(a) for a in (q, k, v)), s)
@@ -148,6 +152,74 @@ def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, 
         assert_spike_purity(entries)
     with pytest.raises(ContractError, match="block1.attn"):
         price(entries, Module())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(t=st.integers(1, 3), n=st.integers(1, 16), m=st.integers(1, 16), d=st.integers(1, 16),
+       dv=st.integers(1, 16), density=st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.6, 1.0]),
+       seed=st.integers(0, 2 ** 16), dtype=st.sampled_from([np.float32, np.float64]),
+       s=st.sampled_from([0.25, 1 / 3, 2.0]), needs=st.sets(st.sampled_from("qkv")))
+@example(t=2, n=16, m=12, d=16, dv=9, density=0.0, seed=0, dtype=np.float32, s=0.25,
+         needs={"q", "k", "v"})  # silent operands: every gradient is zero
+@example(t=3, n=7, m=16, d=5, dv=16, density=1.0, seed=1, dtype=np.float64, s=1 / 3,
+         needs={"q", "k", "v"})  # every operand fires: the largest counts
+def test_fused_training_attention_has_the_two_matmul_graphs_bits(t, n, m, d, dv, density, seed,
+                                                                 dtype, s, needs):
+    """A training forward is one `spike_attention` entry on a gradient tape,
+    and its output and the gradients of whichever of q, k and v need one
+    are the bytes of the `transpose -> matmul -> matmul -> scale` oracle's."""
+    q, k, v = _attention_operands(t, n, m, d, dv, density, seed, dtype)
+    upstream = np.random.default_rng(seed).standard_normal((t, n, dv)).astype(dtype)
+
+    def run(product):
+        leaves = [ad.parameter(a) if name in needs else ad.tensor(a)
+                  for name, a in zip("qkv", (q, k, v))]
+        with ad.tape() as tp:
+            out = product(*leaves)
+            loss = ad.reduce_sum(ad.mul(out, ad.tensor(upstream)))
+        ops = _ops(tp.entries)
+        tp.backward(loss)
+        return ops, out.data, [leaf.grad for leaf in leaves]
+
+    got_ops, got, got_grads = run(lambda *qkv: spike_attention_product(*qkv, s, training=True))
+    want_ops, want, want_grads = run(lambda *qkv: two_matmul_attention(*qkv, s))
+    assert got_ops == ["spike_attention", "scale", "mul", "reduce_sum"]
+    assert want_ops == ["transpose", "matmul", "matmul", "scale", "mul", "reduce_sum"]
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    for name, g, w in zip("qkv", got_grads, want_grads):
+        assert (g is None) is (w is None) is (name not in needs), name
+        assert g is None or (g.dtype == w.dtype and g.tobytes() == w.tobytes()), name
+
+
+def test_training_step_gradients_match_the_two_matmul_graph(monkeypatch):
+    """A tiny model's training step gives every parameter the same gradient
+    bytes with the fused attention entry as with the two-matmul oracle in
+    the model's place, and attention gradients reach q, k and v."""
+    rng = np.random.default_rng(0)
+    spikes = random_spikes(rng, p=0.4)
+    gt = depth_map(rng.uniform(0.2, 1.0, (16, 16)))
+    dcfg = DistillConfig(matched_blocks=(2, 4))
+
+    def step():
+        model = tiny_model(seed=1)
+        with ad.tape() as tp:
+            feats, pred = model.forward(spikes, training=True)
+            loss, _, _ = total_loss(feats, pred, gt, None, None, dcfg)
+        ops = _ops(tp.entries)
+        tp.backward(loss)
+        return ops, {name: p.grad for name, p in model.named_params()}
+
+    fused_ops, fused = step()
+    monkeypatch.setattr(model_module, "spike_attention_product",
+                        lambda q, k, v, s, training: two_matmul_attention(q, k, v, s))
+    oracle_ops, oracle = step()
+    assert fused_ops.count("spike_attention") == 4 and "matmul" not in fused_ops
+    assert oracle_ops.count("matmul") == 8 and "spike_attention" not in oracle_ops
+    for part in ("q", "k", "v"):
+        assert np.any(fused[f"block1.attn.{part}.conv.w"]), part
+    assert fused.keys() == oracle.keys()
+    for name, g in fused.items():
+        assert g.tobytes() == oracle[name].tobytes(), name
 
 
 def test_purity_counts_fused_attention_as_two_products(rng):
@@ -209,6 +281,17 @@ def test_config_validation():
     cfg = tiny_model_cfg()
     assert cfg.embed_channels == (2, 4, 8)
     assert cfg.tokens == 4
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_weight_shape_numpy_refuses_is_a_dimension_error(seeded):
+    """A model size whose weight shape numpy refuses before allocating (a
+    dimension beyond its index range, or a byte count beyond it) is a
+    DimensionError from building the layer, drawn or zero-filled."""
+    rng = np.random.default_rng(0) if seeded else None
+    for shape in ((24999999999999999999, 2, 3, 3), (2 ** 62, 2, 3, 3)):
+        with pytest.raises(DimensionError, match=r"model size too large: weight shape"):
+            kaiming_uniform(rng, shape, 18)
 
 
 def test_linear_fcn_head_allows_other_depths():
