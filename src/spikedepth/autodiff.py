@@ -27,8 +27,8 @@ A gradient tape keeps its entries' tensors and no copy derived from them:
 a backward rebuilds what it reads (conv2d its im2col cols, batchnorm its
 xhat, conv_bn its conv output, maxpool2d its column maxima, `neuron.mlif`
 its pre-reset membranes by rerunning the recurrence, the model's
-`spike_attention` its N x N matrix Q K^T) from its entry's inputs and
-per-channel vectors.
+`spike_attention` K^T V, never the N x N matrix Q K^T) from its entry's
+inputs and per-channel vectors.
 
 The model is float32 by construction; float64 gradient checks cast a built
 model.  Ops keep the dtype of their inputs and never broadcast beyond the

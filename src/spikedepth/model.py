@@ -79,14 +79,16 @@ def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float,
 
     A training forward, or one that needs no gradient (no tape, or an
     inspection tape), runs the product as Q (K^T V): one `spike_attention`
-    entry over (q, k, v) that never forms the N x N matrix Q K^T, so a
-    gradient tape keeps none.  Its backward rebuilds Q K^T and reruns the
-    `qk` and `av` matmuls' own backward calls on arrays of their layout, so
-    its gradients have their bits.  Only an eval forward on a gradient tape
-    runs those two scoped matmuls, (Q K^T) V, and keeps Q K^T as the `qk`
-    entry's output.  For spikes, every partial sum of either association is
-    an integer of at most M*D, which float32 holds exactly below 2**24, so
-    both give the same bits.  The spikes are checked on the tape, not here:
+    entry over (q, k, v) that never forms the N x N matrix Q K^T.  Its
+    backward is that association's own: the `transpose -> matmul(K^T, V)
+    -> matmul(Q, .)` graph's backward calls on arrays of its layout, so no
+    step of a training forward or backward makes an N x N array.  Only an
+    eval forward on a gradient tape runs the two scoped matmuls, (Q K^T) V,
+    and keeps Q K^T as the `qk` entry's output.  For spikes, every partial
+    sum of either association is an integer of at most M*D, which float32
+    holds exactly below 2**24, so both forwards give the same bits; their
+    gradients differ in the last bits, as the association of a float
+    upstream gradient does.  The spikes are checked on the tape, not here:
     `trace.assert_spike_purity` requires three binary operands of a fused
     entry, and `energy.price`, which prices it as the two products, refuses
     one that is not.
@@ -99,13 +101,14 @@ def spike_attention_product(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, s: float,
     if training or not ad._needs(q, k, v):
 
         def bwd(g):
-            # transpose -> qk matmul -> av matmul, backward; Q K^T is freed
-            # before its gradient ga is made, so one N x N array lives at a time
-            kt = np.ascontiguousarray(kd.transpose(0, 2, 1))
-            gv = (qd @ kt).swapaxes(-1, -2) @ g if v.requires_grad else None
-            ga = g @ vd.swapaxes(-1, -2) if q.requires_grad or k.requires_grad else None
-            gq = ga @ kt.swapaxes(-1, -2) if q.requires_grad else None
-            gk = (qd.swapaxes(-1, -2) @ ga).transpose(0, 2, 1) if k.requires_grad else None
+            # transpose -> K^T V matmul -> Q (.) matmul, backward: every
+            # product is [T, N, D]-sized or [T, D, Dv]-sized, none N x N
+            nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
+            kt = np.ascontiguousarray(kd.transpose(0, 2, 1)) if nq or nv else None
+            gp = qd.swapaxes(-1, -2) @ g if nk or nv else None  # gradient of K^T V
+            gq = g @ (kt @ vd).swapaxes(-1, -2) if nq else None
+            gk = (gp @ vd.swapaxes(-1, -2)).transpose(0, 2, 1) if nk else None
+            gv = kt.swapaxes(-1, -2) @ gp if nv else None
             return gq, gk, gv
 
         out = qd @ (kd.transpose(0, 2, 1) @ vd)

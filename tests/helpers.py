@@ -220,13 +220,22 @@ def maxpool_backward_reference(x, out, g, k):
 def two_matmul_attention(q, k, v, s):
     """The spiking attention product as the op graph `transpose -> matmul
     -> matmul -> scale`, (Q K^T) V * s, which keeps Q K^T on a gradient
-    tape: the oracle whose output and gradient bits the fused
-    `spike_attention` entry must give."""
+    tape: the oracle whose output bits and energy rows the fused
+    `spike_attention` entry must give, and whose float64 gradients a
+    training entry's must match to rounding."""
     with ad.scope("qk"):
         attn = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
     with ad.scope("av"):
         out = ad.matmul(attn, v)
     return ad.scale(out, s)
+
+
+def associative_attention(q, k, v, s):
+    """The spiking attention product as the op graph `transpose -> matmul
+    -> matmul -> scale` in the other association, Q (K^T V) * s, which
+    makes no N x N array: the oracle whose output and gradient bits a
+    training `spike_attention` entry must give."""
+    return ad.scale(ad.matmul(q, ad.matmul(ad.transpose(k, (0, 2, 1)), v)), s)
 
 
 @contextmanager

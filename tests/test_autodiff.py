@@ -25,7 +25,7 @@ from spikedepth.errors import DimensionError, NumericError, StaleTapeError
 from spikedepth.head import FOLDED_LAYERS, rate_encode
 from spikedepth.layers import ConvBN
 from spikedepth.losses import DistillConfig, FeatureProjections, total_loss
-from spikedepth.model import DepthModel, ModelConfig
+from spikedepth.model import DepthModel, ModelConfig, spike_attention_product
 
 # ---------------------------------------------------------------------------
 # forward oracles
@@ -450,7 +450,7 @@ def test_training_tape_holds_no_token_by_token_matrix():
     """A linear-FCN training forward at 128x160 (320 tokens) keeps no
     [T, N, N] array on its gradient tape, as an entry output or in a
     backward closure: its attention is one `spike_attention` entry, whose
-    backward rebuilds Q K^T.  An eval forward on a gradient tape still runs
+    backward makes none either.  An eval forward on a gradient tape still runs
     the two-matmul graph and keeps Q K^T, the `qk` matmul's output, which
     the `av` matmul's backward holds as its operand."""
     rng = np.random.default_rng(0)
@@ -468,6 +468,28 @@ def test_training_tape_holds_no_token_by_token_matrix():
         assert ("spike_attention" in {e.op for e in t.entries}) is training
     assert kept[True] == []
     assert kept[False] == [f"block{i}.attn.{p}: matmul" for i in (1, 2) for p in ("qk", "av")]
+
+
+def test_training_attention_backward_makes_no_token_by_token_matrix():
+    """The backward of one 1280-token (256x320) training `spike_attention`
+    entry, T=4 and D=64, peaks below the bytes of one [T, N, N] float32
+    array (25 MiB): its products are [T, N, D]- or [T, D, D]-sized, and
+    it peaks at 6.3 MiB (a backward that rebuilt Q K^T peaked at 31.3 MiB)."""
+    t, n, d = 4, 1280, 64
+    rng = np.random.default_rng(0)
+    q, k, v = (ad.parameter((rng.random((t, n, d)) < 0.2).astype(np.float32)) for _ in range(3))
+    upstream = ad.tensor(rng.standard_normal((t, n, d)).astype(np.float32))
+    with ad.tape() as tp:
+        loss = ad.reduce_sum(ad.mul(spike_attention_product(q, k, v, 0.125, training=True), upstream))
+    assert [e.op for e in tp.entries] == ["spike_attention", "scale", "mul", "reduce_sum"]
+    tracemalloc.start()
+    try:
+        tp.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in (q, k, v))
+    assert peak < t * n * n * 4, peak
 
 
 def test_backward_needs_scalar_loss():
@@ -641,6 +663,17 @@ def test_fd_conv_bn(rng):
         lambda xx, ww, gg, bb: ad.reduce_sum(ad.mul(r, ad.sigmoid(ad.conv_bn(
             xx, ww, gg, bb, rm.copy(), rv.copy(), pad=1)))),
         [x, w, gamma, beta],
+    )
+
+
+def test_fd_spike_attention(rng):
+    # the training attention entry, whose backward is Q (K^T V)'s; M != N
+    q, k, v = (rng.standard_normal(shape) for shape in ((2, 5, 3), (2, 4, 3), (2, 4, 6)))
+    r = ad.tensor(rng.standard_normal((2, 5, 6)))
+    assert_fd_match(
+        lambda qq, kk, vv: ad.reduce_sum(ad.mul(
+            r, spike_attention_product(qq, kk, vv, 0.25, training=True))),
+        [q, k, v],
     )
 
 

@@ -829,21 +829,14 @@ def _contract_argv(draw, tiny, tmp: Path) -> list:
     return argv
 
 
-@settings(derandomize=True, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_every_subcommand_keeps_the_output_contract(tiny_run, data):
-    """Hostile numbers, --set text and input files end either in exit 0 with
-    only key=value lines, or in exit 1 with exactly one error= line; stderr
-    stays empty but for argparse's usage text on a usage error, and nothing
-    warns."""
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = _contract_argv(data.draw, tiny_run, Path(tmp))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main(argv)
+def _assert_output_contract(argv):
+    """`main(argv)` ends either in exit 0 with only key=value lines, or in
+    exit 1 with exactly one error= line; stderr stays empty but for
+    argparse's usage text on a usage error, and nothing warns."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
     lines, err = out.getvalue().splitlines(), err.getvalue()
     assert not caught, [str(w.message) for w in caught]
     if rc == 0:
@@ -853,3 +846,27 @@ def test_every_subcommand_keeps_the_output_contract(tiny_run, data):
         assert rc == 1 and len(lines) == 1 and lines[0].startswith("error="), (rc, lines)
         usage = lines[0].startswith("error=CONFIG/usage: ")
         assert err.startswith("usage: spikedepth") if usage else err == "", err
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_subcommand_keeps_the_output_contract(tiny_run, data):
+    """Hostile numbers, --set text and input files keep the output contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_output_contract(_contract_argv(data.draw, tiny_run, Path(tmp)))
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN_KEYS))
+def test_every_set_key_keeps_the_output_contract_for_every_bad_number(tiny_run, tmp_path,
+                                                                      monkeypatch, key):
+    """`train --set KEY=VALUE` for every bad number, and every huge one
+    where the key sizes no work, keeps the output contract: the property
+    test above draws only a few of these pairs (it never drew seed=-1).
+    The other sizing keys keep their 8x8 base values."""
+    data, _, _ = tiny_run
+    monkeypatch.chdir(tmp_path)  # a relative out= or data= value lands here
+    for i, value in enumerate(_BAD_NUMBERS + ([] if key in _SIZING else _HUGE)):
+        items = {**_SIZING, key: value}
+        _assert_output_contract(["train", "--data", str(data), "--out", str(tmp_path / f"run{i}"),
+                                 *(f"--set={k}={v}" for k, v in items.items())])

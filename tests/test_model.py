@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     TAPE_MODES,
+    associative_attention,
     depth_map,
     inspection_tape,
     random_spikes,
@@ -163,26 +164,30 @@ def test_fused_attention_matches_the_two_matmul_oracle(t, n, m, d, dv, density, 
          needs={"q", "k", "v"})  # silent operands: every gradient is zero
 @example(t=3, n=7, m=16, d=5, dv=16, density=1.0, seed=1, dtype=np.float64, s=1 / 3,
          needs={"q", "k", "v"})  # every operand fires: the largest counts
-def test_fused_training_attention_has_the_two_matmul_graphs_bits(t, n, m, d, dv, density, seed,
-                                                                 dtype, s, needs):
+def test_fused_training_attention_has_the_associative_graphs_bits(t, n, m, d, dv, density, seed,
+                                                                  dtype, s, needs):
     """A training forward is one `spike_attention` entry on a gradient tape,
     and its output and the gradients of whichever of q, k and v need one
-    are the bytes of the `transpose -> matmul -> matmul -> scale` oracle's."""
+    are the bytes of the `transpose -> matmul(K^T, V) -> matmul(Q, .) ->
+    scale` oracle's; in float64 they are the two-matmul graph's to rounding."""
     q, k, v = _attention_operands(t, n, m, d, dv, density, seed, dtype)
     upstream = np.random.default_rng(seed).standard_normal((t, n, dv)).astype(dtype)
 
-    def run(product):
-        leaves = [ad.parameter(a) if name in needs else ad.tensor(a)
+    def run(product, dtype=dtype):
+        leaves = [ad.parameter(a.astype(dtype)) if name in needs else ad.tensor(a.astype(dtype))
                   for name, a in zip("qkv", (q, k, v))]
         with ad.tape() as tp:
             out = product(*leaves)
-            loss = ad.reduce_sum(ad.mul(out, ad.tensor(upstream)))
+            loss = ad.reduce_sum(ad.mul(out, ad.tensor(upstream.astype(dtype))))
         ops = _ops(tp.entries)
         tp.backward(loss)
         return ops, out.data, [leaf.grad for leaf in leaves]
 
-    got_ops, got, got_grads = run(lambda *qkv: spike_attention_product(*qkv, s, training=True))
-    want_ops, want, want_grads = run(lambda *qkv: two_matmul_attention(*qkv, s))
+    def fused(*qkv):
+        return spike_attention_product(*qkv, s, training=True)
+
+    got_ops, got, got_grads = run(fused)
+    want_ops, want, want_grads = run(lambda *qkv: associative_attention(*qkv, s))
     assert got_ops == ["spike_attention", "scale", "mul", "reduce_sum"]
     assert want_ops == ["transpose", "matmul", "matmul", "scale", "mul", "reduce_sum"]
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
@@ -190,18 +195,28 @@ def test_fused_training_attention_has_the_two_matmul_graphs_bits(t, n, m, d, dv,
         assert (g is None) is (w is None) is (name not in needs), name
         assert g is None or (g.dtype == w.dtype and g.tobytes() == w.tobytes()), name
 
+    _, _, got_grads = run(fused, np.float64)
+    _, _, want_grads = run(lambda *qkv: two_matmul_attention(*qkv, s), np.float64)
+    for name, g, w in zip("qkv", got_grads, want_grads):
+        assert g is None or np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
-def test_training_step_gradients_match_the_two_matmul_graph(monkeypatch):
-    """A tiny model's training step gives every parameter the same gradient
-    bytes with the fused attention entry as with the two-matmul oracle in
-    the model's place, and attention gradients reach q, k and v."""
+
+def test_training_step_gradients_match_the_associative_graph(monkeypatch):
+    """A small model's training step gives every parameter the same gradient
+    bytes with the fused attention entry as with the Q (K^T V) oracle in the
+    model's place, and attention gradients reach q, k and v.  At 16 tokens
+    and d=16 the (Q K^T) V graph's gradients differ in their last bits, so
+    the step tells the two associations apart."""
     rng = np.random.default_rng(0)
-    spikes = random_spikes(rng, p=0.4)
-    gt = depth_map(rng.uniform(0.2, 1.0, (16, 16)))
+    spikes = random_spikes(rng, h=32, w=32, p=0.4)
+    gt = depth_map(rng.uniform(0.2, 1.0, (32, 32)))
     dcfg = DistillConfig(matched_blocks=(2, 4))
 
-    def step():
-        model = tiny_model(seed=1)
+    def step(product=None):
+        if product is not None:
+            monkeypatch.setattr(model_module, "spike_attention_product",
+                                lambda q, k, v, s, training: product(q, k, v, s))
+        model = tiny_model(seed=1, h=32, w=32, d=16)
         with ad.tape() as tp:
             feats, pred = model.forward(spikes, training=True)
             loss, _, _ = total_loss(feats, pred, gt, None, None, dcfg)
@@ -210,9 +225,8 @@ def test_training_step_gradients_match_the_two_matmul_graph(monkeypatch):
         return ops, {name: p.grad for name, p in model.named_params()}
 
     fused_ops, fused = step()
-    monkeypatch.setattr(model_module, "spike_attention_product",
-                        lambda q, k, v, s, training: two_matmul_attention(q, k, v, s))
-    oracle_ops, oracle = step()
+    oracle_ops, oracle = step(associative_attention)
+    _, two_matmul = step(two_matmul_attention)
     assert fused_ops.count("spike_attention") == 4 and "matmul" not in fused_ops
     assert oracle_ops.count("matmul") == 8 and "spike_attention" not in oracle_ops
     for part in ("q", "k", "v"):
@@ -220,6 +234,7 @@ def test_training_step_gradients_match_the_two_matmul_graph(monkeypatch):
     assert fused.keys() == oracle.keys()
     for name, g in fused.items():
         assert g.tobytes() == oracle[name].tobytes(), name
+    assert any(g.tobytes() != two_matmul[name].tobytes() for name, g in fused.items())
 
 
 def test_purity_counts_fused_attention_as_two_products(rng):
